@@ -107,7 +107,9 @@ def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
             nB = uu * A + B
         nA = nA.divide_var_power(exc_var, m) if not nA.is_zero() else nA
         nB = nB.divide_var_power(exc_var, m) if not nB.is_zero() else nB
-        strict = OneForm2(nA, nB, form.vars)
+        # A chart is an isomorphism off the exceptional line, so a common
+        # factor of coprime A, B pulls back to powers of exc_var, now gone.
+        strict = OneForm2(nA, nB, form.vars, form.coprime)
         exc = DivisorBranch(MPoly.variable(form.vars, exc_var, desc), dicr)
         charts.append(BlowupChart(
             label, strict,

@@ -125,6 +125,22 @@ def _identity_dict(rep):
     return {"nu_form": rep.nu_form, "nu_dg": rep.nu_dg, "equal": rep.equal}
 
 
+def _separatrices_and_identity(parsed, tree, opts):
+    """Separatrix set of `tree` and the multiplicity identity report.
+
+    Without divisor branches `tree` is the reduction the identity needs,
+    so the form is reduced and its branches collected only once.
+    """
+    form = parsed.form
+    if parsed.divisor is None or not parsed.divisor.branches:
+        rep = multiplicity_identity_check(form, opts.truncation,
+                                          opts.max_depth, tree=tree)
+        return rep.seps, rep
+    seps = separatrices2(form.coerce_to(tree.desc), tree, opts.truncation)
+    return seps, multiplicity_identity_check(form, opts.truncation,
+                                             opts.max_depth)
+
+
 def _product(polys):
     out = polys[0]
     for p in polys[1:]:
@@ -160,12 +176,9 @@ def _cmd_analyze2(parsed, report, opts, dot_ref):
     report["second_type"] = _second_type_dict(tree)
     report["generalized_curve"] = not tree.saddle_nodes()
     try:
-        seps = separatrices2(form.coerce_to(tree.desc), tree,
-                             opts.truncation)
+        seps, rep = _separatrices_and_identity(parsed, tree, opts)
         report["separatrices"] = _separatrix_list(seps)
-        report["identity_check"] = _identity_dict(
-            multiplicity_identity_check(form, opts.truncation,
-                                        opts.max_depth))
+        report["identity_check"] = _identity_dict(rep)
     except DicriticalInputError as exc:
         report["diagnostics"].append(str(exc))
     report["_tree"] = tree
@@ -178,10 +191,9 @@ def _cmd_separatrices(parsed, report, opts, dot_ref):
                              opts.jet_order)
     report["nu0"] = nu0(form)
     report["dicritical"] = tree.has_dicritical()
-    seps = separatrices2(form.coerce_to(tree.desc), tree, opts.truncation)
+    seps, rep = _separatrices_and_identity(parsed, tree, opts)
     report["separatrices"] = _separatrix_list(seps)
-    report["identity_check"] = _identity_dict(
-        multiplicity_identity_check(form, opts.truncation, opts.max_depth))
+    report["identity_check"] = _identity_dict(rep)
     if dot_ref is not None:
         report["reduction"] = _reduction_dict(tree, dot_ref)
     report["_tree"] = tree
@@ -373,6 +385,8 @@ def _validate(opts):
         raise UsageError("options must be positive")
     if opts.trials < 0 or opts.resonance_bound < 1:
         raise UsageError("options must be positive")
+    if opts.command in ("analyze2", "separatrices") and opts.truncation < 2:
+        raise UsageError("separatrix jets need --truncation N >= 2")
     if opts.command == "second-type3" and opts.seed is None:
         raise UsageError("second-type3 samples sections: --seed is "
                          "mandatory for reproducibility")

@@ -8,6 +8,7 @@ a + b*sqrt(m) with a, b reduced rational functions of the parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -544,11 +545,8 @@ def _fraction_sqrt(q: Fraction):
 def _int_sqrt_exact(n: int):
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def sqrt_in_tower(x: FieldElement):

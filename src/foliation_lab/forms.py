@@ -64,11 +64,21 @@ class InvarianceResult:
 
 
 class OneForm2:
-    """A du + B dv with labeled variables, default (u, v)."""
+    """A du + B dv with labeled variables, default (u, v).
 
-    __slots__ = ("vars", "A", "B", "desc")
+    `coprime` records that normalize2 has already certified that A and B
+    share no nonconstant factor, so a later normalize2 only strips
+    monomial content.  It is False unless set by normalize2 or carried by
+    an operation that provably keeps the property: translate, rename and
+    coerce_to (a gcd does not change under automorphisms or a field
+    extension), the strict transforms of blowup_point2 and invertible
+    linear changes of coordinates.  Any other new form starts with False.
+    """
 
-    def __init__(self, A: MPoly, B: MPoly, variables=("u", "v")):
+    __slots__ = ("vars", "A", "B", "desc", "coprime")
+
+    def __init__(self, A: MPoly, B: MPoly, variables=("u", "v"),
+                 coprime: bool = False):
         variables = tuple(variables)
         if len(variables) != 2:
             raise ValueError("a plane form needs exactly two variables")
@@ -80,6 +90,7 @@ class OneForm2:
         self.A = A
         self.B = B
         self.desc = A.desc
+        self.coprime = coprime
 
     def is_zero(self) -> bool:
         return self.A.is_zero() and self.B.is_zero()
@@ -92,15 +103,20 @@ class OneForm2:
             return pa
         return min(pa, pb)
 
+    # coerce_to, translate and rename keep `coprime`: a gcd is unchanged by
+    # a field extension, and a translation or renaming is an automorphism.
     def coerce_to(self, desc: FieldDescriptor) -> "OneForm2":
-        return OneForm2(self.A.coerce_to(desc), self.B.coerce_to(desc), self.vars)
+        return OneForm2(self.A.coerce_to(desc), self.B.coerce_to(desc),
+                        self.vars, self.coprime)
 
     def translate(self, shifts) -> "OneForm2":
-        return OneForm2(self.A.translate(shifts), self.B.translate(shifts), self.vars)
+        return OneForm2(self.A.translate(shifts), self.B.translate(shifts),
+                        self.vars, self.coprime)
 
     def rename(self, new_vars) -> "OneForm2":
         new_vars = tuple(new_vars)
-        return OneForm2(self.A.rename(new_vars), self.B.rename(new_vars), new_vars)
+        return OneForm2(self.A.rename(new_vars), self.B.rename(new_vars),
+                        new_vars, self.coprime)
 
     def dual_linear_part(self):
         """Linear part of the dual field B d/du - A d/dv as a 2x2 matrix."""
@@ -115,9 +131,6 @@ class OneForm2:
             [lin(self.B, u), lin(self.B, v)],
             [-lin(self.A, u), -lin(self.A, v)],
         ]
-
-    def evaluate_at(self, point):
-        return (self.A.evaluate(point), self.B.evaluate(point))
 
     def render(self) -> str:
         u, v = self.vars
@@ -203,9 +216,6 @@ class DivisorBranch:
         self.equation = equation
         self.dicritical = dicritical
 
-    def is_invariant_tag(self) -> bool:
-        return not self.dicritical
-
     def __repr__(self):
         tag = "dicritical" if self.dicritical else "invariant"
         return "DivisorBranch(%s, %s)" % (self.equation.render(), tag)
@@ -223,17 +233,8 @@ class LocalDivisor:
     def empty() -> "LocalDivisor":
         return LocalDivisor(())
 
-    def e0(self) -> int:
-        return len(self.branches)
-
     def invariant_part(self):
         return [b for b in self.branches if not b.dicritical]
-
-    def dicritical_part(self):
-        return [b for b in self.branches if b.dicritical]
-
-    def with_branch(self, branch: DivisorBranch) -> "LocalDivisor":
-        return LocalDivisor(self.branches + (branch,))
 
     def __iter__(self):
         return iter(self.branches)
@@ -340,11 +341,12 @@ def _quickly_coprime(polys):
     return True
 
 
-def _content_and_gcd(coeffs):
+def _content_and_gcd(coeffs, coprime=False):
     """Common factor of a list of nonzero polynomials/series.
 
     Monomial content always comes out; a genuine polynomial gcd is taken
-    only for exact bivariate input, where the subresultant walk applies.
+    only for exact bivariate input, where the subresultant walk applies,
+    and only when the caller does not already know the list is coprime.
     """
     alive = [p for p in coeffs if not p.is_zero()]
     if not alive:
@@ -363,6 +365,8 @@ def _content_and_gcd(coeffs):
             if k and not q.is_zero():
                 q = q.divide_var_power(w, k)
         stripped.append(q)
+    if coprime:
+        return stripped
     alive = [p for p in stripped if not p.is_zero()]
     exact = all(p.prec is None for p in alive)
     if exact and len(alive[0].vars) == 2 and len(alive) >= 2 \
@@ -389,11 +393,17 @@ def _content_and_gcd(coeffs):
 
 
 def normalize2(form: OneForm2) -> OneForm2:
-    """Remove the common factor of the two coefficients.  Idempotent."""
+    """Remove the common factor of the two coefficients.  Idempotent.
+
+    The result has `coprime` set: for exact coefficients A and B share
+    no nonconstant factor; truncated series only lose monomial content.
+    A form that already carries the flag (see OneForm2) skips the gcd
+    certificate and only loses its monomial content.
+    """
     if form.is_zero():
         raise ValueError("zero form cannot be normalized")
-    A, B = _content_and_gcd([form.A, form.B])
-    return OneForm2(A, B, form.vars)
+    A, B = _content_and_gcd([form.A, form.B], form.coprime)
+    return OneForm2(A, B, form.vars, coprime=True)
 
 
 def normalize3(form: OneForm3) -> OneForm3:

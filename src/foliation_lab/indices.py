@@ -15,6 +15,7 @@ from .fields import FieldDescriptor, FieldElement, WidenRequest, sort_key
 from .forms import CurveJet, LocalDivisor, OneForm2, normalize2
 from .poly import (
     MPoly,
+    _utrim,
     divides,
     gcd_bivariate,
     to_univariate,
@@ -333,13 +334,6 @@ def _u_list(p: MPoly, var: str, other: str, N: int):
     return out
 
 
-def _u_trimmed(c):
-    n = len(c)
-    while n and c[n - 1].is_zero():
-        n -= 1
-    return c[:n]
-
-
 def _u_inverse(c, N: int):
     """First N coefficients of the reciprocal of a unit coefficient list."""
     inv0 = c[0].inverse()
@@ -355,7 +349,7 @@ def _u_inverse(c, N: int):
 
 def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
     """Residue at the origin of the Laurent series n(t)/m(t)."""
-    m = _u_trimmed(list(m))
+    m = _utrim(list(m))
     if not m:
         raise ValueError("residue of a series over the zero denominator")
     r = 0
@@ -579,7 +573,7 @@ def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
     for e, coeff in c.coeffs.items():
         if sum(e) == m:
             lam[e[1 - i_u]] = coeff
-    plam = _u_trimmed(lam)
+    plam = _utrim(lam)
     vertical = m - (len(plam) - 1)
     if vertical > 1:
         raise ValueError("the curve has a multiple vertical tangent")

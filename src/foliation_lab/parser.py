@@ -103,7 +103,8 @@ def _max_field_degree() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 2
+        raise ValueError("FOLIATION_LAB_MAX_FIELD_DEG must be an integer, "
+                         "got %r" % raw) from None
 
 
 def _infer_descriptor(tokens) -> FieldDescriptor:
@@ -143,7 +144,8 @@ def _infer_descriptor(tokens) -> FieldDescriptor:
                 if s != 1:
                     extensions.append((s, tok))
     desc = FieldDescriptor(parameter=parameter)
-    if extensions and _max_field_degree() < 2:
+    max_degree = _max_field_degree()
+    if extensions and max_degree < 2:
         tok = extensions[0][1]
         raise InputSyntaxError(
             "field extensions are disabled (FOLIATION_LAB_MAX_FIELD_DEG)",

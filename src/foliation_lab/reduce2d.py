@@ -122,9 +122,6 @@ class ReductionTree:
         return sorted(k for k, c in self.components.items() if c["dicritical"])
 
 
-def _is_zero_dir(d):
-    return d[0].is_zero() and d[1].is_zero()
-
 def _parallel(d1, d2) -> bool:
     return (d1[0] * d2[1] - d1[1] * d2[0]).is_zero()
 
@@ -188,7 +185,10 @@ def _rotate_form(form: OneForm2, d1, d2) -> OneForm2:
     # d(img_u) = d1[0] du + d2[0] dv etc.
     nA = A.scale(d1[0]) + B.scale(d1[1])
     nB = A.scale(d2[0]) + B.scale(d2[1])
-    return OneForm2(nA, nB, form.vars)
+    # (nA, nB) is (A, B) composed with the linear map, times the matrix
+    # (d1 d2); both steps keep coprimality exactly when det(d1, d2) != 0.
+    invertible = not _parallel(d1, d2)
+    return OneForm2(nA, nB, form.vars, form.coprime and invertible)
 
 
 def saddle_node_data(form: OneForm2, jet_order: int):
@@ -295,18 +295,20 @@ class _Engine:
         local = [(cid, b) for cid, b in tagged_branches
                  if b.equation.evaluate(zero).is_zero()]
         E = LocalDivisor([b for _, b in local])
+        # every form reaching here descends from the normalized root through
+        # translations and strict transforms, so it carries `coprime`
+        form = normalize2(form)
         code, well, M = classify_point2(form, E, self.jet_order)
         if code.adapted != UNADAPTED:
             if code.kind != REGULAR:
                 self.tree.leaves.append(SingularityRecord(
-                    path, normalize2(form), E, code, well, M,
+                    path, form, E, code, well, M,
                     components=[cid for cid, _ in local],
                 ))
             return
         if depth >= self.max_depth:
             raise ReductionError("blow-up depth exhausted", self.tree)
 
-        form = normalize2(form)
         charts = blowup_point2(form, E, force=True)
         self.tree.blowup_count += 1
         new_id = self.new_component(charts[0].dicritical, path)
@@ -407,8 +409,8 @@ def seidenberg_reduce(form: OneForm2, E: LocalDivisor = None,
             return _Engine(form, E, max_depth, jet_order).run()
         except WidenRequest as w:
             desc = form.desc.widened(w.m)
-            form = OneForm2(form.A.coerce_to(desc), form.B.coerce_to(desc),
-                            form.vars)
+            # coerce_to keeps `coprime`: a field extension leaves the gcd 1
+            form = form.coerce_to(desc)
             E = LocalDivisor([DivisorBranch(b.equation.coerce_to(desc),
                                             b.dicritical) for b in E])
 

@@ -29,7 +29,6 @@ from .reduce2d import (
     _eigdir,
     _parallel,
     _rotate_form,
-    is_second_type2,
     seidenberg_reduce,
 )
 
@@ -268,14 +267,15 @@ def weak_graph_coefficients(form: OneForm2, N: int = 10):
 
 
 class IdentityReport:
-    __slots__ = ("nu_form", "nu_dg", "equal", "second_type", "g")
+    __slots__ = ("nu_form", "nu_dg", "equal", "second_type", "g", "seps")
 
-    def __init__(self, nu_form, nu_dg, second_type, g):
+    def __init__(self, nu_form, nu_dg, second_type, g, seps):
         self.nu_form = nu_form
         self.nu_dg = nu_dg
         self.equal = nu_form == nu_dg
         self.second_type = second_type
         self.g = g
+        self.seps = seps
 
     def __repr__(self):
         return "IdentityReport(nu_form=%d, nu_dg=%d, equal=%s)" % (
@@ -283,13 +283,20 @@ class IdentityReport:
 
 
 def multiplicity_identity_check(form: OneForm2, N: int = 12,
-                                max_depth: int = 64) -> IdentityReport:
+                                max_depth: int = 64,
+                                tree: ReductionTree = None) -> IdentityReport:
     """Compare the multiplicity of the form with that of d(g), g the
-    reduced separatrix equation."""
+    reduced separatrix equation.
+
+    `tree`, when given, must be a reduction of the same form without a
+    divisor; it is used instead of reducing again.
+    """
     form = normalize2(form)
-    st = is_second_type2(form, None, max_depth)
-    seps = separatrices2(form.coerce_to(st.tree.desc), st.tree, N)
+    if tree is None:
+        tree = seidenberg_reduce(form, None, max_depth)
+    seps = separatrices2(form.coerce_to(tree.desc), tree, N)
     g = seps.g
     u, v = form.vars
     dg = OneForm2(g.partial(u), g.partial(v), form.vars)
-    return IdentityReport(nu0(form), nu0(dg), bool(st), g)
+    return IdentityReport(nu0(form), nu0(dg), not tree.tangent_witnesses(),
+                          g, seps)

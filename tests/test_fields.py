@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import (FieldDescriptor, FieldError, FieldExtensionError,
-                           WidenRequest)
-from foliation_lab.fields import (coerce, ratio_in_positive_rationals,
-                                  sort_key, sqrt_in_tower, sqrt_or_widen)
+                           LocalDivisor, OneForm2, WidenRequest)
+from foliation_lab.fields import (_int_sqrt_exact, coerce,
+                                  ratio_in_positive_rationals, sort_key,
+                                  sqrt_in_tower, sqrt_or_widen)
+from foliation_lab.poly import MPoly
+from foliation_lab.reduce2d import NON_SIMPLE, classify_point2
 
 Q = FieldDescriptor()
 Q2 = FieldDescriptor(quadratic_extension=2)
@@ -105,6 +108,26 @@ def test_ratio_in_positive_rationals():
     # degenerate linear parts
     assert ratio_in_positive_rationals(Q.one(), Q.zero()) == "zero-eigenvalue"
     assert ratio_in_positive_rationals(Q.zero(), Q.zero()) == "nilpotent"
+
+
+def test_int_sqrt_exact_is_exact_for_big_integers():
+    assert _int_sqrt_exact(10**400) == 10**200
+    assert _int_sqrt_exact(10**400 + 1) is None
+    assert _int_sqrt_exact((10**20 + 1) ** 2) == 10**20 + 1
+    assert _int_sqrt_exact((10**20 + 1) ** 2 - 1) is None
+    assert _int_sqrt_exact(2) is None
+    assert _int_sqrt_exact(-4) is None
+
+
+def test_huge_resonant_node_is_not_simple():
+    # -v du + k u dv: eigenvalues k and 1, quotient k in Q_{>0}
+    k = 100000000000000000001
+    assert ratio_in_positive_rationals(Q.rational(k + 1),
+                                       Q.rational(k)) == "yes"
+    form = OneForm2(MPoly(("u", "v"), {(0, 1): Q.rational(-1)}, Q),
+                    MPoly(("u", "v"), {(1, 0): Q.rational(k)}, Q))
+    code, _, _ = classify_point2(form, LocalDivisor.empty())
+    assert code.kind == NON_SIMPLE
 
 
 def test_negative_extension_supports_imaginary_arithmetic():

@@ -79,6 +79,14 @@ def test_field_extensions_can_be_disabled(monkeypatch):
     assert parse_form("omega3: y*z dx + x*z dy + rt(2)*x*y dz").desc == Q2
 
 
+def test_malformed_field_degree_setting_is_a_usage_error(monkeypatch,
+                                                         tmp_form_file):
+    monkeypatch.setenv("FOLIATION_LAB_MAX_FIELD_DEG", "two")
+    with pytest.raises(ValueError, match="FOLIATION_LAB_MAX_FIELD_DEG"):
+        parse_form(CUSP2)
+    assert cli.main(["reduce2", tmp_form_file(CUSP2)]) == 1
+
+
 # --- command-line driver ----------------------------------------------------
 
 
@@ -140,6 +148,12 @@ def test_cli_usage_errors_exit_one(tmp_form_file, tmp_path):
     assert cli.main(["reduce2", tmp_form_file(DXYZ3)]) == 1
     # theorem-main without its separatrix block
     assert cli.main(["theorem-main", tmp_form_file(DXYZ3)]) == 1
+    # separatrix jets need order 2, also where the reduction is
+    # inconclusive (a tangent cone u^3 - 2 v^3 outside the tower)
+    for text in (CUSP2, "omega2: 3*u^2 du - 6*v^2 dv\n"):
+        for command in ("analyze2", "separatrices"):
+            assert cli.main([command, tmp_form_file(text),
+                             "--truncation", "1"]) == 1
 
 
 def test_cli_model_match3(tmp_form_file, tmp_path):
