@@ -31,9 +31,8 @@ from .separatrix import (BranchJet, DicriticalInputError, IdentityReport,
                          separatrices2, weak_graph_coefficients,
                          weak_separatrix_jet)
 from .threefold import (InconclusiveError, Model3Match, SectionMap,
-                        TheoremReport, Verdict3, corner_or_trace,
-                        cylinder_direction, dimensional_type,
-                        generic_transversality_check, match_simple_model3,
+                        TheoremReport, Verdict3, cylinder_direction,
+                        dimensional_type, match_simple_model3,
                         pullback_section, second_type3_via_sections,
                         theorem_main_harness, well_oriented3)
 from .indices import (IndexValue, LogarithmicData, LogCriterionReport,

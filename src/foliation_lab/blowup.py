@@ -2,9 +2,9 @@
 
 Point blow-ups in dimension two use the two standard monomial charts
 (u, v) -> (u, u v) and (u, v) -> (u v, v); dimension three adds the three
-point charts and blow-ups along coordinate axes.  Each chart carries the
-strict transform of the form (exceptional factor divided out), the
-transformed divisor with the new exceptional branch appended, and the
+point charts and blow-ups along coordinate axes.  Each chart carries its
+map, the strict transform of the form (exceptional factor divided out),
+the transformed divisor with the new exceptional branch appended, and the
 extracted exceptional multiplicity.
 """
 
@@ -19,24 +19,104 @@ from .forms import (
 )
 from .poly import MPoly, vanishing_order
 
+# The two charts of a plane point blow-up: label and the index of the
+# exceptional variable in the form's variables; the other one is scaled.
+PLANE_CHARTS = (("c1", 0), ("c2", 1))
+
 
 class BlowupChart:
-    """One monomial chart of a blow-up with its transformed data."""
+    """One monomial chart of a blow-up with its transformed data.
 
-    __slots__ = ("label", "form", "divisor", "exceptional", "mult", "dicritical")
+    A chart is fixed by its exceptional variable e, the variables it
+    scales and the variables it keeps: its map sends e to e, each scaled
+    w to e*w and each kept variable to itself, so {e = 0} is the
+    exceptional divisor.  Labels:
 
-    def __init__(self, label, form, divisor, exceptional, mult, dicritical):
+    - blowup_point2: "c1" (e = u, v scaled) and "c2" (e = v, u scaled),
+      as listed in PLANE_CHARTS;
+    - blowup_point3: "c<e>" for each variable e, the other two scaled;
+    - blowup_curve3 along the axis of `axis`: "a<e>" for each of the two
+      other variables e, the remaining one scaled and `axis` kept.
+
+    `mapping` is the chart map (variable -> image) and `exc_var` is e.
+    `divisor` holds the strict transforms of the input branches that pass
+    through the chart origin, followed by the exceptional branch;
+    `survivors` are the indices of those input branches, in input order.
+    """
+
+    __slots__ = ("label", "form", "mapping", "exc_var", "mult", "dicritical",
+                 "exceptional", "divisor", "survivors")
+
+    def __init__(self, label, form, mapping, exc_var, mult, dicritical,
+                 divisor):
         self.label = label
         self.form = form
-        self.divisor = divisor
-        self.exceptional = exceptional
+        self.mapping = mapping
+        self.exc_var = exc_var
         self.mult = mult
         self.dicritical = dicritical
+        self.exceptional = DivisorBranch(
+            MPoly.variable(form.vars, exc_var, form.desc), dicritical)
+        self.divisor, self.survivors = _transform_divisor(self, divisor)
+
+    def strict(self, eq: MPoly):
+        """Strict transform of a branch equation; None when it leaves the
+        chart or misses the chart origin."""
+        total = eq.substitute(self.mapping)
+        if total.is_zero():
+            return None
+        strict = total.divide_var_power(
+            self.exc_var, total.min_exponent_in(self.exc_var))
+        if not strict.constant_coefficient().is_zero():
+            return None
+        return strict
 
     def __repr__(self):
         return "BlowupChart(%s, m=%d, %s)" % (
             self.label, self.mult, "dicritical" if self.dicritical else "invariant",
         )
+
+
+def _transform_divisor(chart: BlowupChart, divisor):
+    branches = []
+    survivors = []
+    for i, b in enumerate(divisor):
+        strict = chart.strict(b.equation)
+        if strict is not None:
+            branches.append(DivisorBranch(strict, b.dicritical))
+            survivors.append(i)
+    branches.append(chart.exceptional)
+    return LocalDivisor(branches), tuple(survivors)
+
+
+def _pull_back(variables, coeffs, exc_var, scaled, prec):
+    """Chart map and pulled-back 1-form coefficients, before e^m is
+    divided out.
+
+    Since d(e*w) = w de + e dw, the de coefficient becomes
+    img_e + sum of w*img_w over the scaled w, and each scaled coefficient
+    becomes e*img_w; kept coefficients are just mapped.
+    """
+    desc = coeffs[0].desc
+    gens = {w: MPoly.variable(variables, w, desc, prec) for w in variables}
+    e = gens[exc_var]
+    mapping = {w: e * gens[w] if w in scaled else gens[w] for w in variables}
+    imgs = dict(zip(variables, (p.substitute(mapping) for p in coeffs)))
+    out = []
+    for w in variables:
+        c = imgs[w]
+        if w == exc_var:
+            for s in scaled:
+                c = c + gens[s] * imgs[s]
+        elif w in scaled:
+            c = e * c
+        out.append(c)
+    return mapping, out
+
+
+def _divide(coeffs, exc_var, m):
+    return [p.divide_var_power(exc_var, m) if not p.is_zero() else p
+            for p in coeffs]
 
 
 def dicritical_test2(form: OneForm2) -> bool:
@@ -50,72 +130,30 @@ def dicritical_test2(form: OneForm2) -> bool:
     return (uu * An + vv * Bn).is_zero()
 
 
-def _strict_branch(eq: MPoly, mapping, exc_var: str):
-    """Strict transform of a branch equation; None when it leaves the chart."""
-    total = eq.substitute(mapping)
-    if total.is_zero():
-        return None
-    k = total.min_exponent_in(exc_var)
-    strict = total.divide_var_power(exc_var, k) if k else total
-    if strict.degree() == 0 and strict.prec is None:
-        return None
-    if not strict.constant_coefficient().is_zero():
-        return None
-    return strict
-
-
-def _transform_divisor(divisor, mapping, exc_var, exc_branch):
-    branches = []
-    for b in divisor:
-        strict = _strict_branch(b.equation, mapping, exc_var)
-        if strict is not None:
-            branches.append(DivisorBranch(strict, b.dicritical))
-    branches.append(exc_branch)
-    return LocalDivisor(branches)
-
-
 def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
     """Blow up the origin of the plane; returns the two charts.
 
     Regular points are refused unless `force` is set (the reduction
     engine needs them for tangency points on dicritical components).
     """
-    desc = form.desc
-    zero = {w: desc.zero() for w in form.vars}
+    zero = {w: form.desc.zero() for w in form.vars}
     singular = form.A.evaluate(zero).is_zero() and form.B.evaluate(zero).is_zero()
     if not singular and not force:
         raise ValueError("blow-up refused at a regular point")
     nu = nu0(form)
     dicr = dicritical_test2(form)
     m = nu + 1 if dicr else nu
-    u, v = form.vars
-    uu = MPoly.variable(form.vars, u, desc, form.A.prec)
-    vv = MPoly.variable(form.vars, v, desc, form.A.prec)
     charts = []
-    for label, mapping, exc_var in (
-        ("c1", {u: uu, v: uu * vv}, u),
-        ("c2", {u: uu * vv, v: vv}, v),
-    ):
-        A = form.A.substitute(mapping)
-        B = form.B.substitute(mapping)
-        if label == "c1":
-            # d(uv) = v du + u dv
-            nA = A + vv * B
-            nB = uu * B
-        else:
-            nA = vv * A
-            nB = uu * A + B
-        nA = nA.divide_var_power(exc_var, m) if not nA.is_zero() else nA
-        nB = nB.divide_var_power(exc_var, m) if not nB.is_zero() else nB
+    for label, i in PLANE_CHARTS:
+        exc_var = form.vars[i]
+        mapping, coeffs = _pull_back(form.vars, (form.A, form.B), exc_var,
+                                     (form.vars[1 - i],), form.A.prec)
         # A chart is an isomorphism off the exceptional line, so a common
         # factor of coprime A, B pulls back to powers of exc_var, now gone.
-        strict = OneForm2(nA, nB, form.vars, form.coprime)
-        exc = DivisorBranch(MPoly.variable(form.vars, exc_var, desc), dicr)
-        charts.append(BlowupChart(
-            label, strict,
-            _transform_divisor(divisor, mapping, exc_var, exc),
-            exc, m, dicr,
-        ))
+        strict = OneForm2(*_divide(coeffs, exc_var, m), form.vars,
+                          form.coprime)
+        charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
+                                  divisor))
     return charts
 
 
@@ -137,42 +175,30 @@ def _plane_invariant(form: OneForm3, exc_var: str) -> bool:
     return all(p.restrict(fixed).is_zero() for p in others)
 
 
+def _charts3(form: OneForm3, divisor: LocalDivisor, layout):
+    """The charts (label, exc_var, scaled) of a blow-up in 3-space; m is
+    the exceptional content of the pull-back."""
+    prec = form.prec()
+    charts = []
+    for label, exc_var, scaled in layout:
+        mapping, coeffs = _pull_back(form.vars, form.coeffs(), exc_var,
+                                     scaled, prec)
+        m = _exc_content3(coeffs, exc_var)
+        strict = OneForm3(*_divide(coeffs, exc_var, m), variables=form.vars)
+        dicr = not _plane_invariant(strict, exc_var)
+        charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
+                                  divisor))
+    return charts
+
+
 def blowup_point3(form: OneForm3, divisor: LocalDivisor):
     """Blow up the origin of 3-space; returns the three charts."""
-    desc = form.desc
-    zero = {w: desc.zero() for w in form.vars}
+    zero = {w: form.desc.zero() for w in form.vars}
     if not all(p.evaluate(zero).is_zero() for p in form.coeffs()):
         raise ValueError("blow-up refused at a regular point")
-    x, y, z = form.vars
-    prec = form.prec()
-    gens = {w: MPoly.variable(form.vars, w, desc, prec) for w in form.vars}
-    charts = []
-    for exc_var in form.vars:
-        others = [w for w in form.vars if w != exc_var]
-        mapping = {exc_var: gens[exc_var]}
-        for w in others:
-            mapping[w] = gens[exc_var] * gens[w]
-        imgs = {w: form.coeffs()[form.vars.index(w)].substitute(mapping)
-                for w in form.vars}
-        # d(e*w) = w de + e dw for the two scaled variables
-        new = {}
-        new[exc_var] = imgs[exc_var] + sum(
-            (gens[w] * imgs[w] for w in others), MPoly.zero(form.vars, desc, prec))
-        for w in others:
-            new[w] = gens[exc_var] * imgs[w]
-        m = _exc_content3(list(new.values()), exc_var)
-        for w in form.vars:
-            if not new[w].is_zero():
-                new[w] = new[w].divide_var_power(exc_var, m)
-        strict = OneForm3(new[x], new[y], new[z], form.vars)
-        dicr = not _plane_invariant(strict, exc_var)
-        exc = DivisorBranch(MPoly.variable(form.vars, exc_var, desc), dicr)
-        charts.append(BlowupChart(
-            "c%s" % exc_var, strict,
-            _transform_divisor(divisor, mapping, exc_var, exc),
-            exc, m, dicr,
-        ))
-    return charts
+    return _charts3(form, divisor, [
+        ("c" + e, e, tuple(w for w in form.vars if w != e))
+        for e in form.vars])
 
 
 def blowup_curve3(form: OneForm3, axis: str, divisor: LocalDivisor):
@@ -180,42 +206,16 @@ def blowup_curve3(form: OneForm3, axis: str, divisor: LocalDivisor):
     if axis not in form.vars:
         raise ValueError("unknown axis %r" % (axis,))
     desc = form.desc
-    kept = axis
     a, b = [w for w in form.vars if w != axis]
     tvar = ("t",)
     t = MPoly.variable(tvar, "t", desc)
     zt = MPoly.zero(tvar, desc)
-    axis_curve = {w: (t if w == kept else zt) for w in form.vars}
+    axis_curve = {w: (t if w == axis else zt) for w in form.vars}
     for p in form.coeffs():
-        if not p.substitute({w: axis_curve[w] for w in form.vars}).is_zero():
+        if not p.substitute(axis_curve).is_zero():
             raise ValueError("center is not contained in the singular locus")
     for br in divisor:
-        restr = br.equation.substitute({w: axis_curve[w] for w in form.vars})
+        restr = br.equation.substitute(axis_curve)
         if not restr.is_zero() and vanishing_order(restr) > 1:
             raise ValueError("center is not normal crossings with the divisor")
-    prec = form.prec()
-    gens = {w: MPoly.variable(form.vars, w, desc, prec) for w in form.vars}
-    charts = []
-    for exc_var, scaled in ((a, b), (b, a)):
-        mapping = {kept: gens[kept], exc_var: gens[exc_var],
-                   scaled: gens[exc_var] * gens[scaled]}
-        imgs = {w: form.coeffs()[form.vars.index(w)].substitute(mapping)
-                for w in form.vars}
-        new = {
-            kept: imgs[kept],
-            exc_var: imgs[exc_var] + gens[scaled] * imgs[scaled],
-            scaled: gens[exc_var] * imgs[scaled],
-        }
-        m = _exc_content3(list(new.values()), exc_var)
-        for w in form.vars:
-            if not new[w].is_zero():
-                new[w] = new[w].divide_var_power(exc_var, m)
-        strict = OneForm3(*(new[w] for w in form.vars), variables=form.vars)
-        dicr = not _plane_invariant(strict, exc_var)
-        exc = DivisorBranch(MPoly.variable(form.vars, exc_var, desc), dicr)
-        charts.append(BlowupChart(
-            "a%s" % exc_var, strict,
-            _transform_divisor(divisor, mapping, exc_var, exc),
-            exc, m, dicr,
-        ))
-    return charts
+    return _charts3(form, divisor, (("a" + a, a, (b,)), ("a" + b, b, (a,))))

@@ -14,11 +14,12 @@ import os
 import sys
 
 from .fields import (FieldError, FieldExtensionError, WidenRequest)
-from .forms import PrecisionError, mu0, nu0
+from .forms import PrecisionError, mu0, normalize2, nu0
 from .indices import logarithmic_criterion, sum_theorem_check
 from .parser import InputSyntaxError, parse_form
 from .poly import MPoly, OrderIndeterminate
-from .reduce2d import (ReductionError, dual_graph, seidenberg_reduce)
+from .reduce2d import (ReductionError, _branch_invariant, dual_graph,
+                       seidenberg_reduce)
 from .separatrix import (DicriticalInputError, multiplicity_identity_check,
                          separatrices2)
 from .threefold import (InconclusiveError, match_simple_model3,
@@ -397,6 +398,19 @@ def _validate(opts):
                                  "name directories")
 
 
+def _check_divisor(form, divisor):
+    """Refuse a branch through the origin that is neither invariant nor
+    tagged dicritical: no blow-up ever adapts the divisor to it."""
+    form = normalize2(form)
+    zero = {w: form.desc.zero() for w in form.vars}
+    for b in divisor:
+        if (b.dicritical or not b.equation.evaluate(zero).is_zero()
+                or _branch_invariant(form, b.equation)):
+            continue
+        raise UsageError("divisor branch %s is neither invariant nor tagged "
+                         "dicritical(...)" % b.equation.render())
+
+
 def _run_one(opts, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -416,6 +430,8 @@ def _run_one(opts, path):
     dot_path = (_target_path(opts.dot, path, ".dot")
                 if opts.command in _TREE_COMMANDS else None)
     try:
+        if parsed.kind == "omega2" and parsed.divisor is not None:
+            _check_divisor(parsed.form, parsed.divisor)
         code = _HANDLERS[opts.command](parsed, report, opts, dot_path)
     except (WidenRequest, FieldExtensionError, PrecisionError,
             InconclusiveError, ReductionError, OrderIndeterminate,

@@ -12,7 +12,8 @@ through the pole degree of a plane section.
 from __future__ import annotations
 
 from .fields import FieldDescriptor, FieldElement, WidenRequest, sort_key
-from .forms import CurveJet, LocalDivisor, OneForm2, normalize2
+from .forms import (CurveJet, LocalDivisor, OneForm2, PrecisionError,
+                    normalize2)
 from .poly import (
     MPoly,
     _utrim,
@@ -20,11 +21,11 @@ from .poly import (
     gcd_bivariate,
     to_univariate,
     u_gcd,
+    u_resultant,
     u_roots_in_tower,
 )
 from .reduce2d import SADDLE_NODE, classify_point2
 from .separatrix import _scale_dir, _trace_graph
-from .threefold import _resultant_eliminating
 
 _UV = ("u", "v")
 
@@ -224,6 +225,49 @@ def localize_at(p: MPoly, sing: PlaneSingularity) -> MPoly:
     return q.translate({"u": sing.base[0], "v": sing.base[1]})
 
 
+def _resultant_eliminating(p: MPoly, q: MPoly, var: str, desc):
+    """Resultant of two exact bivariate polynomials eliminating `var`,
+    as a univariate coefficient list in the other variable
+    (evaluation-interpolation).
+
+    Points where a leading coefficient in `var` vanishes are skipped:
+    there the specialized resultant is not the specialization of the
+    resultant.
+    """
+    other = [w for w in p.vars if w != var][0]
+    bound = p.degree() * q.degree() + 1
+    pts = []
+    vals = []
+    x = 0
+    while len(pts) < bound:
+        t = desc.rational(x)
+        x += 1
+        pa = to_univariate(p.restrict({other: t}), var)
+        pb = to_univariate(q.restrict({other: t}), var)
+        if len(pa) - 1 < p.degree_in(var) or len(pb) - 1 < q.degree_in(var):
+            continue
+        pts.append(t)
+        vals.append(u_resultant(pa, pb, desc))
+    # Lagrange interpolation on the chosen points
+    coeffs = [desc.zero()] * bound
+    for i, t in enumerate(pts):
+        num = [desc.one()]
+        denom = desc.one()
+        for j, s in enumerate(pts):
+            if j == i:
+                continue
+            new = [desc.zero()] * (len(num) + 1)
+            for k, ck in enumerate(num):
+                new[k] = new[k] - ck * s
+                new[k + 1] = new[k + 1] + ck
+            num = new
+            denom = denom * (t - s)
+        w = vals[i] / denom
+        for k, ck in enumerate(num):
+            coeffs[k] = coeffs[k] + ck * w
+    return coeffs
+
+
 def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):
     """Common zeros of two exact bivariate polynomials, as (u, v) pairs."""
     if a.is_zero() or b.is_zero():
@@ -348,44 +392,28 @@ def _u_inverse(c, N: int):
 
 
 def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
-    """Residue at the origin of the Laurent series n(t)/m(t)."""
+    """Residue at the origin of the Laurent series n(t)/m(t), where m
+    holds the coefficients of t^0..t^N."""
+    N = len(m) - 1
     m = _utrim(list(m))
     if not m:
-        raise ValueError("residue of a series over the zero denominator")
+        raise PrecisionError("the residue denominator vanishes through "
+                             "order %d; raise --truncation" % N)
     r = 0
     while m[r].is_zero():
         r += 1
     if r == 0:
         return desc.zero()
+    if 2 * r - 1 > N:
+        raise PrecisionError("a pole of order %d needs the denominator "
+                             "through order %d; raise --truncation"
+                             % (r, 2 * r - 1))
     inv = _u_inverse(m[r:], r)
     out = desc.zero()
     for j in range(r):
         if j < len(n):
             out = out + n[j] * inv[r - 1 - j]
     return out
-
-
-def _graph_series(f: MPoly, solve: str, N: int) -> MPoly:
-    """Series s with f(u, s(u)) = 0 (or symmetric) for a smooth implicit
-    jet f; returned as a polynomial in the free variable only."""
-    desc = f.desc
-    u, v = f.vars
-    dep, free = (v, u) if solve == v else (u, v)
-    fd0 = f.coefficient(tuple(1 if w == dep else 0 for w in f.vars))
-    if fd0.is_zero():
-        raise ValueError("the branch is not a graph in this direction")
-    inv = fd0.inverse()
-    i_free = f.vars.index(free)
-    free_p = MPoly.variable(f.vars, free, desc, prec=N + 1)
-    dep_p = MPoly.variable(f.vars, dep, desc, prec=N + 1)
-    s = MPoly.zero(f.vars, desc, prec=N + 1)
-    for k in range(1, N + 1):
-        e = f.substitute({free: free_p, dep: s})
-        mono = tuple(k if w == free else 0 for w in f.vars)
-        t = e.coefficient(mono)
-        if not t.is_zero():
-            s = s - (free_p ** k).scale(t * inv)
-    return s
 
 
 def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
@@ -405,14 +433,14 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     uu = MPoly.variable(form.vars, u, desc, prec=N + 1)
     vv = MPoly.variable(form.vars, v, desc, prec=N + 1)
     if not lv.is_zero():
-        s = _graph_series(f, v, N)
+        s = _multi_graph(f, -lu / lv, 1, N)
         sub = {u: uu, v: vv + s}
         sp = s.partial(u)
         a_new = form.A.substitute(sub) + form.B.substitute(sub) * sp
         b_new = form.B.substitute(sub)
         along, dep = u, v
     else:
-        s = _graph_series(f, u, N)
+        s = _swapped(_multi_graph(_swapped(f), desc.zero(), 1, N))
         sub = {u: uu + s, v: vv}
         sp = s.partial(v)
         a_new = form.B.substitute(sub) + form.A.substitute(sub) * sp
@@ -589,17 +617,19 @@ def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
                 CurveJet((MPoly.variable(("t",), "t", desc, N + 1),
                           _param_t(s, c.vars[0]))), implicit))
     if vertical == 1:
-        cs = MPoly(c.vars, {(e[1], e[0]): k for e, k in c.coeffs.items()},
-                   desc, c.prec)
-        s = _multi_graph(cs, desc.zero(), m, N)
+        s = _multi_graph(_swapped(c), desc.zero(), m, N)
         implicit = (MPoly.variable(c.vars, c.vars[0], desc, N + 1)
-                    - MPoly(c.vars, {(e[1], e[0]): k
-                                     for e, k in s.coeffs.items()}, desc,
-                            s.prec))
+                    - _swapped(s))
         branches.append(_CurveBranch(
             CurveJet((_param_t(s, c.vars[0]),
                       MPoly.variable(("t",), "t", desc, N + 1))), implicit))
     return branches
+
+
+def _swapped(p: MPoly) -> MPoly:
+    """p with its two variables exchanged."""
+    return MPoly(p.vars, {(e[1], e[0]): c for e, c in p.coeffs.items()},
+                 p.desc, p.prec)
 
 
 def _multi_graph(c: MPoly, slope: FieldElement, m: int, N: int) -> MPoly:

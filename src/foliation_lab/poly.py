@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials and truncated power series.
 
 An MPoly maps exponent tuples to nonzero FieldElements over a fixed tuple of
-variable labels.  A PSeries is the same data plus a precision N: coefficients
-are trusted for total degree < N only, and arithmetic propagates the minimum
-precision of the operands (pessimistic, never reporting an untrusted
-coefficient).
+variable labels.  A truncated series is the same data plus a precision N:
+coefficients are trusted for total degree < N only, and arithmetic
+propagates the minimum precision of the operands (pessimistic, never
+reporting an untrusted coefficient).
 """
 
 from __future__ import annotations
@@ -362,13 +362,6 @@ class MPoly:
 
 def _plain(s: str) -> bool:
     return all(ch not in s for ch in "+-*/ ") or (s.lstrip("-").isdigit())
-
-
-def PSeries(vars, coeffs, desc, prec) -> MPoly:
-    """Truncated power series constructor (an MPoly carrying a precision)."""
-    if prec is None:
-        raise ValueError("a series needs a finite precision")
-    return MPoly(vars, coeffs, desc, prec)
 
 
 def vanishing_order(p: MPoly) -> int:

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from .fields import (
     FieldDescriptor,
-    FieldElement,
-    FieldExtensionError,
     WidenRequest,
     ratio_in_positive_rationals,
     sort_key,
-    sqrt_or_widen,
 )
 from .forms import (
     DivisorBranch,
@@ -328,46 +325,22 @@ class _Engine:
         for chart in charts:
             self.descend(path, chart, local, new_id, depth)
 
-    def chart_strict_branches(self, chart, local):
-        """Pair surviving strict branch equations with their component ids."""
-        out = []
-        strict_iter = list(chart.divisor)[:-1]  # exceptional appended last
-        # _transform_divisor drops branches that leave the chart, so rebuild
-        # the pairing by recomputing which survive, in order.
-        idx = 0
-        from .blowup import _strict_branch
-        u, v = chart.form.vars
-        desc = chart.form.desc
-        prec = chart.form.prec()
-        uu = MPoly.variable(chart.form.vars, u, desc, prec)
-        vv = MPoly.variable(chart.form.vars, v, desc, prec)
-        if chart.label == "c1":
-            mapping = {u: uu, v: uu * vv}
-            exc_var = u
-        else:
-            mapping = {u: uu * vv, v: vv}
-            exc_var = v
-        for cid, b in local:
-            strict = _strict_branch(b.equation, mapping, exc_var)
-            if strict is not None:
-                out.append((cid, DivisorBranch(strict, b.dicritical)))
-        return out, exc_var
-
     def descend(self, path, chart, local, new_id, depth):
         desc = self.desc
-        strict_branches, exc_var = self.chart_strict_branches(chart, local)
-        u, v = chart.form.vars
-        other = v if exc_var == u else u
-        if chart.label == "c1":
-            key = chart.form.B if chart.dicritical else chart.form.A
-        else:
-            key = chart.form.A if chart.dicritical else chart.form.B
+        strict_branches = [(local[i][0], b)
+                           for i, b in zip(chart.survivors, chart.divisor)]
+        exc_var = chart.exc_var
+        i = chart.form.vars.index(exc_var)
+        other = chart.form.vars[1 - i]
+        ab = (chart.form.A, chart.form.B)
+        # the d(scaled) coefficient on a dicritical line, else the d(e) one
+        key = ab[1 - i] if chart.dicritical else ab[i]
         coeffs = _restrict_to_line(key, exc_var, desc)
         if not coeffs:
             raise ReductionError(
                 "strict transform vanishes along the exceptional line; "
                 "input coefficients were not coprime", self.tree)
-        if chart.label == "c1":
+        if chart.label == "c1":  # the chart that carries the finite points
             roots = u_roots_in_tower(coeffs, desc)
             for b_cid, b in strict_branches:
                 val = b.equation.restrict({exc_var: desc.zero()})
@@ -378,15 +351,13 @@ class _Engine:
                         roots.append(r)
             roots.sort(key=sort_key)
         else:
-            # chart c2 only contributes the point at infinity of chart c1
-            zero_pt = {u: desc.zero(), v: desc.zero()}
+            # this chart only adds the point at infinity of the other one
+            zero_pt = {w: desc.zero() for w in chart.form.vars}
             candidate = key.evaluate(zero_pt).is_zero() or any(
                 b.equation.evaluate(zero_pt).is_zero()
                 for _, b in strict_branches)
             roots = [desc.zero()] if candidate else []
-        exc_branch = (new_id,
-                      DivisorBranch(MPoly.variable(chart.form.vars, exc_var,
-                                                   desc), chart.dicritical))
+        exc_branch = (new_id, chart.exceptional)
         for c in roots:
             child_form = chart.form.translate({other: c})
             child_branches = [exc_branch]

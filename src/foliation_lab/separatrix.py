@@ -10,11 +10,11 @@ identity.
 
 from __future__ import annotations
 
-from .fields import WidenRequest, sort_key
+from .blowup import PLANE_CHARTS
+from .fields import WidenRequest
 from .forms import (
     CurveJet,
     OneForm2,
-    PrecisionError,
     invariant_graph_jet,
     normalize2,
     nu0,
@@ -23,7 +23,6 @@ from .poly import MPoly
 from .reduce2d import (
     REGULAR,
     SADDLE_NODE,
-    SIMPLE,
     ReductionTree,
     _branch_tangent,
     _eigdir,
@@ -140,41 +139,36 @@ def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     return CurveJet((g1, g2)), implicit
 
 
+_EXC_INDEX = dict(PLANE_CHARTS)
+
+
 def _blowdown_param(curve: CurveJet, path):
     comps = list(curve.components)
     for label, c in reversed(path):
-        g1, g2 = comps
-        shift = MPoly.constant(g1.vars, c, g1.desc, g1.prec)
-        if label == "c1":
-            comps = [g1, g1 * (g2 + shift)]
-        else:
-            comps = [(g1 + shift) * g2, g2]
+        e = _EXC_INDEX[label]
+        shift = MPoly.constant(comps[e].vars, c, comps[e].desc, comps[e].prec)
+        comps[1 - e] = comps[e] * (comps[1 - e] + shift)
     return CurveJet(comps)
 
 
 def _pushdown_implicit(f: MPoly, path):
-    u, v = f.vars
     desc = f.desc
     for label, c in reversed(path):
         prec = f.prec
-        src, dst = (v, u) if label == "c1" else (u, v)
+        e = _EXC_INDEX[label]
+        src, dst = f.vars[1 - e], f.vars[e]
         # curve upstairs f(u,v); downstairs substitute src -> src/dst - c
         # and clear the pole with dst^(deg_src f)
         d = f.degree_in(src)
-        uu = MPoly.variable(f.vars, u, desc, prec)
-        vv = MPoly.variable(f.vars, v, desc, prec)
-        dst_p = uu if dst == u else vv
-        src_p = vv if dst == u else uu
+        dst_p = MPoly.variable(f.vars, dst, desc, prec)
+        src_p = MPoly.variable(f.vars, src, desc, prec)
         shifted = src_p - dst_p.scale(c)   # (src - c*dst)
         out = MPoly.zero(f.vars, desc, prec)
-        i_src = f.vars.index(src)
-        i_dst = f.vars.index(dst)
-        for e, coeff in f.coeffs.items():
-            j = e[i_src]
-            rest = e[i_dst]
+        for ex, coeff in f.coeffs.items():
+            j = ex[1 - e]
             term = (shifted ** j) * MPoly.constant(f.vars, coeff, desc, prec)
             mono = [0, 0]
-            mono[i_dst] = rest + d - j
+            mono[e] = ex[e] + d - j
             term = term * MPoly(f.vars, {tuple(mono): desc.one()}, desc, prec)
             out = out + term
         k = out.min_exponent_in(dst)

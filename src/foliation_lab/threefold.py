@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd as _igcd
 
 from .fields import (
-    FieldDescriptor,
     FieldElement,
     FieldError,
     FieldExtensionError,
     WidenRequest,
     _fraction_sqrt,
-    sort_key,
 )
 from .forms import (
     DivisorBranch,
@@ -39,16 +36,7 @@ from .forms import (
 )
 from .blowup import blowup_curve3, blowup_point3
 from .linalg import nullspace
-from .poly import (
-    MPoly,
-    exact_divide,
-    to_univariate,
-    u_gcd,
-    u_resultant,
-    u_roots_in_tower,
-    u_eval,
-    vanishing_order,
-)
+from .poly import MPoly, exact_divide
 from .reduce2d import (
     NON_SIMPLE,
     REGULAR,
@@ -58,9 +46,6 @@ from .reduce2d import (
     classify_point2,
     is_second_type2,
 )
-
-SIMPLE_CORNER = "SimpleCorner"
-TRACE = "Trace"
 
 
 class InconclusiveError(FieldError):
@@ -523,18 +508,6 @@ def well_oriented3(match: Model3Match, D: LocalDivisor) -> bool:
     return True
 
 
-def corner_or_trace(match: Model3Match, D: LocalDivisor) -> str:
-    """Divisor geometry at a simple point: full corner or trace point."""
-    if not match.is_simple():
-        raise ValueError("corner/trace applies to simple points")
-    e = len(list(D))
-    if e == match.tau:
-        return SIMPLE_CORNER
-    if e == match.tau - 1:
-        return TRACE
-    raise ValueError("divisor is not adapted to the point")
-
-
 # ---------------------------------------------------------------------------
 # plane sections
 
@@ -598,70 +571,6 @@ def pullback_section(form: OneForm3, phi: SectionMap) -> OneForm2:
     if G.is_zero():
         raise ValueError("the section is invariant; pull-back vanishes")
     return normalize2(G)
-
-
-def _resultant_eliminating(p: MPoly, q: MPoly, var: str, desc):
-    """Resultant of two exact bivariate polynomials eliminating `var`,
-    as a univariate coefficient list in the other variable
-    (evaluation-interpolation)."""
-    other = [w for w in p.vars if w != var][0]
-    bound = p.degree() * q.degree() + 1
-    pts = [desc.rational(k) for k in range(bound)]
-    vals = []
-    for t in pts:
-        pa = to_univariate(p.restrict({other: t}), var)
-        pb = to_univariate(q.restrict({other: t}), var)
-        vals.append(u_resultant(pa, pb, desc))
-    # Lagrange interpolation on 0..bound-1
-    coeffs = [desc.zero()] * bound
-    for i, t in enumerate(pts):
-        num = [desc.one()]
-        denom = desc.one()
-        for j, s in enumerate(pts):
-            if j == i:
-                continue
-            new = [desc.zero()] * (len(num) + 1)
-            for k, ck in enumerate(num):
-                new[k] = new[k] - ck * s
-                new[k + 1] = new[k + 1] + ck
-            num = new
-            denom = denom * (t - s)
-        w = vals[i] / denom
-        for k, ck in enumerate(num):
-            coeffs[k] = coeffs[k] + ck * w
-    return coeffs
-
-
-def generic_transversality_check(form: OneForm3, phi: SectionMap,
-                                 E: LocalDivisor,
-                                 jet_order: int = 8) -> bool:
-    """Whether the singular points of the pulled-back foliation all lie
-    on the divisor E (the trace of the ambient divisor on the section)."""
-    G = pullback_section(form, phi)
-    desc = G.desc
-    u, v = G.vars
-    P = G.A if G.A.prec is None else G.A.truncate(jet_order).as_polynomial()
-    Q = G.B if G.B.prec is None else G.B.truncate(jet_order).as_polynomial()
-    P, Q = P.as_polynomial(), Q.as_polynomial()
-    if P.is_zero() or Q.is_zero():
-        raise InconclusiveError("a pulled-back coefficient vanishes identically")
-    res = _resultant_eliminating(P, Q, u, desc)
-    if all(c.is_zero() for c in res):
-        raise InconclusiveError("the pulled-back coefficients share a factor")
-    for v0 in u_roots_in_tower(res, desc):
-        ca = to_univariate(P.restrict({v: v0}), u)
-        cb = to_univariate(Q.restrict({v: v0}), u)
-        if all(c.is_zero() for c in ca) or all(c.is_zero() for c in cb):
-            common = cb if all(c.is_zero() for c in ca) else ca
-        else:
-            common = u_gcd(ca, cb, desc)
-        if len([c for c in common if not c.is_zero()]) and len(common) == 1:
-            continue
-        for u0 in u_roots_in_tower(common, desc):
-            point = {u: u0, v: v0}
-            if not any(b.equation.evaluate(point).is_zero() for b in E):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -934,41 +843,6 @@ class TheoremReport:
         return "TheoremReport(ok=%s, %d records)" % (self.ok, len(self.records))
 
 
-def _chart_mapping(label: str, vars3, desc, prec):
-    gens = {w: MPoly.variable(vars3, w, desc, prec) for w in vars3}
-    if label.startswith("c"):
-        exc = label[1:]
-        mapping = {exc: gens[exc]}
-        for w in vars3:
-            if w != exc:
-                mapping[w] = gens[exc] * gens[w]
-        return mapping, exc
-    exc = label[1:]
-    # axis chart: the kept variable is whichever coordinate is untouched;
-    # recover it from the strict-transform convention of blowup_curve3
-    raise ValueError("axis charts need the kept axis")
-
-
-def _axis_chart_mapping(label: str, kept: str, vars3, desc, prec):
-    exc = label[1:]
-    scaled = [w for w in vars3 if w not in (exc, kept)][0]
-    gens = {w: MPoly.variable(vars3, w, desc, prec) for w in vars3}
-    return {kept: gens[kept], exc: gens[exc],
-            scaled: gens[exc] * gens[scaled]}, exc
-
-
-def _strict_equation(eq: MPoly, mapping, exc_var: str):
-    total = eq.substitute(mapping)
-    if total.is_zero():
-        return None
-    k = total.min_exponent_in(exc_var)
-    strict = total.divide_var_power(exc_var, k) if k else total
-    zero = {w: strict.desc.zero() for w in strict.vars}
-    if not strict.evaluate(zero).is_zero():
-        return None
-    return strict
-
-
 def theorem_main_harness(form: OneForm3, surfaces, script,
                          jet_order: int = 8,
                          resonance_bound: int = 25) -> TheoremReport:
@@ -1000,15 +874,11 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                                % (path,))
             return TheoremReport(False, records, diagnostics)
         f, D, seqs = panels.pop(path)
-        desc = f.desc
-        prec = f.prec()
         try:
             if center == "point":
                 charts = blowup_point3(f, D)
-                kept = None
             elif center.startswith("axis-"):
-                kept = center[len("axis-"):]
-                charts = blowup_curve3(f, kept, D)
+                charts = blowup_curve3(f, center[len("axis-"):], D)
             else:
                 raise ValueError("unknown center %r" % (center,))
         except ValueError as exc:
@@ -1019,17 +889,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                 diagnostics.append(
                     "dicritical exceptional component in chart %s at %r"
                     % (chart.label, path))
-            if kept is None:
-                mapping, exc_var = _chart_mapping(chart.label, f.vars, desc,
-                                                  prec)
-            else:
-                mapping, exc_var = _axis_chart_mapping(chart.label, kept,
-                                                       f.vars, desc, prec)
-            new_seqs = []
-            for s in seqs:
-                strict = _strict_equation(s, mapping, exc_var)
-                if strict is not None:
-                    new_seqs.append(strict)
+            new_seqs = [t for t in map(chart.strict, seqs) if t is not None]
             panels[path + (chart.label,)] = (chart.form, chart.divisor,
                                              new_seqs)
 

@@ -1,5 +1,8 @@
 """Point and curve blow-ups: chart data, multiplicities, dicritical tags."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from foliation_lab import (LocalDivisor, blowup_curve3, blowup_point2,
@@ -8,7 +11,7 @@ from foliation_lab.blowup import dicritical_test2
 from foliation_lab.forms import DivisorBranch
 from foliation_lab.poly import MPoly
 
-from conftest import Q, XYZ, corpus2, f2, f3, mk
+from conftest import Q, UV, XYZ, corpus2, f2, f3, mk
 
 
 def test_dicritical_test_on_radial_and_node():
@@ -84,3 +87,60 @@ def test_blowup_curve3_along_z_axis():
     for ch in charts:
         assert not ch.dicritical
         assert any(not b.dicritical for b in ch.divisor)
+
+
+def test_plane_chart_carries_map_and_surviving_branches():
+    form = corpus2()["cusp"][0]
+    u = mk(UV, {(1, 0): 1})
+    v = mk(UV, {(0, 1): 1})
+    div = LocalDivisor((DivisorBranch(u), DivisorBranch(v),
+                        DivisorBranch(v - u)))
+    c1, c2 = blowup_point2(form, div)
+    assert (c1.label, c1.exc_var, c2.label, c2.exc_var) == \
+        ("c1", "u", "c2", "v")
+    assert (c1.mapping["u"], c1.mapping["v"]) == (u, u * v)
+    assert (c2.mapping["u"], c2.mapping["v"]) == (u * v, v)
+    # {v} survives only in c1, {u} only in c2; {v = u} meets the
+    # exceptional line away from both chart origins
+    assert (c1.survivors, c2.survivors) == ((1,), (0,))
+    for ch in (c1, c2):
+        branches = ch.divisor.branches
+        assert branches[-1] is ch.exceptional
+        assert [b.equation for b in branches[:-1]] == \
+            [ch.strict(div.branches[i].equation) for i in ch.survivors]
+        assert ch.strict(v - u) is None
+
+
+def test_space_chart_maps_keep_the_axis_and_scale_one_variable():
+    form = f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(1, 1, 0): 1})  # d(xyz)
+    gens = {w: mk(XYZ, {tuple(int(w == x) for x in XYZ): 1}) for w in XYZ}
+    for ch in blowup_point3(form, LocalDivisor.empty()):
+        e = ch.exc_var
+        assert ch.label == "c" + e
+        for w in XYZ:
+            assert ch.mapping[w] == (gens[e] if w == e else gens[e] * gens[w])
+    charts = blowup_curve3(form, "z", LocalDivisor.empty())
+    assert [(ch.label, ch.exc_var) for ch in charts] == [("ax", "x"),
+                                                          ("ay", "y")]
+    for ch, scaled in zip(charts, ("y", "x")):
+        e = ch.exc_var
+        assert ch.mapping["z"] == gens["z"]
+        assert ch.mapping[e] == gens[e]
+        assert ch.mapping[scaled] == gens[e] * gens[scaled]
+        # {z = 0} is kept by the chart; the exceptional plane is new
+        assert ch.strict(gens["z"]) == gens["z"]
+        assert ch.strict(gens[e]) is None
+
+
+def test_chart_labels_are_read_only_in_blowup():
+    """Chart labels mean something only in blowup.py; the reduction
+    engine names "c1" once, to pick the chart with the finite points."""
+    src = Path(blowup_point2.__code__.co_filename).parent
+    seen = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "blowup.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("c1", "c2"):
+                seen.append((path.name, node.value))
+    assert seen == [("reduce2d.py", "c1")]

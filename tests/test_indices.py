@@ -1,16 +1,21 @@
 """Residue indices of plane projective foliations and their sum laws."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foliation_lab import (ProjFoliation, bb_index, cs_index, gsv_index,
+from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, gsv_index,
                            localize_at, logarithmic_criterion,
                            plane_singularities, sum_theorem_check)
-from foliation_lab.indices import _cs_over_branches, _local_branches
-from foliation_lab.poly import MPoly
+from foliation_lab.indices import (_cs_over_branches, _local_branches,
+                                   _multi_graph, _resultant_eliminating,
+                                   _swapped)
+from foliation_lab.poly import MPoly, u_roots_in_tower
 from foliation_lab.reduce2d import SADDLE_NODE
 
 from conftest import (PROJ3, Q, UV, corpus2, log_plane_foliation, mk,
@@ -188,3 +193,60 @@ def test_gsv_matches_floating_contour_oracle_everywhere():
             assert abs(approx - exact) < 1e-6, (sing.point, exact, approx)
             checked += 1
     assert checked >= 8
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_higher = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: sum(e) >= 2), _small, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small, _small.filter(lambda c: c != 0), _higher)
+def test_graph_series_solves_smooth_branches(a, b, higher):
+    """f = a u + b v + h.o.t.: the series s solving for v has
+    f(u, s(u)) = O(u^(N+1)); with the variables swapped, as cs_index does
+    when f_v(0) = 0, the series solving for u has f(s(v), v) = O(v^(N+1))."""
+    N = 6
+    f = mk(UV, dict(higher) | {(1, 0): a, (0, 1): b})
+    u = MPoly.variable(UV, "u", Q, N + 1)
+    v = MPoly.variable(UV, "v", Q, N + 1)
+    s = _multi_graph(f, Q.rational(-a / b), 1, N)
+    assert set(e[1] for e in s.coeffs) <= {0}
+    assert f.substitute({"u": u, "v": s}).is_zero()
+    g = mk(UV, dict(higher) | {(1, 0): b, (0, 1): 0})  # g_v(0) = 0
+    t = _swapped(_multi_graph(_swapped(g), Q.zero(), 1, N))
+    assert set(e[0] for e in t.coeffs) <= {0}
+    assert g.substitute({"u": t, "v": v}).is_zero()
+
+
+# a logarithmic foliation of the plane whose affine coefficients
+# a = -12 v + 6 v^2 - 6 u v and b = -12 + 6 v - 6 u - 6 u v + 6 u^2 have
+# b's leading coefficient in v, 6 - 6 u, vanishing at u = 1
+LEAD_DROP_P2 = (
+    "proj2: ((1)*-2*(Y)*(-X - Y + 2*Z) + (-4)*-1*(-2*X + Y - 2*Z)*(Y)) dX"
+    " + ((1)*1*(Y)*(-X - Y + 2*Z) + (3)*1*(-2*X + Y - 2*Z)*(-X - Y + 2*Z)"
+    " + (-4)*-1*(-2*X + Y - 2*Z)*(Y)) dY + ((1)*-2*(Y)*(-X - Y + 2*Z)"
+    " + (-4)*2*(-2*X + Y - 2*Z)*(Y)) dZ\n"
+    "separatrix:{ (Y) }\n")
+
+
+def test_resultant_skips_points_where_a_leading_coefficient_vanishes():
+    a = mk(UV, {(0, 1): -12, (0, 2): 6, (1, 1): -6})
+    b = mk(UV, {(0, 0): -12, (0, 1): 6, (1, 0): -6, (1, 1): -6, (2, 0): 6})
+    res = _resultant_eliminating(a, b, "v", Q)
+    roots = u_roots_in_tower(res, Q)
+    assert sorted(r.as_fraction() for r in roots) == [-1, 0, 2]
+
+
+def test_sum_check_finds_the_point_over_a_leading_coefficient_drop(
+        tmp_path):
+    path = tmp_path / "lead.form"
+    path.write_text(LEAD_DROP_P2, encoding="utf-8")
+    out = tmp_path / "lead.json"
+    assert cli.main(["indices", str(path), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["indices"]
+    assert [p["point"] for p in rep["points"]] == \
+        [["0", "2", "1"], ["-1", "0", "1"], ["2", "0", "1"]]
+    assert rep["ok"] is True
+    assert (rep["cs_sum"], rep["gsv_sum"], rep["bb_sum"]) == ("1", "2", "9")

@@ -1,6 +1,7 @@
 """Input-format parsing and the command-line driver end to end."""
 
 import json
+import time
 
 import pytest
 
@@ -211,3 +212,38 @@ def test_cli_reports_are_byte_deterministic(tmp_form_file, tmp_path):
     assert len(rep["second_type"]["witnesses"]) == 6
     for w in rep["second_type"]["witnesses"]:
         assert w["where"] and w["leaves"]
+
+
+def test_cli_indices_low_truncation_is_inconclusive(tmp_form_file, tmp_path):
+    """A truncation too low for a residue gives exit 2, never another
+    verdict: every N either reproduces the N = 12 report or exits 2."""
+    path = tmp_form_file(SADDLE_NODE_P2)
+
+    def run(n):
+        out = tmp_path / ("n%d.json" % n)
+        code = cli.main(["indices", path, "--truncation", str(n),
+                         "--out", str(out)])
+        return code, out.read_bytes()
+
+    reference = run(12)
+    assert reference[0] == 0
+    for n in range(1, 12):
+        code, body = run(n)
+        assert code == 2 or (code, body) == reference, n
+    assert run(2)[0] == 2  # a pole of order 2 needs the jet through t^3
+
+
+def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
+    """A branch through the origin that is neither invariant nor tagged
+    dicritical would keep the reduction blowing up; it is a usage error."""
+    for branch in ("u", "v"):
+        path = tmp_form_file(CUSP2 + "divisor:{ %s }\n" % branch)
+        for command in ("analyze2", "reduce2", "separatrices",
+                        "second-type2"):
+            t0 = time.perf_counter()
+            assert cli.main([command, path]) == 1
+            assert time.perf_counter() - t0 < 10
+    # tagged dicritical, or missing the origin, the branch is accepted
+    for block in ("divisor:{ dicritical(u) }", "divisor:{ u - 1 }"):
+        path = tmp_form_file(CUSP2 + block + "\n")
+        assert cli.main(["reduce2", path]) != 1
