@@ -39,9 +39,11 @@ class BlowupChart:
       other variables e, the remaining one scaled and `axis` kept.
 
     `mapping` is the chart map (variable -> image) and `exc_var` is e.
-    `divisor` holds the strict transforms of the input branches that pass
-    through the chart origin, followed by the exceptional branch;
-    `survivors` are the indices of those input branches, in input order.
+    `divisor` holds the strict transforms of the input branches that meet
+    the exceptional divisor in this chart, at its origin or elsewhere,
+    followed by the exceptional branch; `survivors` are the indices of
+    those input branches, in input order.  Consumers keep the branches
+    through the point they look at.
     """
 
     __slots__ = ("label", "form", "mapping", "exc_var", "mult", "dicritical",
@@ -60,14 +62,16 @@ class BlowupChart:
         self.divisor, self.survivors = _transform_divisor(self, divisor)
 
     def strict(self, eq: MPoly):
-        """Strict transform of a branch equation; None when it leaves the
-        chart or misses the chart origin."""
+        """Strict transform of a branch equation; None when it vanishes or
+        misses the exceptional divisor in this chart (its restriction to
+        {e = 0} is a nonzero constant)."""
         total = eq.substitute(self.mapping)
         if total.is_zero():
             return None
         strict = total.divide_var_power(
             self.exc_var, total.min_exponent_in(self.exc_var))
-        if not strict.constant_coefficient().is_zero():
+        trace = strict.restrict({self.exc_var: strict.desc.zero()})
+        if trace.degree() == 0:
             return None
         return strict
 

@@ -14,8 +14,6 @@ PrecisionError instead of guessing.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import (
     FieldDescriptor,
     FieldElement,
@@ -565,13 +563,45 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     return InvarianceResult(True, order)
 
 
-def invariant_graph_jet(form: OneForm2, N: int):
-    """Coefficients c_1..c_N of an invariant graph v = sum c_k u^k.
+def _solve_graph(residual, c1, offset: int, beta, N: int, fail: str):
+    """Coefficients c_1..c_N of a graph s = sum c_k u^k that makes a
+    residual vanish, one order at a time.
 
-    Solves the invariance identity A(u, s(u)) + B(u, s(u)) s'(u) = 0
-    order by order.  Each order gives a linear equation for the next
-    coefficient; an inconsistent order means no invariant graph exists
-    and raises ValueError.  A free coefficient is fixed to zero.
+    `residual(cs, prec)` is the one-variable residual of the graph with
+    coefficients `cs`, valid below degree `prec`; its coefficient at order
+    k + offset is alpha + beta(k) c_k with alpha free of c_k and later
+    coefficients.  Each order k >= 2 evaluates it once (c_k = 0) and sets
+    c_k = 0 when alpha = 0, else -alpha/beta(k).  A nonzero coefficient
+    below k + offset, or beta(k) = 0 != alpha, means there is no such
+    graph and raises ValueError(fail % {"k": k}).
+    """
+    coeffs, zero, last = [c1], c1.desc.zero(), None
+    for k in range(2, N + 1):
+        target, alpha = k + offset, zero
+        for e, c in residual(coeffs, target + 1).coeffs.items():
+            if sum(e) < target:
+                raise ValueError(fail % {"k": k})
+            alpha = c if sum(e) == target else alpha
+        if alpha.is_zero():
+            coeffs.append(zero)
+            continue
+        b = beta(k)
+        if b.is_zero():
+            raise ValueError(fail % {"k": k})
+        if b is not last:  # a constant beta is inverted once
+            last, inv = b, b.inverse()
+        coeffs.append(-(alpha * inv))
+    return coeffs
+
+
+def invariant_graph_jet(form: OneForm2, N: int, slope=None):
+    """Coefficients c_1..c_N of an invariant graph v = sum c_k u^k at a
+    singular point, solving A(u, s) + B(u, s) s' = 0 order by order.
+
+    Order 1, a10 + (a01 + b10) c_1 + b01 c_1^2 = 0, selects the direction:
+    `slope` when given (a root), else the sort_key-smallest root.  Order k
+    is linear in c_k with beta(k) = (a01 + b01 c_1) + k (b10 + b01 c_1); an
+    inconsistent order raises ValueError and a free coefficient is zero.
     """
     u, v = form.vars
     desc = form.desc
@@ -580,46 +610,31 @@ def invariant_graph_jet(form: OneForm2, N: int):
     prec_cap = form.prec()
     if prec_cap is not None and prec_cap <= N:
         raise PrecisionError("form precision %d too low for a degree-%d graph" % (prec_cap, N))
-    coeffs = []
-    one_var = (u,)
-
-    def residual(cs, upto):
-        # one guard order so the derivative still certifies degree `upto`
-        s = MPoly(one_var, {(k + 1,): c for k, c in enumerate(cs) if not c.is_zero()},
-                  desc, prec=upto + 2)
-        ds = s.partial(u)
-        uu = MPoly.variable(one_var, u, desc, prec=upto + 2)
-        mapping = {u: uu, v: s}
-        return (form.A.substitute(mapping)
-                + form.B.substitute(mapping) * ds)
-
-    for k in range(1, N + 1):
-        r0 = residual(coeffs + [desc.zero()], k)
-        r1 = residual(coeffs + [desc.one()], k)
-        alpha = r0.coeffs.get((k,), desc.zero())
-        if k == 1:
-            # the order-1 equation is quadratic in the slope (it selects an
-            # invariant direction); orders >= 2 are always linear
-            r2 = residual(coeffs + [desc.rational(2)], k)
-            val1 = r1.coeffs.get((k,), desc.zero())
-            val2 = r2.coeffs.get((k,), desc.zero())
-            half = desc.rational(Fraction(1, 2))
-            q2 = (val2 - val1 - val1 + alpha) * half
-            q1 = val1 - alpha - q2
-            if not q2.is_zero() and not alpha.is_zero():
-                disc = sqrt_or_widen(q1 * q1 - desc.rational(4) * q2 * alpha)
-                roots = sorted(
-                    ((-q1 + disc) / (q2 + q2), (-q1 - disc) / (q2 + q2)),
+    A, B = form.A, form.B
+    if not (A.constant_coefficient().is_zero()
+            and B.constant_coefficient().is_zero()):
+        raise ValueError("an invariant graph needs a singular point")
+    a10, a01 = A.coefficient((1, 0)), A.coefficient((0, 1))
+    b10, b01 = B.coefficient((1, 0)), B.coefficient((0, 1))
+    fail = "no invariant graph: obstruction at order %(k)d"
+    q1 = a01 + b10
+    if slope is None and not (b01.is_zero() or a10.is_zero()):
+        disc = sqrt_or_widen(q1 * q1 - desc.rational(4) * b01 * a10)
+        slope = min((-q1 + disc) / (b01 + b01), (-q1 - disc) / (b01 + b01),
                     key=sort_key)
-                coeffs.append(roots[0])
-                continue
-            beta = q1
-        else:
-            beta = r1.coeffs.get((k,), desc.zero()) - alpha
-        if beta.is_zero():
-            if not alpha.is_zero():
-                raise ValueError("no invariant graph: obstruction at order %d" % k)
-            coeffs.append(desc.zero())
-        else:
-            coeffs.append(-(alpha / beta))
-    return coeffs
+    elif slope is None:
+        if q1.is_zero() and not a10.is_zero():
+            raise ValueError(fail % {"k": 1})
+        slope = desc.zero() if q1.is_zero() else -(a10 / q1)
+
+    uu = MPoly.variable((u,), u, desc, N + 2)
+
+    def residual(cs, prec):
+        # one guard order so the derivative is still valid below `prec`
+        s = MPoly((u,), {(k + 1,): c for k, c in enumerate(cs)}, desc, prec + 1)
+        mapping = {u: uu, v: s}
+        return A.substitute(mapping) + B.substitute(mapping) * s.partial(u)
+
+    lin, step = a01 + b01 * slope, b10 + b01 * slope
+    return _solve_graph(residual, slope, 0,
+                        lambda k: lin + desc.rational(k) * step, N, fail)

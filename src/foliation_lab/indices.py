@@ -12,7 +12,7 @@ through the pole degree of a plane section.
 from __future__ import annotations
 
 from .fields import FieldDescriptor, FieldElement, WidenRequest, sort_key
-from .forms import (CurveJet, LocalDivisor, OneForm2, PrecisionError,
+from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
                     normalize2)
 from .poly import (
     MPoly,
@@ -25,7 +25,7 @@ from .poly import (
     u_roots_in_tower,
 )
 from .reduce2d import SADDLE_NODE, classify_point2
-from .separatrix import _scale_dir, _trace_graph
+from .separatrix import _graph_branch, _scale_dir, _trace_graph
 
 _UV = ("u", "v")
 
@@ -459,13 +459,6 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     return IndexValue(-_residue(n, m, desc), "CS", anchor=f)
 
 
-def _param_t(s: MPoly, free: str) -> MPoly:
-    """A one-variable (u or v) polynomial rewritten in the parameter t."""
-    i = s.vars.index(free)
-    return MPoly(("t",), {(e[i],): c for e, c in s.coeffs.items()}, s.desc,
-                 s.prec)
-
-
 def _jet_order(p: MPoly):
     return None if p.is_zero() else p.order()
 
@@ -547,13 +540,9 @@ class _CurveBranch:
 def _germ_branches(form: OneForm2, code, N: int):
     """Both separatrix branches of a reduced germ, as jets."""
     form = normalize2(form)
-    d1 = _scale_dir(code.strong)
-    d2 = _scale_dir(code.weak)
-    out = []
-    for d, other in ((d1, d2), (d2, d1)):
-        param, implicit = _trace_graph(form, d, other, N)
-        out.append(_CurveBranch(param, implicit))
-    return out
+    d1, d2 = _scale_dir(code.strong), _scale_dir(code.weak)
+    return [_CurveBranch(*_trace_graph(form, d, other, N))
+            for d, other in ((d1, d2), (d2, d1))]
 
 
 def _intersection_order(br_i: _CurveBranch, br_j: _CurveBranch) -> int:
@@ -595,34 +584,30 @@ def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
     if not c.evaluate(origin).is_zero():
         return []
     m = c.order()
-    i_u = c.vars.index(c.vars[0])
     # tangent cone roots as slopes lambda of v = lambda u
     lam = [desc.zero()] * (m + 1)
     for e, coeff in c.coeffs.items():
         if sum(e) == m:
-            lam[e[1 - i_u]] = coeff
+            lam[e[1]] = coeff
     plam = _utrim(lam)
     vertical = m - (len(plam) - 1)
     if vertical > 1:
         raise ValueError("the curve has a multiple vertical tangent")
+    identity = (desc.one(), desc.zero())
+    swapped = identity[::-1]
     branches = []
     if len(plam) > 1:
         roots = u_roots_in_tower(plam, desc)
         if len(roots) < len(plam) - 1:
             raise ValueError("the curve has coincident tangent directions")
         for slope in roots:
-            s = _multi_graph(c, slope, m, N)
-            implicit = (MPoly.variable(c.vars, c.vars[1], desc, N + 1) - s)
-            branches.append(_CurveBranch(
-                CurveJet((MPoly.variable(("t",), "t", desc, N + 1),
-                          _param_t(s, c.vars[0]))), implicit))
+            cs = _branch_coeffs(c, slope, m, N)
+            branches.append(_CurveBranch(*_graph_branch(
+                cs, identity, swapped, c.vars, desc, N)))
     if vertical == 1:
-        s = _multi_graph(_swapped(c), desc.zero(), m, N)
-        implicit = (MPoly.variable(c.vars, c.vars[0], desc, N + 1)
-                    - _swapped(s))
-        branches.append(_CurveBranch(
-            CurveJet((_param_t(s, c.vars[0]),
-                      MPoly.variable(("t",), "t", desc, N + 1))), implicit))
+        cs = _branch_coeffs(_swapped(c), desc.zero(), m, N)
+        branches.append(_CurveBranch(*_graph_branch(
+            cs, swapped, identity, c.vars, desc, N)))
     return branches
 
 
@@ -632,32 +617,32 @@ def _swapped(p: MPoly) -> MPoly:
                  p.desc, p.prec)
 
 
-def _multi_graph(c: MPoly, slope: FieldElement, m: int, N: int) -> MPoly:
-    """Graph series of the single branch of c tangent to v = slope*u,
-    through a product of branches with distinct tangents."""
-    desc = c.desc
+def _branch_coeffs(c: MPoly, slope: FieldElement, m: int, N: int):
+    """Graph coefficients of the branch of c (order m, distinct tangents)
+    tangent to v = slope*u: c(u, s(u)) has the order-(k + m - 1) coefficient
+    alpha + eta c_k, eta the order-(m - 1) coefficient of c_v(u, slope*u)."""
     u, v = c.vars
-    uu = MPoly.variable(c.vars, u, desc, prec=N + m)
-    s = uu.scale(slope)
-    cv = c.partial(v)
-    eta = cv.substitute({u: uu, v: s}).coefficient(
-        tuple(m - 1 if w == u else 0 for w in c.vars))
+    fail = "the tangent direction is not a simple branch"
+    uu = MPoly.variable(c.vars, u, c.desc, N + m)
+
+    def residual(cs, prec):
+        s = MPoly(c.vars, {(k + 1, 0): ck for k, ck in enumerate(cs)},
+                  c.desc, prec)
+        return c.substitute({u: uu, v: s})
+
+    eta = c.partial(v).substitute({u: uu, v: uu.scale(slope)}).coefficient(
+        (m - 1, 0))
     if eta.is_zero():
-        raise ValueError("the tangent direction is not a simple branch")
-    inv = eta.inverse()
-    i_u = c.vars.index(u)
-    for k in range(2, N + 1):
-        e = c.substitute({u: uu, v: s})
-        mono = tuple(m - 1 + k if w == u else 0 for w in c.vars)
-        t = e.coefficient(mono)
-        low = [ee for ee, cc in e.coeffs.items()
-               if ee[1 - i_u] == 0 and ee[i_u] < m - 1 + k
-               and not cc.is_zero()]
-        if low:
-            raise ValueError("the tangent direction is not a simple branch")
-        if not t.is_zero():
-            s = s - (uu ** k).scale(t * inv)
-    return s
+        raise ValueError(fail)
+    return _solve_graph(residual, slope, m - 1, lambda k: eta, N, fail)
+
+
+def _multi_graph(c: MPoly, slope: FieldElement, m: int, N: int) -> MPoly:
+    """Graph series, in u, of the single branch of c tangent to
+    v = slope*u, through a product of branches with distinct tangents."""
+    return MPoly(c.vars, {(k + 1, 0): ck for k, ck in
+                          enumerate(_branch_coeffs(c, slope, m, N))},
+                 c.desc, N + m)
 
 
 # ---------------------------------------------------------------------------

@@ -220,10 +220,6 @@ class MPoly:
         prec = N if self.prec is None else min(self.prec, N)
         return self._make(self.coeffs, prec)
 
-    def as_polynomial(self) -> "MPoly":
-        """Forget the precision bound (caller asserts exactness)."""
-        return self._make(self.coeffs, None)
-
     # -- substitution ------------------------------------------------------
 
     def substitute(self, mapping: dict) -> "MPoly":

@@ -6,14 +6,22 @@ graphs, composed through the blow-down substitutions as parametrizations,
 and their implicit equations are pushed down chart by chart.  The product
 of the implicit jets is the reduced equation g used by the multiplicity
 identity.
+
+Every branch is built by _graph_branch from graph coefficients in a frame
+(d_target, d_other): it is v' = s(u') in the coordinates (u', v') with
+(u, v) = u' d_target + v' d_other, its parametrization is
+t -> t d_target + s(t) d_other and its implicit jet is v' - s(u') written
+in (u, v).  Reduced points use their separatrix directions as the frame,
+curve branches in indices the identity or the swapped frame.
 """
 
 from __future__ import annotations
 
 from .blowup import PLANE_CHARTS
-from .fields import WidenRequest
+from .fields import WidenRequest, sqrt_or_widen
 from .forms import (
     CurveJet,
+    LocalDivisor,
     OneForm2,
     invariant_graph_jet,
     normalize2,
@@ -28,6 +36,7 @@ from .reduce2d import (
     _eigdir,
     _parallel,
     _rotate_form,
+    classify_point2,
     seidenberg_reduce,
 )
 
@@ -100,7 +109,6 @@ def _leaf_directions(rec):
         lam2 = tr - lam1
         d2 = _eigdir(M, lam2, desc)
         return [(_scale_dir(d1), "ordinary"), (_scale_dir(d2), "ordinary")]
-    from .fields import sqrt_or_widen
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     disc = sqrt_or_widen(tr * tr - desc.rational(4) * det)
     half = desc.rational(2).inverse()
@@ -110,33 +118,29 @@ def _leaf_directions(rec):
             (_scale_dir(_eigdir(M, lam2, desc)), "ordinary")]
 
 
+def _graph_branch(cs, d_target, d_other, variables, desc, N: int):
+    """(parametrization, implicit jet) in `variables` of the graph with
+    coefficients `cs` in the frame (d_target, d_other), as set out in the
+    module docstring: the identity frame gives v - s(u), the swapped one
+    u - s(v)."""
+    t = MPoly.variable(("t",), "t", desc, N + 1)
+    s = MPoly(("t",), {(k + 1,): c for k, c in enumerate(cs)}, desc, N + 1)
+    param = CurveJet(tuple(t.scale(a) + s.scale(b)
+                           for a, b in zip(d_target, d_other)))
+    inv = (d_target[0] * d_other[1] - d_target[1] * d_other[0]).inverse()
+    u, v = (MPoly.variable(variables, w, desc, N + 1) for w in variables)
+    # u' and v' in terms of (u, v): the rows of the inverse frame matrix
+    lin1 = u.scale(d_other[1] * inv) + v.scale(-d_other[0] * inv)
+    lin2 = u.scale(-d_target[1] * inv) + v.scale(d_target[0] * inv)
+    return param, lin2 - s.substitute({"t": lin1})
+
+
 def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     """Jet of the invariant curve tangent to d_target, as a parametrization
-    in the form's own coordinates."""
+    and an implicit jet in the form's own coordinates."""
     rotated = normalize2(_rotate_form(form, d_target, d_other))
-    cs = invariant_graph_jet(rotated, N)
-    desc = form.desc
-    tvar = ("t",)
-    t = MPoly.variable(tvar, "t", desc, prec=N + 1)
-    s = MPoly(tvar, {(k + 1,): c for k, c in enumerate(cs) if not c.is_zero()},
-              desc, prec=N + 1)
-    g1 = t.scale(d_target[0]) + s.scale(d_other[0])
-    g2 = t.scale(d_target[1]) + s.scale(d_other[1])
-    # implicit: v' - s(u') in rotated coordinates, expressed downstairs
-    det = d_target[0] * d_other[1] - d_target[1] * d_other[0]
-    inv = det.inverse()
-    # rows of the inverse linear map
-    l1 = (d_other[1] * inv, -d_other[0] * inv)   # u' in terms of (u, v)
-    l2 = (-d_target[1] * inv, d_target[0] * inv)  # v'
-    u, v = form.vars
-    uu = MPoly.variable(form.vars, u, desc, prec=N + 1)
-    vv = MPoly.variable(form.vars, v, desc, prec=N + 1)
-    lin1 = uu.scale(l1[0]) + vv.scale(l1[1])
-    lin2 = uu.scale(l2[0]) + vv.scale(l2[1])
-    s2 = MPoly(form.vars, {(k + 1, 0): c for k, c in enumerate(cs)
-                           if not c.is_zero()}, desc, prec=N + 1)
-    implicit = lin2 - s2.substitute({u: lin1, v: lin2})
-    return CurveJet((g1, g2)), implicit
+    return _graph_branch(invariant_graph_jet(rotated, N), d_target, d_other,
+                         form.vars, form.desc, N)
 
 
 _EXC_INDEX = dict(PLANE_CHARTS)
@@ -208,11 +212,11 @@ def _collect_branches(form: OneForm2, tree: ReductionTree, N: int) -> Separatrix
             continue
         desc = rec.form.desc
         branch_dirs = [_branch_tangent(b.equation, desc) for b in rec.divisor]
-        for d, role in _leaf_directions(rec):
+        dirs = _leaf_directions(rec)
+        for d, role in dirs:
             if any(_parallel(d, bd) for bd in branch_dirs):
                 continue
-            others = [x for x, _ in _leaf_directions(rec) if not _parallel(x, d)]
-            d_other = others[0]
+            d_other = next(x for x, _ in dirs if not _parallel(x, d))
             param_up, implicit_up = _trace_graph(rec.form, d, d_other, N)
             param = _blowdown_param(param_up, rec.path)
             implicit = _normalize_implicit(
@@ -227,37 +231,32 @@ def _collect_branches(form: OneForm2, tree: ReductionTree, N: int) -> Separatrix
     return SeparatrixSet(branches, g)
 
 
-def weak_separatrix_jet(form: OneForm2, N: int = 10) -> BranchJet:
-    """Formal graph jet of the weak separatrix of a saddle-node."""
-    from .reduce2d import classify_point2
-    from .forms import LocalDivisor
-    form = normalize2(form)
-    code, _, M = classify_point2(form, LocalDivisor.empty())
+def _saddle_node_frame(form: OneForm2):
+    """Weak and strong directions of a saddle-node at the origin."""
+    code, _, _ = classify_point2(form, LocalDivisor.empty())
     if code.kind != SADDLE_NODE:
         raise ValueError("weak separatrix jet needs a saddle-node")
-    weak = _scale_dir(code.weak)
-    strong = _scale_dir(code.strong)
-    desc = form.desc
-    if not weak[0].is_zero():
-        # graph v = sum c_k u^k in the given coordinates
-        cs = invariant_graph_jet(form, N)
-        tvar = ("t",)
-        t = MPoly.variable(tvar, "t", desc, prec=N + 1)
-        s = MPoly(tvar, {(k + 1,): c for k, c in enumerate(cs)
-                         if not c.is_zero()}, desc, prec=N + 1)
-        u, v = form.vars
-        s2 = MPoly(form.vars, {(k + 1, 0): c for k, c in enumerate(cs)
-                               if not c.is_zero()}, desc, prec=N + 1)
-        vv = MPoly.variable(form.vars, v, desc, prec=N + 1)
-        implicit = vv - s2
-        return BranchJet(CurveJet((t, s)), implicit, False, "weak", ())
+    return _scale_dir(code.weak), _scale_dir(code.strong)
+
+
+def weak_separatrix_jet(form: OneForm2, N: int = 10) -> BranchJet:
+    """Formal jet of the weak separatrix of a saddle-node, solved in the
+    frame (weak, strong); the implicit jet is normalized as in
+    separatrices2."""
+    form = normalize2(form)
+    weak, strong = _saddle_node_frame(form)
     param, implicit = _trace_graph(form, weak, strong, N)
-    return BranchJet(param, implicit, False, "weak", ())
+    return BranchJet(param, _normalize_implicit(implicit), False, "weak", ())
 
 
 def weak_graph_coefficients(form: OneForm2, N: int = 10):
-    """Coefficients c_1..c_N of the weak separatrix graph v = sum c_k u^k."""
-    return invariant_graph_jet(normalize2(form), N)
+    """Coefficients c_1..c_N of the weak separatrix graph v = sum c_k u^k;
+    ValueError when the weak direction is vertical."""
+    form = normalize2(form)
+    weak, _ = _saddle_node_frame(form)
+    if weak[0].is_zero():
+        raise ValueError("the weak direction is vertical")
+    return invariant_graph_jet(form, N, slope=weak[1])
 
 
 class IdentityReport:

@@ -401,17 +401,20 @@ def _extract_pair(qb: MPoly, qc: MPoly, pvec):
     return phi, out[0], out[1]
 
 
+def _cylinder_trace(form: OneForm3, w: str) -> OneForm2:
+    """The plane form left on {w = 0} by a cylinder along w."""
+    others = tuple(v for v in form.vars if v != w)
+    A, B = (form.coeffs()[form.vars.index(v)].restrict(
+        {w: form.desc.zero()}).rename(others) for v in others)
+    return OneForm2(A, B, others)
+
+
 def _match_tau2(form: OneForm3, jet_order: int):
     w = cylinder_direction(form)
     if w is None:
         raise InconclusiveError("dimensional type changed under normalization")
     desc = form.desc
-    others = [v for v in form.vars if v != w]
-    idxs = [form.vars.index(v) for v in others]
-    trace = [form.coeffs()[i].restrict({w: desc.zero()}) for i in idxs]
-    form2 = OneForm2(trace[0].rename(tuple(others)),
-                     trace[1].rename(tuple(others)), tuple(others))
-    form2 = normalize2(form2)
+    form2 = normalize2(_cylinder_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty(), jet_order)
     if code.kind == NON_SIMPLE:
         return Model3Match("NotSimple", 2)
@@ -704,12 +707,9 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
             evidence.append("origin matches model %s" % match.code)
         elif match.tau == 2:
             w = cylinder_direction(form)
-            others = [v for v in form.vars if v != w]
-            trace = [form.coeffs()[form.vars.index(v)].restrict(
-                {w: desc.zero()}).rename(tuple(others)) for v in others]
-            form2 = OneForm2(trace[0], trace[1], tuple(others))
+            form2 = _cylinder_trace(form, w)
             branches = [DivisorBranch(
-                MPoly.variable(tuple(others), v, desc), False)
+                MPoly.variable(form2.vars, v, desc), False)
                 for v in planes if v != w]
             st = is_second_type2(form2, LocalDivisor(branches), max_depth)
             if not st:

@@ -101,14 +101,17 @@ def test_plane_chart_carries_map_and_surviving_branches():
     assert (c1.mapping["u"], c1.mapping["v"]) == (u, u * v)
     assert (c2.mapping["u"], c2.mapping["v"]) == (u * v, v)
     # {v} survives only in c1, {u} only in c2; {v = u} meets the
-    # exceptional line away from both chart origins
-    assert (c1.survivors, c2.survivors) == ((1,), (0,))
+    # exceptional line away from both chart origins and survives in both
+    assert (c1.survivors, c2.survivors) == ((1, 2), (0, 2))
+    one = mk(UV, {(0, 0): 1})
+    assert (c1.strict(v - u), c2.strict(v - u)) == (v - one, one - u)
     for ch in (c1, c2):
         branches = ch.divisor.branches
         assert branches[-1] is ch.exceptional
         assert [b.equation for b in branches[:-1]] == \
             [ch.strict(div.branches[i].equation) for i in ch.survivors]
-        assert ch.strict(v - u) is None
+        # {u + v = 1} misses the exceptional line
+        assert ch.strict(u + v - one) is None
 
 
 def test_space_chart_maps_keep_the_axis_and_scale_one_variable():

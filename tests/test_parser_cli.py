@@ -247,3 +247,17 @@ def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
     for block in ("divisor:{ dicritical(u) }", "divisor:{ u - 1 }"):
         path = tmp_form_file(CUSP2 + block + "\n")
         assert cli.main(["reduce2", path]) != 1
+
+
+def test_cli_model_match3_reports_the_weak_plane(tmp_form_file, tmp_path):
+    """The trace (x - y) dx + (2 (x + y)^2 + x - y) dy is a saddle-node
+    with weak direction (1, 1) and strong separatrix {y + x = 0}."""
+    out = tmp_path / "m.json"
+    text = "omega3: (x - y) dx + (2*(x + y)^2 + x - y) dy\n"
+    assert cli.main(["model-match3", tmp_form_file(text),
+                     "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    assert v["model"] == "b1"
+    (plane,) = v["weak_planes"]
+    assert plane.startswith("y - ") and " - x - " in plane
+    assert "y + x" not in plane

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from foliation_lab import (dual_graph, is_generalized_curve2, is_second_type2,
                            seidenberg_reduce, trees_equivalent)
+from foliation_lab.forms import DivisorBranch, LocalDivisor
 from foliation_lab.reduce2d import REGULAR, SADDLE_NODE, SIMPLE
 
 from conftest import UV, corpus2, f2, mk
@@ -87,3 +88,18 @@ def test_high_order_perturbation_of_node_is_stable(eps):
     assert tree.blowup_count == 0
     assert len(tree.leaves) == 1
     assert tree.leaves[0].code.kind == SIMPLE
+
+
+def test_divisor_branch_meeting_the_exceptional_line_off_the_origin():
+    """{u + v = 0} is invariant for (2uv + v^2) du + (u^2 + 2uv) dv; after
+    one blow-up it passes through the point v = -1 of chart c1, which must
+    carry it as a component."""
+    form = f2({(1, 1): 2, (0, 2): 1}, {(2, 0): 1, (1, 1): 2})
+    line = DivisorBranch(mk(UV, {(1, 0): 1, (0, 1): 1}))
+    tree = seidenberg_reduce(form, LocalDivisor((line,)))
+    (rec,) = [r for r in tree.leaves
+              if r.path[0][0] == "c1" and not r.path[0][1].is_zero()]
+    assert rec.path[0][1].as_fraction() == -1
+    assert sorted(rec.components) == ["B0", "E1"]
+    graph = dual_graph(tree)
+    assert ("B0", rec.code.kind, rec.well_oriented) in graph["half_edges"]

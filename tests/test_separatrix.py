@@ -1,5 +1,6 @@
 """Separatrix extraction, weak graphs, and multiplicity identities."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -9,6 +10,10 @@ from foliation_lab import (DicriticalInputError, OneForm2,
                            multiplicity_identity_check, mu0,
                            seidenberg_reduce, separatrices2,
                            weak_graph_coefficients, weak_separatrix_jet)
+from foliation_lab.forms import (CurveJet, LocalDivisor, invariant_curve,
+                                 normalize2, pullback_curve)
+from foliation_lab.poly import MPoly
+from foliation_lab.reduce2d import _rotate_form, classify_point2
 
 from conftest import corpus2
 
@@ -103,3 +108,52 @@ def test_milnor_identity_fails_off_generalized_curves():
     u, v = form.vars
     dg = OneForm2(g.partial(u), g.partial(v), form.vars)
     assert mu0(form) != mu0(dg)
+
+
+def _euler_sweep(count=101):
+    """The Euler saddle-node pulled back by `count` seeded invertible
+    linear maps, with the classification of each."""
+    rng = random.Random(4242)
+    euler = corpus2()["euler"][0]
+    Q = euler.desc
+    out = []
+    while len(out) < count:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c == 0:
+            continue
+        form = normalize2(_rotate_form(
+            euler, (Q.rational(a), Q.rational(c)),
+            (Q.rational(b), Q.rational(d))))
+        out.append((form, classify_point2(form, LocalDivisor.empty())[0]))
+    return out
+
+
+def test_weak_separatrix_jet_is_tangent_to_the_weak_direction():
+    """Under linear changes of coordinates the weak separatrix jet stays
+    tangent to the weak direction, never to the strong one, and its
+    parametrization is invariant to the computed order."""
+    for form, code in _euler_sweep():
+        b = weak_separatrix_jet(form, N=6)
+        lin = b.implicit.homogeneous_part(1)
+        assert lin.evaluate(dict(zip(form.vars, code.weak))).is_zero()
+        assert not lin.evaluate(dict(zip(form.vars, code.strong))).is_zero()
+        pb = pullback_curve(form, b.param)
+        assert pb.is_zero() or pb.order() >= 6, form.render()
+
+
+def test_weak_graph_coefficients_start_at_the_weak_slope():
+    vertical = 0
+    for form, code in _euler_sweep(40):
+        weak = code.weak
+        if weak[0].is_zero():
+            vertical += 1
+            with pytest.raises(ValueError, match="vertical"):
+                weak_graph_coefficients(form, N=6)
+            continue
+        cs = weak_graph_coefficients(form, N=6)
+        assert cs[0] == weak[1] / weak[0]
+        t = MPoly.variable(("t",), "t", form.desc, 7)
+        s = MPoly(("t",), {(k + 1,): c for k, c in enumerate(cs)},
+                  form.desc, 7)
+        assert invariant_curve(form, CurveJet((t, s)))
+    assert 0 < vertical < 40
