@@ -156,7 +156,7 @@ def _product(polys):
 def _cmd_reduce2(parsed, report, opts, dot_ref):
     tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
                              opts.jet_order)
-    report["nu0"] = nu0(parsed.form)
+    report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     report["reduction"] = _reduction_dict(tree, dot_ref)
     report["_tree"] = tree
@@ -164,12 +164,11 @@ def _cmd_reduce2(parsed, report, opts, dot_ref):
 
 
 def _cmd_analyze2(parsed, report, opts, dot_ref):
-    form = parsed.form
-    tree = seidenberg_reduce(form, parsed.divisor, opts.max_depth,
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
                              opts.jet_order)
-    report["nu0"] = nu0(form)
+    report["nu0"] = nu0(tree.form)
     try:
-        report["mu0"] = mu0(form)
+        report["mu0"] = mu0(tree.form)
     except (ValueError, OrderIndeterminate) as exc:
         report["diagnostics"].append("mu0: %s" % exc)
     report["dicritical"] = tree.has_dicritical()
@@ -187,10 +186,9 @@ def _cmd_analyze2(parsed, report, opts, dot_ref):
 
 
 def _cmd_separatrices(parsed, report, opts, dot_ref):
-    form = parsed.form
-    tree = seidenberg_reduce(form, parsed.divisor, opts.max_depth,
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
                              opts.jet_order)
-    report["nu0"] = nu0(form)
+    report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     seps, rep = _separatrices_and_identity(parsed, tree, opts)
     report["separatrices"] = _separatrix_list(seps)
@@ -204,7 +202,7 @@ def _cmd_separatrices(parsed, report, opts, dot_ref):
 def _cmd_second_type2(parsed, report, opts, dot_ref):
     tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
                              opts.jet_order)
-    report["nu0"] = nu0(parsed.form)
+    report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     report["reduction"] = _reduction_dict(tree, dot_ref)
     report["second_type"] = _second_type_dict(tree)

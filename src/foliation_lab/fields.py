@@ -275,15 +275,27 @@ class RatFunc:
         return f"({side(self.num)})/({side(self.den)})"
 
 
+# Trial division stops here, so one factorization costs at most this many
+# steps; a cofactor below its cube is still decided exactly.
+_TRIAL_LIMIT = 10 ** 5
+
+
 def _squarefree_part(n: int):
-    """Return (s, k) with n = s*k^2 and s square-free."""
+    """Return (s, k) with n = s*k^2 and s square-free.
+
+    Trial division runs up to _TRIAL_LIMIT.  Every prime factor of the
+    cofactor c left after it exceeds the limit, so a c below the cube of
+    the limit has at most two prime factors: it is the square of a prime
+    or square-free.  A larger c is not factored, and FieldExtensionError
+    is raised.
+    """
     if n == 0:
         return 0, 1
     sign = -1 if n < 0 else 1
     n = abs(n)
     s, k = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_LIMIT:
         e = 0
         while n % d == 0:
             n //= d
@@ -292,6 +304,15 @@ def _squarefree_part(n: int):
             s *= d
         k *= d ** (e // 2)
         d += 1
+    if d * d <= n:
+        # stopped by the limit: every prime factor of n exceeds it
+        if n >= _TRIAL_LIMIT ** 3:
+            raise FieldExtensionError(
+                "cannot decide whether %d is square-free: it has no prime "
+                "factor below %d" % (n, _TRIAL_LIMIT))
+        r = math.isqrt(n)
+        if r * r == n:
+            return sign * s, k * r
     return sign * s * n, k
 
 

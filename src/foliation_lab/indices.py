@@ -185,6 +185,9 @@ class PlaneSingularity:
     `point` is a normalized homogeneous coordinate triple, `chart` the
     variable set to one, and `form` the translated affine local 1-form in
     (u, v); `code` and `linear` come from the plane classification.
+    `form` is normalized once, when the point is found, and carries the
+    `coprime` flag, so the classification and every index taken at the
+    point only strip its monomial content.
     """
 
     __slots__ = ("point", "chart", "base", "form", "code", "well_oriented",
@@ -310,8 +313,9 @@ def plane_singularities(fol: ProjFoliation, jet_order: int = 8):
 
 
 def _classified(point, chart, base, a, b, jet_order):
-    form = OneForm2(a.translate({"u": base[0], "v": base[1]}),
-                    b.translate({"u": base[0], "v": base[1]}), _UV)
+    form = normalize2(OneForm2(a.translate({"u": base[0], "v": base[1]}),
+                               b.translate({"u": base[0], "v": base[1]}),
+                               _UV))
     code, well, M = classify_point2(form, LocalDivisor.empty(), jet_order)
     return PlaneSingularity(point, chart, base, form, code, well, M)
 

@@ -1,7 +1,14 @@
 """Exact dense linear algebra over a field tower.
 
 Matrices are lists of lists of FieldElement.  Sizes are small (desk scale),
-so plain Gaussian elimination with exact division is adequate.
+so plain Gauss-Jordan elimination with exact division is adequate.  The
+matrices that reach it (series division, cylinder candidates, Milnor
+algebras, Sylvester matrices) are mostly zeros, so the one elimination
+loop skips them: it scales only the nonzero entries of the pivot row and
+updates every other row only in those columns.  Skipping a zero changes
+no value, and the pivot is still the first nonzero entry of its column at
+or below the current row, so the pivots and reduced rows are exactly
+those of dense elimination.
 """
 
 from __future__ import annotations
@@ -9,8 +16,15 @@ from __future__ import annotations
 from .fields import FieldDescriptor, FieldElement
 
 
-def _echelon(rows, ncols):
-    """Row-reduce in place; return list of pivot column indices."""
+def _echelon(rows, ncols, det_factors=None):
+    """Row-reduce in place; return list of pivot column indices.
+
+    Only the first `ncols` columns are searched for pivots; further
+    columns (a right-hand side) are carried along.  When `det_factors` is
+    a list, each pivot is appended before its row is scaled, negated when
+    a row swap brought it up, so for a square matrix of full rank their
+    product is the determinant.
+    """
     pivots = []
     r = 0
     for c in range(ncols):
@@ -22,12 +36,19 @@ def _echelon(rows, ncols):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        if det_factors is not None:
+            det_factors.append(-p if pivot != r else p)
+        inv = p.inverse()
+        nz = [j for j, x in enumerate(prow) if not x.is_zero()]
+        for j in nz:
+            prow[j] = prow[j] * inv
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not f.is_zero():
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -85,28 +106,12 @@ def solve(matrix, rhs, desc: FieldDescriptor):
 
 def det(matrix, desc: FieldDescriptor) -> FieldElement:
     n = len(matrix)
-    if n == 0:
-        return desc.one()
-    rows = [list(row) for row in matrix]
-    sign = 1
     result = desc.one()
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return desc.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result = result * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    if sign < 0:
-        result = -result
+    if n == 0:
+        return result
+    factors = []
+    if len(_echelon([list(row) for row in matrix], n, factors)) < n:
+        return desc.zero()
+    for p in factors:
+        result = result * p
     return result

@@ -255,16 +255,24 @@ def _pair_nonresonant(l2: FieldElement, l3: FieldElement) -> bool:
 
 
 def _fully_nonresonant(lams, bound: int) -> bool:
-    """No relation m . lam = 0 with m in Z_{>=0}^3 \\ 0, |m| <= bound."""
+    """No relation m . lam = 0 with m in Z_{>=0}^3 \\ 0, |m| <= bound.
+
+    The multiples k*lam_i for k = 0..bound are built once, by repeated
+    addition, so each triple costs two additions and a zero test.  The
+    triples are tried by increasing |m|.
+    """
+    multiples = []
+    for lam in lams:
+        row = [lam.desc.zero()]
+        for _ in range(bound):
+            row.append(row[-1] + lam)
+        multiples.append(row)
+    k1, k2, k3 = multiples
     for total in range(1, bound + 1):
         for m1 in range(total + 1):
+            s1 = k1[m1]
             for m2 in range(total - m1 + 1):
-                m3 = total - m1 - m2
-                s = lams[0].desc.zero()
-                for m, lam in zip((m1, m2, m3), lams):
-                    if m:
-                        s = s + lam * lam.desc.rational(m)
-                if s.is_zero():
+                if (s1 + k2[m2] + k3[total - m1 - m2]).is_zero():
                     return False
     return True
 

@@ -1,5 +1,6 @@
 """Field tower arithmetic: axioms, square roots, widening, ordering."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from foliation_lab import (FieldDescriptor, FieldError, FieldExtensionError,
                            LocalDivisor, OneForm2, WidenRequest)
-from foliation_lab.fields import (_int_sqrt_exact, coerce,
+from foliation_lab.fields import (_int_sqrt_exact, _squarefree_part, coerce,
                                   ratio_in_positive_rationals, sort_key,
                                   sqrt_in_tower, sqrt_or_widen)
 from foliation_lab.poly import MPoly
@@ -117,6 +118,43 @@ def test_int_sqrt_exact_is_exact_for_big_integers():
     assert _int_sqrt_exact((10**20 + 1) ** 2 - 1) is None
     assert _int_sqrt_exact(2) is None
     assert _int_sqrt_exact(-4) is None
+
+
+def _squarefree_part_naive(n):
+    """Full trial division, the reference for _squarefree_part."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s, k, d = 1, 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            s *= d
+        k *= d ** (e // 2)
+        d += 1
+    return sign * s * n, k
+
+
+def test_squarefree_part_matches_naive_factoring():
+    rng = random.Random(20261018)
+    cases = [1, -1, 12, -50, 1000003 ** 2 * 6, 999983 * 1000003,
+             2 ** 39, 3 ** 25]
+    for _ in range(30):
+        q = rng.choice([rng.randrange(2, 300),
+                        rng.randrange(10 ** 5, 10 ** 6)])
+        cases.append(rng.randrange(1, 10 ** 12 // q ** 2 + 1) * q * q)
+        cases.append(-rng.randrange(1, 10 ** 12))
+    for n in cases:
+        assert _squarefree_part(n) == _squarefree_part_naive(n), n
+
+
+def test_squarefree_part_refuses_a_large_unfactored_cofactor():
+    with pytest.raises(FieldExtensionError):
+        _squarefree_part(998244353 * 1000000007)
+    with pytest.raises(FieldExtensionError):
+        FieldDescriptor(quadratic_extension=998244353 * 1000000007)
 
 
 def test_huge_resonant_node_is_not_simple():

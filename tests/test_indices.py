@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, gsv_index,
-                           localize_at, logarithmic_criterion,
+from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, forms,
+                           gsv_index, localize_at, logarithmic_criterion,
                            plane_singularities, sum_theorem_check)
 from foliation_lab.indices import (_cs_over_branches, _local_branches,
                                    _multi_graph, _resultant_eliminating,
@@ -48,6 +48,18 @@ def test_index_sums_along_one_line():
     assert rep.gsv_sum.as_fraction() == 2         # (d+2) d0 - d0^2
     assert rep.bb_sum.as_fraction() == 9          # (d+2)^2
     assert rep.cs_ok and rep.gsv_ok and rep.bb_ok
+
+
+def test_sum_check_certifies_each_point_once(monkeypatch):
+    fol, (X, Y, Z) = log_plane_foliation()
+    points = len(plane_singularities(fol))
+    calls = []
+    certify = forms._quickly_coprime
+    monkeypatch.setattr(forms, "_quickly_coprime",
+                        lambda polys: calls.append(1) or certify(polys))
+    rep = sum_theorem_check(fol, X * Y * Z)
+    assert rep.cs_ok and rep.gsv_ok and rep.bb_ok
+    assert 0 < len(calls) <= points
 
 
 def test_index_sums_over_the_full_triangle():

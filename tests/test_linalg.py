@@ -1,0 +1,241 @@
+"""Zero-skipping elimination and the resonance table against frozen copies
+of the dense loops they replaced: same pivots, same reduced rows, same
+solve/nullspace/rank/det, same resonance verdicts."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foliation_lab import FieldDescriptor
+from foliation_lab import linalg
+from foliation_lab.threefold import _fully_nonresonant
+
+Q = FieldDescriptor()
+Q2 = FieldDescriptor(quadratic_extension=2)
+QS = FieldDescriptor(parameter="s")
+
+
+# ---------------------------------------------------------------------------
+# frozen reference copies of the dense loops
+
+
+def _echelon_dense(rows, ncols):
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _det_dense(matrix, desc):
+    n = len(matrix)
+    if n == 0:
+        return desc.one()
+    rows = [list(row) for row in matrix]
+    sign = 1
+    result = desc.one()
+    for c in range(n):
+        pivot = None
+        for i in range(c, n):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            return desc.zero()
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        result = result * rows[c][c]
+        inv = rows[c][c].inverse()
+        for i in range(c + 1, n):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if sign < 0:
+        result = -result
+    return result
+
+
+def _fully_nonresonant_dense(lams, bound):
+    for total in range(1, bound + 1):
+        for m1 in range(total + 1):
+            for m2 in range(total - m1 + 1):
+                m3 = total - m1 - m2
+                s = lams[0].desc.zero()
+                for m, lam in zip((m1, m2, m3), lams):
+                    if m:
+                        s = s + lam * lam.desc.rational(m)
+                if s.is_zero():
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_nonzero = _small.filter(lambda q: q != 0)
+
+
+def _q(q):
+    return Q.rational(q)
+
+
+def _q2(a, b):
+    return Q2.rational(a) + Q2.rational(b) * Q2.sqrt_gen()
+
+
+def _qs(a, b):
+    return QS.rational(a) + QS.rational(b) * QS.param_gen()
+
+
+_ENTRIES = {
+    Q: _nonzero.map(_q),
+    Q2: st.tuples(_small, _nonzero).map(lambda t: _q2(*t))
+    | _nonzero.map(lambda a: _q2(a, 0)),
+    QS: st.tuples(_small, _nonzero).map(lambda t: _qs(*t))
+    | _nonzero.map(lambda a: _qs(a, 0)),
+}
+
+
+# Entries in Q(s) grow in degree with every elimination step, and a 12 x 14
+# matrix of them takes minutes in either loop: Q(s) stays at 7 x 8.
+_MAX_SHAPE = {Q: (12, 14), Q2: (12, 14), QS: (7, 8)}
+
+
+@st.composite
+def _sparse(draw, desc, square=False):
+    """A matrix over `desc` with at least 60% zero entries."""
+    max_rows, max_cols = _MAX_SHAPE[desc]
+    n = draw(st.integers(1, max_rows))
+    m = n if square else draw(st.integers(1, max_cols))
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    nnz = draw(st.integers(0, (2 * n * m) // 5))
+    rows = [[desc.zero()] * m for _ in range(n)]
+    for i, j in draw(st.permutations(cells))[:nnz]:
+        rows[i][j] = draw(_ENTRIES[desc])
+    return rows
+
+
+_towers = st.sampled_from([Q, Q2, QS])
+
+
+def _matrix_and_desc(square=False):
+    return _towers.flatmap(lambda d: st.tuples(_sparse(d, square), st.just(d)))
+
+
+# ---------------------------------------------------------------------------
+# elimination
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_and_desc())
+def test_echelon_matches_the_dense_loop(case):
+    matrix, _ = case
+    ncols = len(matrix[0])
+    fast = [list(r) for r in matrix]
+    slow = [list(r) for r in matrix]
+    assert linalg._echelon(fast, ncols) == _echelon_dense(slow, ncols)
+    assert fast == slow
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_and_desc(), st.data())
+def test_solve_nullspace_rank_match_the_dense_loop(case, data):
+    matrix, desc = case
+    ncols = len(matrix[0])
+    rhs = [data.draw(st.just(desc.zero()) | _ENTRIES[desc])
+           for _ in matrix]
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    pivots = _echelon_dense(rows, ncols)
+    if any(not rows[r][ncols].is_zero() for r in range(len(pivots),
+                                                      len(rows))):
+        want = None
+    else:
+        want = [desc.zero()] * ncols
+        for r, c in enumerate(pivots):
+            want[c] = rows[r][ncols]
+    assert linalg.solve(matrix, rhs, desc) == want
+
+    rows = [list(r) for r in matrix]
+    pivots = _echelon_dense(rows, ncols)
+    assert linalg.rank(matrix, desc) == len(pivots)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [desc.zero()] * ncols
+        v[f] = desc.one()
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(v)
+    assert linalg.nullspace(matrix, ncols, desc) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_and_desc(square=True))
+def test_det_matches_the_dense_loop(case):
+    matrix, desc = case
+    assert linalg.det(matrix, desc) == _det_dense(matrix, desc)
+
+
+def test_det_sign_of_a_row_swap():
+    one, zero = Q.one(), Q.zero()
+    swap = [[zero, one], [one, zero]]
+    assert linalg.det(swap, Q) == -one
+    assert linalg.det([[zero, one], [zero, one]], Q) == zero
+    assert linalg.det([], Q) == one
+
+
+# ---------------------------------------------------------------------------
+# resonance table
+
+def _residues(desc):
+    gen = desc.sqrt_gen() if desc.quadratic_extension else desc.zero()
+    return st.tuples(_small, _small).map(
+        lambda t: desc.rational(t[0]) + desc.rational(t[1]) * gen)
+
+
+_triples = st.sampled_from([Q, Q2]).flatmap(
+    lambda d: st.tuples(_residues(d), _residues(d), _residues(d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_triples, st.integers(1, 25))
+def test_resonance_verdicts_match_on_random_triples(lams, bound):
+    assert _fully_nonresonant(lams, bound) \
+        == _fully_nonresonant_dense(lams, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
+       .filter(lambda m: 0 < m[0] + m[1] + m[2] <= 25 and m[2] > 0),
+       _nonzero, _nonzero, st.booleans(), st.integers(1, 25))
+def test_resonance_verdicts_match_on_planted_relations(m, a, b, quad, bound):
+    # lam3 is solved from m . lam = 0, so the relation m is planted
+    desc = Q2 if quad else Q
+    lam1 = desc.rational(a)
+    lam2 = desc.rational(b) * (desc.sqrt_gen() if quad else desc.one())
+    lam3 = -(lam1 * desc.rational(m[0]) + lam2 * desc.rational(m[1])) \
+        * desc.rational(Fraction(1, m[2]))
+    lams = (lam1, lam2, lam3)
+    got = _fully_nonresonant(lams, bound)
+    assert got == _fully_nonresonant_dense(lams, bound)
+    if sum(m) <= bound:
+        assert not got

@@ -128,6 +128,34 @@ def test_cli_analyze2_full_report(tmp_form_file, tmp_path):
     assert rep["separatrices"][0]["tags"] == ["analytic", "ordinary"]
 
 
+def test_cli_plane_invariants_are_those_of_the_saturated_form(
+        tmp_form_file, tmp_path):
+    # u^2 v du - u v^2 dv = u v (u du - v dv): the saturated form has nu 1
+    path = tmp_form_file("omega2: u^2*v du - u*v^2 dv\n")
+    out = tmp_path / "s.json"
+    for command in ("reduce2", "separatrices", "second-type2", "analyze2"):
+        assert cli.main([command, path, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["nu0"] == 1, command
+    assert rep["mu0"] == 1
+    assert rep["identity_check"]["nu_form"] == 1
+    assert rep["diagnostics"] == []
+
+
+def test_cli_huge_semiprime_discriminant_ends(tmp_form_file, tmp_path):
+    # 998244359987710471 = 998244353 * 1000000007: trial division alone
+    # would run to about 10^9
+    out = tmp_path / "h.json"
+    t0 = time.perf_counter()
+    code = cli.main(["analyze2",
+                     tmp_form_file("omega2: -998244359987710471*u du"
+                                   " + v dv\n"), "--out", str(out)])
+    assert time.perf_counter() - t0 < 10
+    assert code in (0, 2)
+    if code == 2:
+        assert json.loads(out.read_text())["diagnostics"]
+
+
 def test_cli_separatrices_dicritical_is_inconclusive(tmp_form_file,
                                                      tmp_path):
     out = tmp_path / "r.json"
