@@ -5,7 +5,9 @@ Point blow-ups in dimension two use the two standard monomial charts
 point charts and blow-ups along coordinate axes.  Each chart carries its
 map, the strict transform of the form (exceptional factor divided out),
 the transformed divisor with the new exceptional branch appended, and the
-extracted exceptional multiplicity.
+extracted exceptional multiplicity.  The transform of the form is the
+pull-back by the chart map, forms.pullback, with the exceptional power
+divided out.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .forms import (
     OneForm2,
     OneForm3,
     nu0,
+    pullback,
 )
 from .poly import MPoly, vanishing_order
 
@@ -38,7 +41,9 @@ class BlowupChart:
     - blowup_curve3 along the axis of `axis`: "a<e>" for each of the two
       other variables e, the remaining one scaled and `axis` kept.
 
-    `mapping` is the chart map (variable -> image) and `exc_var` is e.
+    `mapping` is the exact chart map (variable -> image), by which
+    forms.pullback transforms the form and `strict` the branch
+    equations, and `exc_var` is e.
     `divisor` holds the strict transforms of the input branches that meet
     the exceptional divisor in this chart, at its origin or elsewhere,
     followed by the exceptional branch; `survivors` are the indices of
@@ -93,29 +98,13 @@ def _transform_divisor(chart: BlowupChart, divisor):
     return LocalDivisor(branches), tuple(survivors)
 
 
-def _pull_back(variables, coeffs, exc_var, scaled, prec):
-    """Chart map and pulled-back 1-form coefficients, before e^m is
-    divided out.
-
-    Since d(e*w) = w de + e dw, the de coefficient becomes
-    img_e + sum of w*img_w over the scaled w, and each scaled coefficient
-    becomes e*img_w; kept coefficients are just mapped.
-    """
-    desc = coeffs[0].desc
-    gens = {w: MPoly.variable(variables, w, desc, prec) for w in variables}
+def _chart_transform(form, exc_var, scaled):
+    """Chart map and the pull-back of the form by it (forms.pullback),
+    before e^m is divided out."""
+    gens = {w: MPoly.variable(form.vars, w, form.desc) for w in form.vars}
     e = gens[exc_var]
-    mapping = {w: e * gens[w] if w in scaled else gens[w] for w in variables}
-    imgs = dict(zip(variables, (p.substitute(mapping) for p in coeffs)))
-    out = []
-    for w in variables:
-        c = imgs[w]
-        if w == exc_var:
-            for s in scaled:
-                c = c + gens[s] * imgs[s]
-        elif w in scaled:
-            c = e * c
-        out.append(c)
-    return mapping, out
+    mapping = {w: e * g if w in scaled else g for w, g in gens.items()}
+    return mapping, pullback(form.coeffs(), form.vars, mapping)
 
 
 def _divide(coeffs, exc_var, m):
@@ -150,8 +139,7 @@ def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
     charts = []
     for label, i in PLANE_CHARTS:
         exc_var = form.vars[i]
-        mapping, coeffs = _pull_back(form.vars, (form.A, form.B), exc_var,
-                                     (form.vars[1 - i],), form.A.prec)
+        mapping, coeffs = _chart_transform(form, exc_var, (form.vars[1 - i],))
         # A chart is an isomorphism off the exceptional line, so a common
         # factor of coprime A, B pulls back to powers of exc_var, now gone.
         strict = OneForm2(*_divide(coeffs, exc_var, m), form.vars,
@@ -182,11 +170,9 @@ def _plane_invariant(form: OneForm3, exc_var: str) -> bool:
 def _charts3(form: OneForm3, divisor: LocalDivisor, layout):
     """The charts (label, exc_var, scaled) of a blow-up in 3-space; m is
     the exceptional content of the pull-back."""
-    prec = form.prec()
     charts = []
     for label, exc_var, scaled in layout:
-        mapping, coeffs = _pull_back(form.vars, form.coeffs(), exc_var,
-                                     scaled, prec)
+        mapping, coeffs = _chart_transform(form, exc_var, scaled)
         m = _exc_content3(coeffs, exc_var)
         strict = OneForm3(*_divide(coeffs, exc_var, m), variables=form.vars)
         dicr = not _plane_invariant(strict, exc_var)

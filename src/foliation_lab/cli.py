@@ -14,12 +14,12 @@ import os
 import sys
 
 from .fields import (FieldError, FieldExtensionError, WidenRequest)
-from .forms import PrecisionError, mu0, normalize2, nu0
+from .forms import (PrecisionError, invariant_hypersurface, mu0, normalize2,
+                    nu0)
 from .indices import logarithmic_criterion, sum_theorem_check
 from .parser import InputSyntaxError, parse_form
 from .poly import MPoly, OrderIndeterminate
-from .reduce2d import (ReductionError, _branch_invariant, dual_graph,
-                       seidenberg_reduce)
+from .reduce2d import ReductionError, dual_graph, seidenberg_reduce
 from .separatrix import (DicriticalInputError, multiplicity_identity_check,
                          separatrices2)
 from .threefold import (InconclusiveError, match_simple_model3,
@@ -403,7 +403,8 @@ def _check_divisor(form, divisor):
     zero = {w: form.desc.zero() for w in form.vars}
     for b in divisor:
         if (b.dicritical or not b.equation.evaluate(zero).is_zero()
-                or _branch_invariant(form, b.equation)):
+                or invariant_hypersurface(form.coeffs(), form.vars,
+                                          b.equation)):
             continue
         raise UsageError("divisor branch %s is neither invariant nor tagged "
                          "dicritical(...)" % b.equation.render())
@@ -415,16 +416,20 @@ def _run_one(opts, path):
             text = fh.read()
     except OSError as exc:
         raise UsageError(str(exc))
-    parsed = parse_form(text)
+    report = {"input": os.path.basename(path), "field": None,
+              "diagnostics": []}
+    try:
+        parsed = parse_form(text)
+    except FieldExtensionError as exc:
+        # the coefficient field itself could not be decided
+        report["diagnostics"].append(str(exc))
+        _write_report(opts, path, report)
+        return _EXIT_INCONCLUSIVE
     expected = _FORM_KINDS[opts.command]
     if parsed.kind != expected:
         raise UsageError("command %s expects a %s: input, got %s:"
                          % (opts.command, expected, parsed.kind))
-    report = {
-        "input": os.path.basename(path),
-        "field": parsed.desc.describe(),
-        "diagnostics": [],
-    }
+    report["field"] = parsed.desc.describe()
     dot_path = (_target_path(opts.dot, path, ".dot")
                 if opts.command in _TREE_COMMANDS else None)
     try:
@@ -440,9 +445,13 @@ def _run_one(opts, path):
     if dot_path is not None and tree is not None:
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(_dot_text(tree))
+    _write_report(opts, path, report)
+    return code
+
+
+def _write_report(opts, path, report):
     # diagnostics close the report
-    diags = report.pop("diagnostics")
-    report["diagnostics"] = diags
+    report["diagnostics"] = report.pop("diagnostics")
     text_out = json.dumps(report, indent=2) + "\n"
     out_path = _target_path(opts.out, path, ".json")
     if out_path is None:
@@ -450,7 +459,6 @@ def _run_one(opts, path):
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text_out)
-    return code
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,19 @@ A plane form is written A du + B dv and a space form A dx + B dy + C dz,
 with coefficients that are exact polynomials or truncated series over a
 field tower.  This module provides normalization (removal of a common
 coefficient factor), the algebraic multiplicity nu0, the Milnor number
-mu0, the integrability test in three variables, and invariance tests for
-parametrized curves and for surfaces given by a reduced equation.
+mu0, and the 1-form calculus shared by every number of variables:
+
+- pullback: for omega = sum_i c_i dx_i and a map phi, the coefficient of
+  dy_j in phi*omega is sum_i c_i(phi) * d(phi_i)/dy_j.  Its precision is
+  the lowest among the terms that enter it: c_i(phi) has that of c_i and
+  of the images, a Jacobian entry that of its image minus one, and an
+  exact-zero entry adds no term.  A coefficient with no term is zero to
+  the joint precision of the c_i and the images.  Blow-up charts,
+  rotations, plane sections, coordinate-plane restrictions and curve
+  jets are all pull-backs.
+- invariant_hypersurface: {f = 0} is invariant when f divides every
+  minor c_i df/dx_j - c_j df/dx_i of omega ^ df.
+- integrable: omega ^ d omega = 0, one triple i < j < k at a time.
 
 Boolean questions about truncated series are three-valued internally;
 an answer that cannot be certified at the available precision raises
@@ -13,6 +24,8 @@ PrecisionError instead of guessing.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .fields import (
     FieldDescriptor,
@@ -90,16 +103,14 @@ class OneForm2:
         self.desc = A.desc
         self.coprime = coprime
 
+    def coeffs(self):
+        return (self.A, self.B)
+
     def is_zero(self) -> bool:
         return self.A.is_zero() and self.B.is_zero()
 
     def prec(self):
-        pa, pb = self.A.prec, self.B.prec
-        if pa is None:
-            return pb
-        if pb is None:
-            return pa
-        return min(pa, pb)
+        return MPoly._join_prec(self.A.prec, self.B.prec)
 
     # coerce_to, translate and rename keep `coprime`: a gcd is unchanged by
     # a field extension, and a translation or renaming is an automorphism.
@@ -263,13 +274,6 @@ class CurveJet:
         precs = [c.prec for c in components if c.prec is not None]
         self.prec = min(precs) if precs else None
 
-    def tvar(self) -> str:
-        return self.components[0].vars[0]
-
-    def derivative(self):
-        t = self.tvar()
-        return tuple(c.partial(t) for c in self.components)
-
     def __repr__(self):
         return "CurveJet(%s)" % ", ".join(c.render() for c in self.components)
 
@@ -415,7 +419,7 @@ def normalize3(form: OneForm3) -> OneForm3:
 def nu0(form) -> int:
     """Algebraic multiplicity: minimal vanishing order of the coefficients."""
     best = None
-    for p in form.coeffs() if isinstance(form, OneForm3) else (form.A, form.B):
+    for p in form.coeffs():
         if p.is_zero():
             continue
         try:
@@ -496,31 +500,87 @@ def mu0(form: OneForm2) -> int:
     raise ValueError("Milnor number did not stabilize; singularity is not isolated")
 
 
+def pullback(coeffs, variables, mapping):
+    """Coefficients of phi*omega for omega = sum_i coeffs[i] d variables[i],
+    in the target variables shared by the images mapping[x_i] = phi_i
+    (formula and precision rule in the module docstring).
+
+    c_i is substituted only when some entry d(phi_i)/dy_j is not an exact
+    zero; an exact constant entry scales c_i(phi), and 1 adds it as is.
+    """
+    targets = mapping[variables[0]].vars
+    one = coeffs[0].desc.one()
+    images = {}
+    out = []
+    for y in targets:
+        total = None
+        for i, w in enumerate(variables):
+            d = mapping[w].partial(y)
+            if d.prec is None and d.is_zero():
+                continue
+            if i not in images:
+                images[i] = coeffs[i].substitute(mapping)
+            img = images[i]
+            if d.prec is not None or d.degree() > 0:
+                term = img * d
+            else:
+                c = d.constant_coefficient()
+                term = img if c == one else img.scale(c)
+            total = term if total is None else total + term
+        if total is None:
+            prec = None
+            for p in list(coeffs) + list(mapping.values()):
+                prec = MPoly._join_prec(prec, p.prec)
+            total = MPoly.zero(targets, one.desc, prec)
+        out.append(total)
+    return out
+
+
+def invariant_hypersurface(coeffs, variables, f: MPoly) -> InvarianceResult:
+    """Whether {f = 0} is invariant: f divides every minor
+    c_i df/dx_j - c_j df/dx_i of omega ^ df, pairs i < j in order.
+
+    A failing minor answers False with its precision; otherwise the order
+    is the lowest precision among the nonzero minors (None when exact).
+    """
+    parts = [f.partial(w) for w in variables]
+    order = None
+    for i, j in combinations(range(len(variables)), 2):
+        minor = coeffs[i] * parts[j] - coeffs[j] * parts[i]
+        if minor.is_zero():
+            continue
+        if exact_divide(minor, f) is None:
+            return InvarianceResult(False, minor.prec)
+        order = MPoly._join_prec(order, minor.prec)
+    return InvarianceResult(True, order)
+
+
+def integrable(coeffs, variables) -> bool:
+    """Frobenius condition omega ^ d omega = 0: for every triple i < j < k,
+    c_i (d_j c_k - d_k c_j) + c_j (d_k c_i - d_i c_k) + c_k (d_i c_j - d_j c_i)
+    vanishes, d_j meaning the partial derivative in variables[j]."""
+    n = len(variables)
+    d = {(i, j): coeffs[i].partial(variables[j])
+         for i in range(n) for j in range(n) if i != j}
+    for i, j, k in combinations(range(n), 3):
+        expr = (coeffs[i] * (d[k, j] - d[j, k]) + coeffs[j] * (d[i, k] - d[k, i])
+                + coeffs[k] * (d[j, i] - d[i, j]))
+        if not expr.is_zero():
+            return False
+    return True
+
+
 def integrable3(form: OneForm3) -> bool:
     """Whether the form satisfies the Frobenius integrability condition."""
-    x, y, z = form.vars
-    A, B, C = form.A, form.B, form.C
-    expr = (
-        A * (B.partial(z) - C.partial(y))
-        + B * (C.partial(x) - A.partial(z))
-        + C * (A.partial(y) - B.partial(x))
-    )
-    return expr.is_zero()
+    return integrable(form.coeffs(), form.vars)
 
 
 def pullback_curve(form, curve: CurveJet) -> MPoly:
     """Coefficient of dt in the pull-back of the form along the curve."""
-    ncomp = 3 if isinstance(form, OneForm3) else 2
-    if len(curve.components) != ncomp:
+    if len(curve.components) != len(form.vars):
         raise ValueError("curve dimension does not match the form")
-    mapping = dict(zip(form.vars, curve.components))
-    derivs = curve.derivative()
-    coeffs = form.coeffs() if ncomp == 3 else (form.A, form.B)
-    total = None
-    for p, dg in zip(coeffs, derivs):
-        term = p.substitute(mapping) * dg
-        total = term if total is None else total + term
-    return total
+    return pullback(form.coeffs(), form.vars,
+                    dict(zip(form.vars, curve.components)))[0]
 
 
 def invariant_curve(form, curve: CurveJet) -> InvarianceResult:
@@ -544,23 +604,10 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     """Whether {f = 0} is invariant: every coefficient of w ^ df divisible by f."""
     if f.is_zero() or not f.evaluate({w: f.desc.zero() for w in f.vars}).is_zero():
         raise ValueError("surface equation must be nonzero and vanish at the origin")
-    x, y, z = form.vars
-    A, B, C = form.A, form.B, form.C
-    fx, fy, fz = f.partial(x), f.partial(y), f.partial(z)
-    components = (A * fy - B * fx, B * fz - C * fy, A * fz - C * fx)
-    order = None
-    for comp in components:
-        if comp.is_zero():
-            continue
-        q = exact_divide(comp, f)
-        if q is None:
-            return InvarianceResult(False, comp.prec)
-        if comp.prec is not None:
-            o = comp.prec
-            order = o if order is None else min(order, o)
-    if order is not None and order < 2:
-        raise PrecisionError("divisibility certified only below order %d" % order)
-    return InvarianceResult(True, order)
+    res = invariant_hypersurface(form.coeffs(), form.vars, f)
+    if res and res.order is not None and res.order < 2:
+        raise PrecisionError("divisibility certified only below order %d" % res.order)
+    return res
 
 
 def _solve_graph(residual, c1, offset: int, beta, N: int, fail: str):
@@ -627,13 +674,12 @@ def invariant_graph_jet(form: OneForm2, N: int, slope=None):
             raise ValueError(fail % {"k": 1})
         slope = desc.zero() if q1.is_zero() else -(a10 / q1)
 
-    uu = MPoly.variable((u,), u, desc, N + 2)
+    uu = MPoly.variable((u,), u, desc)
 
     def residual(cs, prec):
         # one guard order so the derivative is still valid below `prec`
         s = MPoly((u,), {(k + 1,): c for k, c in enumerate(cs)}, desc, prec + 1)
-        mapping = {u: uu, v: s}
-        return A.substitute(mapping) + B.substitute(mapping) * s.partial(u)
+        return pullback(form.coeffs(), form.vars, {u: uu, v: s})[0]
 
     lin, step = a01 + b01 * slope, b10 + b01 * slope
     return _solve_graph(residual, slope, 0,

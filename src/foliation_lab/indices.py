@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .fields import FieldDescriptor, FieldElement, WidenRequest, sort_key
 from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
-                    normalize2)
+                    integrable, invariant_hypersurface, normalize2, pullback)
 from .poly import (
     MPoly,
     _utrim,
@@ -43,23 +43,6 @@ def _homogeneous_degree(p: MPoly):
     if len(degs) != 1:
         raise ValueError("coefficient is not homogeneous")
     return degs.pop()
-
-
-def _integrable4(coeffs, vars4) -> bool:
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                terms = (
-                    coeffs[i] * (coeffs[k].partial(vars4[j])
-                                 - coeffs[j].partial(vars4[k])),
-                    coeffs[j] * (coeffs[i].partial(vars4[k])
-                                 - coeffs[k].partial(vars4[i])),
-                    coeffs[k] * (coeffs[j].partial(vars4[i])
-                                 - coeffs[i].partial(vars4[j])),
-                )
-                if not (terms[0] + terms[1] + terms[2]).is_zero():
-                    return False
-    return True
 
 
 class ProjFoliation:
@@ -93,7 +76,7 @@ class ProjFoliation:
             euler = euler + p * MPoly.variable(vars_, w, desc)
         if not euler.is_zero():
             raise ValueError("the Euler condition fails")
-        if len(vars_) == 4 and not _integrable4(coeffs, vars_):
+        if len(vars_) == 4 and not integrable(coeffs, vars_):
             raise ValueError("the form is not integrable")
         self.coeffs = coeffs
         self.vars = vars_
@@ -686,17 +669,6 @@ class SumReport:
                    self.bb_sum, self.bb_ok))
 
 
-def _check_invariant_curve(fol: ProjFoliation, C: MPoly):
-    vars_ = fol.vars
-    parts = [C.partial(w) for w in vars_]
-    n = len(vars_)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comp = fol.coeffs[i] * parts[j] - fol.coeffs[j] * parts[i]
-            if not comp.is_zero() and not divides(comp, C):
-                raise ValueError("the declared curve is not invariant")
-
-
 def sum_theorem_check(fol: ProjFoliation, C: MPoly, jet_order: int = 8,
                       N: int = 12) -> SumReport:
     """Verify CS over C = d0^2, GSV over C = (d+2)d0 - d0^2, and the
@@ -716,7 +688,8 @@ def sum_theorem_check(fol: ProjFoliation, C: MPoly, jet_order: int = 8,
 
 
 def _sum_check(fol, C, d0, jet_order, N):
-    _check_invariant_curve(fol, C)
+    if not invariant_hypersurface(fol.coeffs, fol.vars, C):
+        raise ValueError("the declared curve is not invariant")
     sings = plane_singularities(fol, jet_order)
     desc = sings[0].desc if sings else fol.desc
     cs_sum = desc.zero()
@@ -782,12 +755,8 @@ def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
     desc = fol.desc
     if S.vars != fol.vars or _homogeneous_degree(S) is None:
         raise ValueError("the invariant surface must be homogeneous")
-    parts = [S.partial(w) for w in fol.vars]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            comp = fol.coeffs[i] * parts[j] - fol.coeffs[j] * parts[i]
-            if not comp.is_zero() and not divides(comp, S):
-                raise ValueError("the declared surface is not invariant")
+    if not invariant_hypersurface(fol.coeffs, fol.vars, S):
+        raise ValueError("the declared surface is not invariant")
     plane_vars = ("X", "Y", "Z")
     gens = [MPoly.variable(plane_vars, w, desc) for w in plane_vars]
     coeffs_abc = [c if isinstance(c, FieldElement) else desc.rational(c)
@@ -795,9 +764,7 @@ def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
     img_w = (gens[0].scale(coeffs_abc[0]) + gens[1].scale(coeffs_abc[1])
              + gens[2].scale(coeffs_abc[2]))
     mapping = dict(zip(fol.vars, gens + [img_w]))
-    pulled = [p.substitute(mapping) for p in fol.coeffs]
-    sec_coeffs = tuple(pulled[i] + pulled[3].scale(coeffs_abc[i])
-                       for i in range(3))
+    sec_coeffs = tuple(pullback(fol.coeffs, fol.vars, mapping))
     if all(p.is_zero() for p in sec_coeffs):
         raise ValueError("the section plane is invariant, not transversal")
     C = S.substitute(mapping)

@@ -212,7 +212,7 @@ class MPoly:
                 continue
             ne = list(e)
             ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
+            out[tuple(ne)] = c * e[i] if e[i] > 1 else c
         prec = None if self.prec is None else max(self.prec - 1, 0)
         return self._make(out, prec)
 
@@ -555,8 +555,10 @@ def _rational_root_candidates(coeffs):
 def u_roots_in_tower(coeffs, desc: FieldDescriptor):
     """All roots lying inside the tower, each listed once, sorted.
 
-    Raises FieldExtensionError (or WidenRequest) when an irreducible factor
-    of degree >= 2 resists the supported towers.
+    Roots in Q come from the rational root test and a quadratic factor
+    is solved by a square root (WidenRequest outside the tower).  A factor
+    of degree >= 3 without a root in Q is not split: FieldExtensionError
+    names its degree, although its roots may lie in the tower.
     """
     from .fields import FieldExtensionError, sqrt_or_widen
 
@@ -575,7 +577,8 @@ def u_roots_in_tower(coeffs, desc: FieldDescriptor):
         if len(c) == 2:
             roots.append(-c[0] / c[1])
             break
-        if all(x.is_rational() for x in c):
+        rational = all(x.is_rational() for x in c)
+        if rational:
             found = None
             for cand in _rational_root_candidates(c):
                 x = desc.rational(cand)
@@ -596,8 +599,9 @@ def u_roots_in_tower(coeffs, desc: FieldDescriptor):
             roots.append((-a1 + s) / (2 * a2))
             roots.append((-a1 - s) / (2 * a2))
             break
-        raise FieldExtensionError(
-            "irreducible factor of degree >= 3 lies outside the tower")
+        raise FieldExtensionError("a factor of degree %d was not split: %s" % (
+            len(c) - 1, "no root in Q was found" if rational else
+            "its coefficients are not in Q, so no root was searched"))
     seen = []
     for r in roots:
         if all(not (r - s).is_zero() for s in seen):

@@ -8,8 +8,9 @@ adjacencies, and the decorated final singularities.
 
 Points to visit on each exceptional line are located exactly by root
 isolation over the coefficient field tower; a root that requires a new
-square root triggers a widening restart, a root of an irreducible cubic
-or worse aborts with a field-extension error.
+square root triggers a widening restart.  A factor of degree three or
+more with no root in Q is not split into lower-degree factors, so its
+roots are not located and the run aborts with a field-extension error.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from .forms import (
     LocalDivisor,
     OneForm2,
     invariant_graph_jet,
+    invariant_hypersurface,
     normalize2,
+    pullback,
 )
 from .blowup import blowup_point2
-from .poly import MPoly, divides, to_univariate, u_roots_in_tower
+from .poly import MPoly, to_univariate, u_roots_in_tower
 
 REGULAR = "Regular"
 SIMPLE = "SimpleNonDegenerate"
@@ -134,15 +137,6 @@ def _branch_tangent(eq: MPoly, desc):
     return (fv, -fu)
 
 
-def _branch_invariant(form: OneForm2, eq: MPoly) -> bool:
-    """Whether {eq = 0} is invariant: the dual field preserves the ideal."""
-    u, v = form.vars
-    xf = form.B * eq.partial(u) - form.A * eq.partial(v)
-    if xf.is_zero():
-        return True
-    return divides(xf, eq)
-
-
 def _eigdir(M, lam, desc):
     """A kernel direction of M - lam*I."""
     a = M[0][0] - lam
@@ -170,22 +164,14 @@ def classify_linear2(M, desc: FieldDescriptor) -> str:
 def _rotate_form(form: OneForm2, d1, d2) -> OneForm2:
     """Pull back by the linear map sending (1,0), (0,1) to d1, d2."""
     u, v = form.vars
-    desc = form.desc
-    prec = form.prec()
-    uu = MPoly.variable(form.vars, u, desc, prec)
-    vv = MPoly.variable(form.vars, v, desc, prec)
-    img_u = uu.scale(d1[0]) + vv.scale(d2[0])
-    img_v = uu.scale(d1[1]) + vv.scale(d2[1])
-    mapping = {u: img_u, v: img_v}
-    A = form.A.substitute(mapping)
-    B = form.B.substitute(mapping)
-    # d(img_u) = d1[0] du + d2[0] dv etc.
-    nA = A.scale(d1[0]) + B.scale(d1[1])
-    nB = A.scale(d2[0]) + B.scale(d2[1])
-    # (nA, nB) is (A, B) composed with the linear map, times the matrix
-    # (d1 d2); both steps keep coprimality exactly when det(d1, d2) != 0.
+    gens = [MPoly.variable(form.vars, w, form.desc) for w in form.vars]
+    mapping = {u: gens[0].scale(d1[0]) + gens[1].scale(d2[0]),
+               v: gens[0].scale(d1[1]) + gens[1].scale(d2[1])}
+    # the pull-back is (A, B) composed with the linear map, times the
+    # matrix (d1 d2); both keep coprimality exactly when det(d1, d2) != 0.
     invertible = not _parallel(d1, d2)
-    return OneForm2(nA, nB, form.vars, form.coprime and invertible)
+    return OneForm2(*pullback(form.coeffs(), form.vars, mapping), form.vars,
+                    form.coprime and invertible)
 
 
 def saddle_node_data(form: OneForm2, jet_order: int):
@@ -221,7 +207,8 @@ def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
             if b.dicritical:
                 if _parallel(leaf_dir, tangent):
                     adapted = UNADAPTED  # tangency with a dicritical component
-            elif not _branch_invariant(form, b.equation):
+            elif not invariant_hypersurface(form.coeffs(), form.vars,
+                                            b.equation):
                 adapted = UNADAPTED
         return ClassCode(REGULAR, adapted=adapted), True, M
 
@@ -233,7 +220,8 @@ def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
     if len(local) > 2:
         adapted = UNADAPTED
     for b in local:
-        if b.dicritical or not _branch_invariant(form, b.equation):
+        if b.dicritical or not invariant_hypersurface(
+                form.coeffs(), form.vars, b.equation):
             adapted = UNADAPTED
 
     if verdict == SIMPLE:

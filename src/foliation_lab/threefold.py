@@ -33,6 +33,7 @@ from .forms import (
     normalize2,
     normalize3,
     nu0,
+    pullback,
 )
 from .blowup import blowup_curve3, blowup_point3
 from .linalg import nullspace
@@ -409,12 +410,13 @@ def _extract_pair(qb: MPoly, qc: MPoly, pvec):
     return phi, out[0], out[1]
 
 
-def _cylinder_trace(form: OneForm3, w: str) -> OneForm2:
-    """The plane form left on {w = 0} by a cylinder along w."""
+def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
+    """The pull-back of the form by the inclusion of the plane {w = value}
+    (value a constant): at 0, the plane form left by a cylinder along w."""
     others = tuple(v for v in form.vars if v != w)
-    A, B = (form.coeffs()[form.vars.index(v)].restrict(
-        {w: form.desc.zero()}).rename(others) for v in others)
-    return OneForm2(A, B, others)
+    mapping = {v: MPoly.variable(others, v, form.desc) for v in others}
+    mapping[w] = MPoly.constant(others, value, form.desc)
+    return OneForm2(*pullback(form.coeffs(), form.vars, mapping), others)
 
 
 def _match_tau2(form: OneForm3, jet_order: int):
@@ -422,7 +424,7 @@ def _match_tau2(form: OneForm3, jet_order: int):
     if w is None:
         raise InconclusiveError("dimensional type changed under normalization")
     desc = form.desc
-    form2 = normalize2(_cylinder_trace(form, w))
+    form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty(), jet_order)
     if code.kind == NON_SIMPLE:
         return Model3Match("NotSimple", 2)
@@ -445,27 +447,24 @@ def _match_tau2(form: OneForm3, jet_order: int):
             resonant = True
     residues = ()
     u2, v2 = form2.vars
-    ra = _residue_series2(form2.A, v2, jet_order)
-    rb = _residue_series2(form2.B, u2, jet_order)
+    ra = _residue_series2(form2.A, v2)
+    rb = _residue_series2(form2.B, u2)
     if ra is not None and rb is not None:
         zero2 = {u2: desc.zero(), v2: desc.zero()}
         residues = (ra.evaluate(zero2), rb.evaluate(zero2))
     return Model3Match("b2" if resonant else "a", 2, residues=residues)
 
 
-def _residue_series2(p: MPoly, w: str, N: int):
+def _residue_series2(p: MPoly, w: str):
     if p.is_zero() or p.min_exponent_in(w) < 1:
         return None
     return p.divide_var_power(w, 1)
 
 
 def _lift_to3(eq2: MPoly, vars3):
-    """A two-variable equation as a cylinder equation in three variables."""
-    pair = eq2.vars
-    pos = [vars3.index(v) if v in vars3 else None for v in pair]
-    if None in pos:
-        # renamed plane coordinates; place them on the first two slots
-        pos = [i for i, v in enumerate(vars3)][:2]
+    """A two-variable equation as a cylinder equation in three variables;
+    the plane variables must be among vars3."""
+    pos = [vars3.index(v) for v in eq2.vars]
     coeffs = {}
     for e, c in eq2.coeffs.items():
         e3 = [0, 0, 0]
@@ -568,17 +567,8 @@ def pullback_section(form: OneForm3, phi: SectionMap) -> OneForm2:
     """Pull the form back along the section and normalize the result."""
     if phi.desc != form.desc:
         raise FieldError("section and form live over different towers")
-    u, v = phi.vars
-    mapping = dict(zip(form.vars, phi.components))
-    A2 = None
-    B2 = None
-    for p, comp in zip(form.coeffs(), phi.components):
-        img = p.substitute(mapping)
-        ta = img * comp.partial(u)
-        tb = img * comp.partial(v)
-        A2 = ta if A2 is None else A2 + ta
-        B2 = tb if B2 is None else B2 + tb
-    G = OneForm2(A2, B2, phi.vars)
+    G = OneForm2(*pullback(form.coeffs(), form.vars,
+                           dict(zip(form.vars, phi.components))), phi.vars)
     if G.is_zero():
         raise ValueError("the section is invariant; pull-back vanishes")
     return normalize2(G)
@@ -631,15 +621,8 @@ def _axis_trace_form(form: OneForm3, kept: str, param_name: str = "s"):
     """The foliation on a transversal plane at a generic axis point, over
     the tower extended by a transcendental parameter."""
     desc_s = form.desc.with_parameter(param_name)
-    s = desc_s.param_gen()
-    others = [w for w in form.vars if w != kept]
-    coeffs = []
-    for w in others:
-        p = form.coeffs()[form.vars.index(w)].coerce_to(desc_s)
-        coeffs.append(p.restrict({kept: s}))
-    A2 = coeffs[0].rename(tuple(others))
-    B2 = coeffs[1].rename(tuple(others))
-    return OneForm2(A2, B2, tuple(others)), desc_s
+    return (_plane_trace(form.coerce_to(desc_s), kept, desc_s.param_gen()),
+            desc_s)
 
 
 def _random_section(rng, vars3, vars2, desc):
@@ -715,7 +698,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
             evidence.append("origin matches model %s" % match.code)
         elif match.tau == 2:
             w = cylinder_direction(form)
-            form2 = _cylinder_trace(form, w)
+            form2 = _plane_trace(form, w)
             branches = [DivisorBranch(
                 MPoly.variable(form2.vars, v, desc), False)
                 for v in planes if v != w]

@@ -156,6 +156,34 @@ def test_cli_huge_semiprime_discriminant_ends(tmp_form_file, tmp_path):
         assert json.loads(out.read_text())["diagnostics"]
 
 
+def test_cli_undecidable_field_is_inconclusive(tmp_form_file, tmp_path):
+    # the square-free part of rt(998244353 * 1000000007) is not decided,
+    # so the coefficient field is unknown: exit 2, not a usage error
+    out = tmp_path / "f.json"
+    code = cli.main(["analyze2",
+                     tmp_form_file("omega2: rt(998244359987710471)*v du"
+                                   " + u dv\n"), "--out", str(out)])
+    assert code == 2
+    rep = json.loads(out.read_text())
+    assert rep["field"] is None
+    assert list(rep) == ["input", "field", "diagnostics"]
+    assert "square-free" in rep["diagnostics"][0]
+
+
+def test_cli_unsplit_quartic_diagnostic_names_its_degree(tmp_form_file,
+                                                         tmp_path):
+    # d((v^2 - 2u^2)(v^2 - 8u^2)): the tangent cone splits into two
+    # quadratics over Q, which the root search does not find
+    out = tmp_path / "q.json"
+    body = "(64*u^3 - 20*u*v^2) du + (4*v^3 - 20*u^2*v) dv"
+    for text in ("omega2: " + body, "omega2: rt(2)*u du - rt(2)*u du + "
+                 + body):
+        assert cli.main(["reduce2", tmp_form_file(text + "\n"),
+                         "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["diagnostics"] == [
+            "a factor of degree 4 was not split: no root in Q was found"]
+
+
 def test_cli_separatrices_dicritical_is_inconclusive(tmp_form_file,
                                                      tmp_path):
     out = tmp_path / "r.json"

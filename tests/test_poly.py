@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import FieldDescriptor, OrderIndeterminate
+from foliation_lab import (FieldDescriptor, FieldExtensionError,
+                           OrderIndeterminate)
 from foliation_lab.poly import (MPoly, divides, exact_divide, gcd_bivariate,
                                 series_compose, to_univariate, u_gcd,
                                 u_resultant, u_roots_in_tower,
@@ -127,6 +128,20 @@ def test_u_roots_rational_and_quadratic():
     assert len(roots) == 2
     for r in roots:
         assert (r * r - Q2.rational(2)).is_zero()
+
+
+def test_u_roots_unsplit_factor_diagnostic_is_true():
+    Q2 = FieldDescriptor(quadratic_extension=2)
+    # (x^2 - 2)(x^2 - 8): reducible over Q, roots in Q(rt(2)), not found
+    quartic = [Q2.rational(c) for c in (16, 0, -10, 0, 1)]
+    with pytest.raises(FieldExtensionError) as exc:
+        u_roots_in_tower(quartic, Q2)
+    assert str(exc.value) == ("a factor of degree 4 was not split: "
+                              "no root in Q was found")
+    # x^3 - rt(2): no rational root test runs on it
+    cubic = [-Q2.sqrt_gen(), Q2.zero(), Q2.zero(), Q2.one()]
+    with pytest.raises(FieldExtensionError, match="degree 3 .* not in Q"):
+        u_roots_in_tower(cubic, Q2)
 
 
 def test_u_resultant_degree_zero_argument():
