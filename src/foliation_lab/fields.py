@@ -116,24 +116,6 @@ def _const_rf(c: Fraction) -> "RatFunc":
     return r
 
 
-def _rf(num, den) -> "RatFunc":
-    """RatFunc from a numerator and a monic denominator already coprime."""
-    r = object.__new__(RatFunc)
-    r.num = num
-    r.den = den
-    return r
-
-
-def _element(desc, a, b) -> "FieldElement":
-    """FieldElement without the tower checks of its constructor, for the
-    result of arithmetic on elements of one tower that passed them."""
-    x = object.__new__(FieldElement)
-    x.desc = desc
-    x.a = a
-    x.b = b
-    return x
-
-
 class RatFunc:
     """A reduced rational function in one variable over Q.
 
@@ -215,18 +197,11 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if type(other) is not RatFunc:
+        if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
         a, b = self._const_value(), other._const_value()
         if a is not None and b is not None:
             return _const_rf(a + b)
-        # a constant added to a reduced fraction leaves it reduced
-        if a is not None:
-            return _rf(_padd(other.num, tuple(a * c for c in other.den)),
-                       other.den)
-        if b is not None:
-            return _rf(_padd(self.num, tuple(b * c for c in self.den)),
-                       self.den)
         return RatFunc(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
                        _pmul(self.den, other.den))
 
@@ -236,10 +211,10 @@ class RatFunc:
         a = self._const_value()
         if a is not None:
             return _const_rf(-a)
-        return _rf(_pneg(self.num), self.den)
+        return RatFunc(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        if type(other) is not RatFunc:
+        if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
         a, b = self._const_value(), other._const_value()
         if a is not None and b is not None:
@@ -250,24 +225,19 @@ class RatFunc:
         return RatFunc(other) - self
 
     def __mul__(self, other):
-        if type(other) is not RatFunc:
+        if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
         a, b = self._const_value(), other._const_value()
         if a is not None and b is not None:
             return _const_rf(a * b)
         if (a is not None and not a) or (b is not None and not b):
             return _const_rf(_F0)
-        # a nonzero constant times a reduced fraction leaves it reduced
-        if a is not None:
-            return _rf(tuple(a * c for c in other.num), other.den)
-        if b is not None:
-            return _rf(tuple(c * b for c in self.num), self.den)
         return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not RatFunc:
+        if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
@@ -303,9 +273,6 @@ class RatFunc:
         if self.den == (Fraction(1),):
             return side(self.num)
         return f"({side(self.num)})/({side(self.den)})"
-
-
-_RF0 = _const_rf(_F0)
 
 
 # Trial division stops here, so one factorization costs at most this many
@@ -371,7 +338,7 @@ class FieldDescriptor:
     # -- constructors for elements over this descriptor
 
     def rational(self, q) -> "FieldElement":
-        return _element(self, _const_rf(Fraction(q)), _RF0)
+        return FieldElement(self, RatFunc(Fraction(q)), RatFunc(0))
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -442,14 +409,14 @@ class FieldElement:
     # -- coercion helpers
 
     def _coerce(self, other):
-        if type(other) is FieldElement:
-            if other.desc is not self.desc and other.desc != self.desc:
-                raise MismatchedFieldError(
-                    f"{self.desc.describe()} vs {other.desc.describe()}")
-            return other
         if isinstance(other, (int, Fraction)):
-            return self.desc.rational(other)
-        return NotImplemented
+            return FieldElement(self.desc, RatFunc(other), RatFunc(0))
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        if other.desc != self.desc:
+            raise MismatchedFieldError(
+                f"{self.desc.describe()} vs {other.desc.describe()}")
+        return other
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
@@ -481,22 +448,18 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.desc.quadratic_extension is None:
-            return _element(self.desc, self.a + other.a, self.b)
-        return _element(self.desc, self.a + other.a, self.b + other.b)
+        return FieldElement(self.desc, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.desc, -self.a, -self.b)
+        return FieldElement(self.desc, -self.a, -self.b)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.desc.quadratic_extension is None:
-            return _element(self.desc, self.a - other.a, self.b)
-        return _element(self.desc, self.a - other.a, self.b - other.b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -506,12 +469,11 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         m = self.desc.quadratic_extension
-        if m is None:
-            # b is zero in a tower without a square root
-            return _element(self.desc, self.a * other.a, self.b)
-        a = self.a * other.a + self.b * other.b * m
+        a = self.a * other.a
+        if m is not None:
+            a = a + self.b * other.b * m
         b = self.a * other.b + self.b * other.a
-        return _element(self.desc, a, b)
+        return FieldElement(self.desc, a, b)
 
     __rmul__ = __mul__
 
@@ -534,7 +496,7 @@ class FieldElement:
         if norm.is_zero():
             # impossible for square-free m over Q(t); defensive
             raise FieldError("zero norm in quadratic tower")
-        return _element(self.desc, self.a / norm, -self.b / norm)
+        return FieldElement(self.desc, self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -10,7 +10,6 @@ reporting an untrusted coefficient).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from . import linalg
 from .fields import (FieldDescriptor, FieldElement, FieldError,
@@ -23,7 +22,7 @@ class OrderIndeterminate(FieldError):
 
 def _as_element(c, desc: FieldDescriptor) -> FieldElement:
     if isinstance(c, FieldElement):
-        if c.desc is not desc and c.desc != desc:
+        if c.desc != desc:
             raise MismatchedFieldError("coefficient over a different tower")
         return c
     return desc.rational(Fraction(c))
@@ -67,19 +66,7 @@ class MPoly:
         return cls(vars, {tuple(exp): 1}, desc, prec)
 
     def _make(self, coeffs, prec):
-        """Like the constructor, for a dict of integer exponent tuples and
-        coefficients over this tower: only zeros and terms beyond prec
-        are dropped."""
-        p = object.__new__(MPoly)
-        p.vars = self.vars
-        p.desc = self.desc
-        p.prec = prec
-        if prec is None:
-            p.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-        else:
-            p.coeffs = {e: c for e, c in coeffs.items()
-                        if sum(e) < prec and not c.is_zero()}
-        return p
+        return MPoly(self.vars, coeffs, self.desc, prec)
 
     # -- basic queries -----------------------------------------------------
 
@@ -188,7 +175,7 @@ class MPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(map(add, e1, e2))
+                e = tuple(a + b for a, b in zip(e1, e2))
                 if prec is not None and sum(e) >= prec:
                     continue
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
@@ -253,7 +240,7 @@ class MPoly:
             if img.vars != tgt.vars or img.desc != self.desc:
                 raise ValueError("substitution images are incompatible")
             prec = self._join_prec(prec, img.prec)
-        out = {}
+        out = MPoly.zero(tgt.vars, self.desc, prec)
         pow_cache = [{0: MPoly.constant(tgt.vars, 1, self.desc, prec)}
                      for _ in images]
         for e, c in self.terms():
@@ -268,15 +255,8 @@ class MPoly:
                         kk += 1
                         cache[kk] = acc
                 term = term * cache[k]
-            # one dict for the whole sum; a cancelled term leaves it at once
-            for te, tc in term.coeffs.items():
-                if te in out:
-                    tc = out[te] + tc
-                    if tc.is_zero():
-                        del out[te]
-                        continue
-                out[te] = tc
-        return MPoly(tgt.vars, out, self.desc, prec)
+            out = out + term
+        return out
 
     def translate(self, shifts: dict) -> "MPoly":
         """Substitute name -> name + c for each (name, c) in shifts."""
@@ -518,8 +498,7 @@ def u_divmod(a, b, desc):
         k = len(a) - len(b)
         f = a[-1] * inv
         q[k] = f
-        # the leading entry cancels exactly and is dropped unwritten
-        for j in range(len(b) - 1):
+        for j in range(len(b)):
             a[k + j] = a[k + j] - f * b[j]
         a = a[:-1]
     return q, _utrim(a)

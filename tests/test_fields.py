@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from foliation_lab import (FieldDescriptor, FieldError, FieldExtensionError,
                            LocalDivisor, OneForm2, WidenRequest)
-from foliation_lab.fields import (FieldElement, RatFunc, _int_sqrt_exact,
-                                  _padd, _pmul, _pneg, _squarefree_part,
-                                  coerce, ratio_in_positive_rationals,
-                                  sort_key, sqrt_in_tower, sqrt_or_widen)
+from foliation_lab.fields import (_int_sqrt_exact, _squarefree_part, coerce,
+                                  ratio_in_positive_rationals, sort_key,
+                                  sqrt_in_tower, sqrt_or_widen)
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import NON_SIMPLE, classify_point2
 
@@ -181,68 +180,3 @@ def test_parameter_field_arithmetic():
     x = (s + Qt.one()) * (s - Qt.one())
     assert (x - (s * s - Qt.one())).is_zero()
     assert not s.is_rational()
-
-
-# --- fast paths against the general construction ----------------------------
-
-Qs = FieldDescriptor(parameter="s")
-Qs2 = FieldDescriptor(quadratic_extension=2, parameter="s")
-
-_coeff_lists = st.lists(st.fractions(min_value=-5, max_value=5,
-                                     max_denominator=3), max_size=4)
-
-
-def _ratfunc(num, den):
-    return RatFunc(num, den if any(den) else [1])
-
-
-_ratfuncs = st.one_of(st.builds(_ratfunc, _coeff_lists, _coeff_lists),
-                      st.fractions(min_value=-5, max_value=5,
-                                   max_denominator=3).map(RatFunc))
-
-
-def _same_rf(x, y):
-    return x.num == y.num and x.den == y.den
-
-
-@settings(max_examples=120, deadline=None)
-@given(_ratfuncs, _ratfuncs)
-def test_ratfunc_arithmetic_matches_the_normalizing_constructor(x, y):
-    # a constant operand skips the gcd; the result must still be reduced
-    assert _same_rf(x + y, RatFunc(_padd(_pmul(x.num, y.den),
-                                         _pmul(y.num, x.den)),
-                                   _pmul(x.den, y.den)))
-    assert _same_rf(x - y, RatFunc(_padd(_pmul(x.num, y.den),
-                                         _pneg(_pmul(y.num, x.den))),
-                                   _pmul(x.den, y.den)))
-    assert _same_rf(x * y, RatFunc(_pmul(x.num, y.num), _pmul(x.den, y.den)))
-    assert _same_rf(-x, RatFunc(_pneg(x.num), x.den))
-
-
-def _tower_element(desc, a, b):
-    if desc.parameter is None:
-        a, b = RatFunc(a.num[:1] or 0), RatFunc(b.num[:1] or 0)
-    if desc.quadratic_extension is None:
-        b = RatFunc(0)
-    return FieldElement(desc, a, b)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from([Q, Q2, Qs, Qs2]), _ratfuncs, _ratfuncs, _ratfuncs,
-       _ratfuncs)
-def test_element_arithmetic_matches_the_checked_constructor(desc, a, b, c, d):
-    x, y = _tower_element(desc, a, b), _tower_element(desc, c, d)
-    m = desc.quadratic_extension or 0
-    # the results skip the tower checks: they must pass them
-    refs = [(x + y, x.a + y.a, x.b + y.b), (x - y, x.a - y.a, x.b - y.b),
-            (-x, -x.a, -x.b),
-            (x * y, x.a * y.a + x.b * y.b * m, x.a * y.b + x.b * y.a),
-            (desc.rational(a.num[:1][0] if a.num else 0),
-             RatFunc(a.num[:1] or 0), RatFunc(0))]
-    if not x.is_zero():
-        norm = x.a * x.a - x.b * x.b * m
-        refs.append((x.inverse(), x.a / norm, -x.b / norm))
-    for got, ra, rb in refs:
-        ref = FieldElement(desc, ra, rb)
-        assert got.desc is desc
-        assert _same_rf(got.a, ref.a) and _same_rf(got.b, ref.b)

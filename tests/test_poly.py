@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from foliation_lab import (FieldDescriptor, FieldExtensionError,
                            OrderIndeterminate)
-from foliation_lab.poly import (MPoly, _utrim, divides, exact_divide,
-                                gcd_bivariate, series_compose, to_univariate,
-                                u_divmod, u_gcd, u_resultant,
-                                u_roots_in_tower, vanishing_order)
+from foliation_lab.poly import (MPoly, divides, exact_divide, gcd_bivariate,
+                                series_compose, to_univariate, u_gcd,
+                                u_resultant, u_roots_in_tower,
+                                vanishing_order)
 
 from conftest import UV, mk
 
@@ -167,105 +167,3 @@ def test_gcd_bivariate():
     assert g.degree() == 1
     assert divides(p, g) and divides(q, g)
     assert gcd_bivariate(mk(UV, {(1, 0): 1}), mk(UV, {(0, 1): 1})).degree() == 0
-
-
-# --- fast paths against the routines they replaced --------------------------
-
-Q2 = FieldDescriptor(quadratic_extension=2)
-_precs = st.one_of(st.none(), st.integers(1, 6))
-
-
-def _ref_substitute(p, mapping):
-    """The sum of the substituted terms, one MPoly addition per term."""
-    images = [mapping[name] for name in p.vars]
-    tgt = images[0]
-    prec = p.prec
-    for img in images:
-        prec = MPoly._join_prec(prec, img.prec)
-    out = MPoly.zero(tgt.vars, p.desc, prec)
-    for e, c in p.terms():
-        term = MPoly.constant(tgt.vars, c, p.desc, prec)
-        for img, k in zip(images, e):
-            term = term * img ** k
-        out = out + term
-    return out
-
-
-def _ref_u_divmod(a, b, desc):
-    a = list(a)
-    q = [desc.zero()] * max(len(a) - len(b) + 1, 0)
-    inv = b[-1].inverse()
-    while len(_utrim(a)) >= len(b):
-        a = _utrim(a)
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = f
-        for j in range(len(b)):
-            a[k + j] = a[k + j] - f * b[j]
-        a = a[:-1]
-    return q, _utrim(a)
-
-
-def _same(p, q):
-    """Equal terms in equal insertion order, equal precision."""
-    return (p.vars == q.vars and list(p.coeffs.items()) == list(q.coeffs.items())
-            and p.prec == q.prec)
-
-
-def _tower_poly(d, desc, prec):
-    r2 = desc.sqrt_gen() if desc is Q2 else desc.zero()
-    return MPoly(UV, {e: desc.rational(c) + desc.rational(c / 2) * r2
-                      for e, c in d.items()}, desc, prec)
-
-
-_dicts = st.dictionaries(_exps, _fracs, max_size=5)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([Q, Q2]), _dicts, _dicts, _dicts, _precs, _precs)
-def test_substitute_matches_termwise_addition(desc, dp, du, dv, prec, iprec):
-    p = _tower_poly(dp, desc, prec)
-    mapping = {"u": _tower_poly(du, desc, iprec), "v": _tower_poly(dv, desc, None)}
-    assert _same(p.substitute(mapping), _ref_substitute(p, mapping))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([Q, Q2]), _dicts, _dicts, _precs, _precs)
-def test_arithmetic_matches_the_checked_constructor(desc, dp, dq, pp, qp):
-    p, q = _tower_poly(dp, desc, pp), _tower_poly(dq, desc, qp)
-    prec = MPoly._join_prec(pp, qp)
-    prod, total = {}, dict(p.coeffs)
-    for e1, c1 in p.coeffs.items():
-        for e2, c2 in q.coeffs.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1])
-            prod[e] = prod[e] + c1 * c2 if e in prod else c1 * c2
-    for e, c in q.coeffs.items():
-        total[e] = total[e] + c if e in total else c
-    assert _same(p * q, MPoly(UV, prod, desc, prec))
-    assert _same(p + q, MPoly(UV, total, desc, prec))
-    assert _same(p.truncate(3), MPoly(UV, p.coeffs, desc, MPoly._join_prec(pp, 3)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([Q, Q2]), st.lists(_fracs, max_size=6),
-       st.lists(_fracs, min_size=1, max_size=4))
-def test_u_divmod_matches_the_full_subtraction(desc, a, b):
-    r2 = desc.sqrt_gen() if desc is Q2 else desc.zero()
-    a = [desc.rational(c) + r2 for c in a]
-    b = _utrim([desc.rational(c) - r2 * desc.rational(c) for c in b])
-    if not b:
-        b = [desc.one()]
-    q, r = u_divmod(a, b, desc)
-    rq, rr = _ref_u_divmod(a, b, desc)
-    assert q == rq and r == rr
-
-
-def test_substitute_moves_a_cancelled_and_returning_term_to_the_end():
-    # v -> 1 - u cancels the u of the second term; u*v brings u back
-    u = MPoly.variable(UV, "u", Q)
-    one_minus_u = MPoly(UV, {(1, 0): -1, (0, 0): 1}, Q)
-    p = mk(UV, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
-    image = p.substitute({"u": u, "v": one_minus_u})
-    ref = _ref_substitute(p, {"u": u, "v": one_minus_u})
-    assert list(image.coeffs) == [(0, 0), (2, 0), (1, 0)]
-    assert _same(image, ref)
