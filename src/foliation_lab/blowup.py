@@ -20,7 +20,7 @@ from .forms import (
     nu0,
     pullback,
 )
-from .poly import MPoly, vanishing_order
+from .poly import MPoly
 
 # The two charts of a plane point blow-up: label and the index of the
 # exceptional variable in the form's variables; the other one is scaled.
@@ -129,8 +129,8 @@ def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
     Regular points are refused unless `force` is set (the reduction
     engine needs them for tangency points on dicritical components).
     """
-    zero = {w: form.desc.zero() for w in form.vars}
-    singular = form.A.evaluate(zero).is_zero() and form.B.evaluate(zero).is_zero()
+    singular = (form.A.constant_coefficient().is_zero()
+                and form.B.constant_coefficient().is_zero())
     if not singular and not force:
         raise ValueError("blow-up refused at a regular point")
     nu = nu0(form)
@@ -183,8 +183,7 @@ def _charts3(form: OneForm3, divisor: LocalDivisor, layout):
 
 def blowup_point3(form: OneForm3, divisor: LocalDivisor):
     """Blow up the origin of 3-space; returns the three charts."""
-    zero = {w: form.desc.zero() for w in form.vars}
-    if not all(p.evaluate(zero).is_zero() for p in form.coeffs()):
+    if not all(p.constant_coefficient().is_zero() for p in form.coeffs()):
         raise ValueError("blow-up refused at a regular point")
     return _charts3(form, divisor, [
         ("c" + e, e, tuple(w for w in form.vars if w != e))
@@ -206,6 +205,6 @@ def blowup_curve3(form: OneForm3, axis: str, divisor: LocalDivisor):
             raise ValueError("center is not contained in the singular locus")
     for br in divisor:
         restr = br.equation.substitute(axis_curve)
-        if not restr.is_zero() and vanishing_order(restr) > 1:
+        if not restr.is_zero() and restr.order() > 1:
             raise ValueError("center is not normal crossings with the divisor")
     return _charts3(form, divisor, (("a" + a, a, (b,)), ("a" + b, b, (a,))))

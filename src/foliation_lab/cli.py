@@ -400,9 +400,8 @@ def _check_divisor(form, divisor):
     """Refuse a branch through the origin that is neither invariant nor
     tagged dicritical: no blow-up ever adapts the divisor to it."""
     form = normalize2(form)
-    zero = {w: form.desc.zero() for w in form.vars}
     for b in divisor:
-        if (b.dicritical or not b.equation.evaluate(zero).is_zero()
+        if (b.dicritical or not b.equation.constant_coefficient().is_zero()
                 or invariant_hypersurface(form.coeffs(), form.vars,
                                           b.equation)):
             continue

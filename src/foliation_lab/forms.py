@@ -43,7 +43,6 @@ from .poly import (
     exact_divide,
     gcd_bivariate,
     u_gcd,
-    vanishing_order,
 )
 
 
@@ -423,7 +422,7 @@ def nu0(form) -> int:
         if p.is_zero():
             continue
         try:
-            o = vanishing_order(p)
+            o = p.order()
         except OrderIndeterminate:
             continue
         if best is None or o < best:
@@ -458,7 +457,7 @@ def _ideal_codim(A: MPoly, B: MPoly, d: int) -> int:
     zero = desc.zero()
     rows = []
     for gen in (A, B):
-        base = vanishing_order(gen)
+        base = gen.order()
         for m in _monomials_below(2, max(d - base, 1)):
             shifted = {}
             for e, c in gen.coeffs.items():
@@ -592,7 +591,7 @@ def invariant_curve(form, curve: CurveJet) -> InvarianceResult:
     """
     pb = pullback_curve(form, curve)
     if not pb.is_zero():
-        return InvarianceResult(False, vanishing_order(pb))
+        return InvarianceResult(False, pb.order())
     if pb.prec is not None and pb.prec < 2:
         raise PrecisionError(
             "pull-back vanishes only below order %d; raise the truncation" % pb.prec
@@ -602,7 +601,7 @@ def invariant_curve(form, curve: CurveJet) -> InvarianceResult:
 
 def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     """Whether {f = 0} is invariant: every coefficient of w ^ df divisible by f."""
-    if f.is_zero() or not f.evaluate({w: f.desc.zero() for w in f.vars}).is_zero():
+    if f.is_zero() or not f.constant_coefficient().is_zero():
         raise ValueError("surface equation must be nonzero and vanish at the origin")
     res = invariant_hypersurface(form.coeffs(), form.vars, f)
     if res and res.order is not None and res.order < 2:

@@ -7,6 +7,14 @@ singularities chart by chart, evaluates Camacho-Sad, Gomez-Mont-Seade-
 Verjovski and Baum-Bott indices at reduced singular points, verifies the
 classical index sum formulas, and decides the logarithmic criterion
 through the pole degree of a plane section.
+
+Every index is read along invariant branches given by a parametrization
+and an implicit jet: the branches of a curve through a point are solved
+once as graphs (_local_branches), those of a saddle-node are traced from
+its strong and weak directions (_germ_branches).  Camacho-Sad pulls the
+form back along the parametrization (forms.pullback), GSV compares the
+form with the gradient of the curve along it, and Baum-Bott at a
+saddle-node is CS + 2 GSV over both separatrices.
 """
 
 from __future__ import annotations
@@ -326,9 +334,9 @@ def _plane_sings(fol: ProjFoliation, jet_order: int):
             sings.append(_classified((x0, one, zero), "Y", (x0, zero), a, c,
                                      jet_order))
     # chart X = 1 at the single point Y = Z = 0
-    origin = {"u": zero, "v": zero}
     b, c = _dehomog(B, 0), _dehomog(C, 0)
-    if b.evaluate(origin).is_zero() and c.evaluate(origin).is_zero():
+    if (b.constant_coefficient().is_zero()
+            and c.constant_coefficient().is_zero()):
         sings.append(_classified((one, zero, zero), "X", (zero, zero), b, c,
                                  jet_order))
     return sings
@@ -339,30 +347,17 @@ def _plane_sings(fol: ProjFoliation, jet_order: int):
 
 
 class IndexValue:
-    """A residue-type index: exact value, kind, and anchor data."""
+    """A residue-type index: exact value and kind."""
 
-    __slots__ = ("value", "kind", "anchor", "nonsingular")
+    __slots__ = ("value", "kind", "nonsingular")
 
-    def __init__(self, value: FieldElement, kind: str, anchor=None,
-                 nonsingular=False):
+    def __init__(self, value: FieldElement, kind: str, nonsingular=False):
         self.value = value
         self.kind = kind
-        self.anchor = anchor
         self.nonsingular = nonsingular
 
     def __repr__(self):
         return "IndexValue(%s, %s)" % (self.kind, self.value)
-
-
-def _u_list(p: MPoly, var: str, other: str, N: int):
-    """Coefficients in `var` of a two-variable jet restricted to other=0."""
-    i = p.vars.index(var)
-    j = p.vars.index(other)
-    out = [p.desc.zero()] * (N + 1)
-    for e, c in p.coeffs.items():
-        if e[j] == 0 and e[i] <= N:
-            out[e[i]] = out[e[i]] + c
-    return out
 
 
 def _u_inverse(c, N: int):
@@ -406,44 +401,34 @@ def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
 def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     """Camacho-Sad index of a smooth invariant branch at the origin.
 
-    The branch is straightened to a coordinate axis and the index is the
-    residue of the straightened form's axis coefficient ratio.
+    `branch` carries a parametrization gamma (`param`); a bare equation
+    must be smooth and is turned into its one branch first.  With
+    n = d/dv, or d/du when gamma'(0) is vertical, the map
+    (x, y) -> gamma(x) + y n straightens the branch to {y = 0}, and
+    CS = -Res_x (d_n omega)(gamma') / omega(n)|_gamma: the numerator is
+    the pull-back of (d_n A, d_n B) along gamma, the denominator the
+    n-coefficient of omega along gamma.  The pull-back of omega along
+    gamma must vanish below order N - 1.
     """
-    f = branch.implicit if hasattr(branch, "implicit") else branch
     form = normalize2(form)
-    desc = form.desc
-    u, v = form.vars
-    lu = f.coefficient(tuple(1 if w == u else 0 for w in f.vars))
-    lv = f.coefficient(tuple(1 if w == v else 0 for w in f.vars))
-    if lu.is_zero() and lv.is_zero():
-        raise ValueError("the Camacho-Sad branch must be smooth")
-    uu = MPoly.variable(form.vars, u, desc, prec=N + 1)
-    vv = MPoly.variable(form.vars, v, desc, prec=N + 1)
-    if not lv.is_zero():
-        s = _multi_graph(f, -lu / lv, 1, N)
-        sub = {u: uu, v: vv + s}
-        sp = s.partial(u)
-        a_new = form.A.substitute(sub) + form.B.substitute(sub) * sp
-        b_new = form.B.substitute(sub)
-        along, dep = u, v
-    else:
-        s = _swapped(_multi_graph(_swapped(f), desc.zero(), 1, N))
-        sub = {u: uu + s, v: vv}
-        sp = s.partial(v)
-        a_new = form.B.substitute(sub) + form.A.substitute(sub) * sp
-        b_new = form.A.substitute(sub)
-        along, dep = v, u
-    tail = _u_list(a_new, along, dep, N)
-    if any(not c.is_zero() for c in tail[:max(N - 1, 0)]):
+    if isinstance(branch, MPoly):
+        if (branch.coefficient((1, 0)).is_zero()
+                and branch.coefficient((0, 1)).is_zero()):
+            raise ValueError("the Camacho-Sad branch must be smooth")
+        if not branch.constant_coefficient().is_zero():
+            raise ValueError("the Camacho-Sad branch misses the origin")
+        branch = _local_branches(branch, branch.desc, N)[0]
+    gamma = branch.param.components
+    coeffs, names = form.coeffs(), form.vars
+    normal = names[0] if gamma[0].coefficient((1,)).is_zero() else names[1]
+    along = dict(zip(names, gamma))
+    tangent = pullback(coeffs, names, along)[0]
+    if any(not tangent.coefficient((k,)).is_zero() for k in range(N - 1)):
         raise ValueError("the branch is not invariant")
-    i_a = form.vars.index(along)
-    i_d = form.vars.index(dep)
-    n = [desc.zero()] * (N + 1)
-    for e, c in a_new.coeffs.items():
-        if e[i_d] == 1 and e[i_a] <= N:
-            n[e[i_a]] = n[e[i_a]] + c
-    m = _u_list(b_new, along, dep, N)
-    return IndexValue(-_residue(n, m, desc), "CS", anchor=f)
+    num = pullback([c.partial(normal) for c in coeffs], names, along)[0]
+    den = coeffs[names.index(normal)].substitute(along)
+    num, den = ([p.coefficient((k,)) for k in range(N + 1)] for p in (num, den))
+    return IndexValue(-_residue(num, den, form.desc), "CS")
 
 
 def _jet_order(p: MPoly):
@@ -461,16 +446,15 @@ def gsv_index(form: OneForm2, branches, g: MPoly = None,
     form = normalize2(form)
     desc = form.desc
     u, v = form.vars
-    zero = {u: desc.zero(), v: desc.zero()}
-    if not (form.A.evaluate(zero).is_zero()
-            and form.B.evaluate(zero).is_zero()):
+    if not (form.A.constant_coefficient().is_zero()
+            and form.B.constant_coefficient().is_zero()):
         # regular point on a smooth invariant branch: conventional value
         return IndexValue(desc.one(), "GSV", nonsingular=True)
     branches = list(branches)
     if g is None:
         g = MPoly.constant(form.vars, 1, desc)
         for br in branches:
-            g = g * (br.implicit if hasattr(br, "implicit") else br)
+            g = g * br.implicit
     gu, gv = g.partial(u), g.partial(v)
     total = 0
     for br in branches:
@@ -506,14 +490,14 @@ def bb_index(sing: PlaneSingularity, N: int = 12) -> IndexValue:
     tr = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if not det.is_zero():
-        return IndexValue(tr * tr / det, "BB", anchor=sing.point)
+        return IndexValue(tr * tr / det, "BB")
     if sing.code.kind != SADDLE_NODE:
         raise ValueError("Baum-Bott needs a non-degenerate point or a "
                          "saddle-node")
     branches = _germ_branches(sing.form, sing.code, N)
     cs = _cs_over_branches(sing.form, branches, N)
     gsv = gsv_index(sing.form, branches, N=N).value
-    return IndexValue(cs + gsv + gsv, "BB", anchor=sing.point)
+    return IndexValue(cs + gsv + gsv, "BB")
 
 
 class _CurveBranch:
@@ -567,8 +551,7 @@ def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
     """
     if c.is_zero():
         raise ValueError("the local curve equation vanishes identically")
-    origin = {w: desc.zero() for w in c.vars}
-    if not c.evaluate(origin).is_zero():
+    if not c.constant_coefficient().is_zero():
         return []
     m = c.order()
     # tangent cone roots as slopes lambda of v = lambda u
@@ -622,14 +605,6 @@ def _branch_coeffs(c: MPoly, slope: FieldElement, m: int, N: int):
     if eta.is_zero():
         raise ValueError(fail)
     return _solve_graph(residual, slope, m - 1, lambda k: eta, N, fail)
-
-
-def _multi_graph(c: MPoly, slope: FieldElement, m: int, N: int) -> MPoly:
-    """Graph series, in u, of the single branch of c tangent to
-    v = slope*u, through a product of branches with distinct tangents."""
-    return MPoly(c.vars, {(k + 1, 0): ck for k, ck in
-                          enumerate(_branch_coeffs(c, slope, m, N))},
-                 c.desc, N + m)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +676,7 @@ def _sum_check(fol, C, d0, jet_order, N):
         bb_sum = bb_sum + bb
         entry = {"point": sing.point, "bb": bb}
         cl = localize_at(C, sing)
-        origin = {w: sing.desc.zero() for w in cl.vars}
-        if cl.evaluate(origin).is_zero():
+        if cl.constant_coefficient().is_zero():
             branches = _local_branches(cl, sing.desc, N)
             cs = _cs_over_branches(sing.form, branches, N)
             gsv = gsv_index(sing.form, branches, g=cl, N=N).value

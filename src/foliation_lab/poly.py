@@ -103,13 +103,6 @@ class MPoly:
             raise OrderIndeterminate("polynomial is identically zero")
         return min(sum(e) for e in self.coeffs)
 
-    def order_lower_bound(self) -> int:
-        """min(order, prec); defined even for the zero jet."""
-        if not self.coeffs:
-            return self.prec if self.prec is not None else 10 ** 9
-        o = min(sum(e) for e in self.coeffs)
-        return o if self.prec is None else min(o, self.prec)
-
     def min_exponent_in(self, name: str) -> int:
         if not self.coeffs:
             return 0
@@ -240,7 +233,7 @@ class MPoly:
             if img.vars != tgt.vars or img.desc != self.desc:
                 raise ValueError("substitution images are incompatible")
             prec = self._join_prec(prec, img.prec)
-        out = MPoly.zero(tgt.vars, self.desc, prec)
+        out = {}
         pow_cache = [{0: MPoly.constant(tgt.vars, 1, self.desc, prec)}
                      for _ in images]
         for e, c in self.terms():
@@ -255,8 +248,9 @@ class MPoly:
                         kk += 1
                         cache[kk] = acc
                 term = term * cache[k]
-            out = out + term
-        return out
+            for te, tc in term.coeffs.items():
+                out[te] = out[te] + tc if te in out else tc
+        return MPoly(tgt.vars, out, self.desc, prec)
 
     def translate(self, shifts: dict) -> "MPoly":
         """Substitute name -> name + c for each (name, c) in shifts."""
@@ -358,28 +352,6 @@ class MPoly:
 
 def _plain(s: str) -> bool:
     return all(ch not in s for ch in "+-*/ ") or (s.lstrip("-").isdigit())
-
-
-def vanishing_order(p: MPoly) -> int:
-    """Smallest total degree with a nonzero coefficient."""
-    return p.order()
-
-
-def series_compose(f: MPoly, g) -> MPoly:
-    """Substitute the components of g into the one-variable series f.
-
-    Each component of g must vanish at the origin.
-    """
-    if len(f.vars) != 1:
-        raise ValueError("series_compose expects a one-variable series")
-    if isinstance(g, MPoly):
-        g = (g,)
-    if len(g) != 1:
-        raise ValueError("exactly one image per variable of f")
-    img = g[0]
-    if not img.constant_coefficient().is_zero():
-        raise ValueError("substituted series must have zero constant term")
-    return f.substitute({f.vars[0]: img})
 
 
 def exact_divide(p: MPoly, q: MPoly):

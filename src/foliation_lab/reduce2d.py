@@ -126,12 +126,9 @@ def _parallel(d1, d2) -> bool:
     return (d1[0] * d2[1] - d1[1] * d2[0]).is_zero()
 
 
-def _branch_tangent(eq: MPoly, desc):
+def _branch_tangent(eq: MPoly):
     """Tangent direction of a smooth branch at the origin."""
-    u, v = eq.vars
-    zero = {u: desc.zero(), v: desc.zero()}
-    fu = eq.partial(u).evaluate(zero)
-    fv = eq.partial(v).evaluate(zero)
+    fu, fv = eq.coefficient((1, 0)), eq.coefficient((0, 1))
     if fu.is_zero() and fv.is_zero():
         raise ValueError("divisor branch is singular at the origin")
     return (fv, -fu)
@@ -194,16 +191,15 @@ def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
     """
     form = normalize2(form)
     desc = form.desc
-    zero = {w: desc.zero() for w in form.vars}
-    local = [b for b in E if b.equation.evaluate(zero).is_zero()]
-    a0 = form.A.evaluate(zero)
-    b0 = form.B.evaluate(zero)
+    local = [b for b in E if b.equation.constant_coefficient().is_zero()]
+    a0 = form.A.constant_coefficient()
+    b0 = form.B.constant_coefficient()
     M = form.dual_linear_part()
     if not (a0.is_zero() and b0.is_zero()):
         leaf_dir = (b0, -a0)
         adapted = E_REGULAR
         for b in local:
-            tangent = _branch_tangent(b.equation, desc)
+            tangent = _branch_tangent(b.equation)
             if b.dicritical:
                 if _parallel(leaf_dir, tangent):
                     adapted = UNADAPTED  # tangency with a dicritical component
@@ -233,7 +229,7 @@ def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
     for b in local:
         if b.dicritical:
             continue
-        if _parallel(_branch_tangent(b.equation, desc), weak):
+        if _parallel(_branch_tangent(b.equation), weak):
             well = False  # the weak separatrix lies in the divisor
     return ClassCode(SADDLE_NODE, strong, weak, adapted), well, M
 
@@ -275,10 +271,8 @@ class _Engine:
         return self.tree
 
     def process(self, path, form, tagged_branches, depth):
-        desc = self.desc
-        zero = {w: desc.zero() for w in form.vars}
         local = [(cid, b) for cid, b in tagged_branches
-                 if b.equation.evaluate(zero).is_zero()]
+                 if b.equation.constant_coefficient().is_zero()]
         E = LocalDivisor([b for _, b in local])
         # every form reaching here descends from the normalized root through
         # translations and strict transforms, so it carries `coprime`
@@ -340,9 +334,8 @@ class _Engine:
             roots.sort(key=sort_key)
         else:
             # this chart only adds the point at infinity of the other one
-            zero_pt = {w: desc.zero() for w in chart.form.vars}
-            candidate = key.evaluate(zero_pt).is_zero() or any(
-                b.equation.evaluate(zero_pt).is_zero()
+            candidate = key.constant_coefficient().is_zero() or any(
+                b.equation.constant_coefficient().is_zero()
                 for _, b in strict_branches)
             roots = [desc.zero()] if candidate else []
         exc_branch = (new_id, chart.exceptional)

@@ -100,7 +100,7 @@ def _leaf_directions(rec):
                 (_scale_dir(rec.code.weak), "weak")]
     # non-degenerate: eigendirections; anchor on a divisor branch when
     # present so no square root is needed
-    branch_dirs = [_branch_tangent(b.equation, desc) for b in rec.divisor]
+    branch_dirs = [_branch_tangent(b.equation) for b in rec.divisor]
     if branch_dirs:
         d1 = branch_dirs[0]
         md = (M[0][0] * d1[0] + M[0][1] * d1[1],
@@ -210,8 +210,7 @@ def _collect_branches(form: OneForm2, tree: ReductionTree, N: int) -> Separatrix
     for rec in tree.leaves:
         if rec.code.kind == REGULAR:
             continue
-        desc = rec.form.desc
-        branch_dirs = [_branch_tangent(b.equation, desc) for b in rec.divisor]
+        branch_dirs = [_branch_tangent(b.equation) for b in rec.divisor]
         dirs = _leaf_directions(rec)
         for d, role in dirs:
             if any(_parallel(d, bd) for bd in branch_dirs):

@@ -121,9 +121,7 @@ def dimensional_type(form: OneForm3, jet_order: int = 8) -> int:
     integrability the germ is then a cylinder along that direction.
     """
     form = normalize3(form)
-    desc = form.desc
-    zero = {w: desc.zero() for w in form.vars}
-    if any(not p.evaluate(zero).is_zero() for p in form.coeffs()):
+    if any(not p.constant_coefficient().is_zero() for p in form.coeffs()):
         return 1
     return 2 if _formal_cylinder_direction(form, jet_order) is not None else 3
 
@@ -291,8 +289,7 @@ def _match_tau3(form: OneForm3, jet_order: int, resonance_bound: int):
         c = _residue_series(C, (x, y), jet_order)
         if a is None or b is None or c is None:
             continue
-        zero = {w: desc.zero() for w in vars3}
-        a0, b0, c0 = (p.evaluate(zero) for p in (a, b, c))
+        a0, b0, c0 = (p.constant_coefficient() for p in (a, b, c))
         if a0.is_zero():
             continue
         plane = lambda i: MPoly.variable(vars3, vars3[perm[i]], desc)
@@ -423,7 +420,6 @@ def _match_tau2(form: OneForm3, jet_order: int):
     w = cylinder_direction(form)
     if w is None:
         raise InconclusiveError("dimensional type changed under normalization")
-    desc = form.desc
     form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty(), jet_order)
     if code.kind == NON_SIMPLE:
@@ -450,8 +446,7 @@ def _match_tau2(form: OneForm3, jet_order: int):
     ra = _residue_series2(form2.A, v2)
     rb = _residue_series2(form2.B, u2)
     if ra is not None and rb is not None:
-        zero2 = {u2: desc.zero(), v2: desc.zero()}
-        residues = (ra.evaluate(zero2), rb.evaluate(zero2))
+        residues = (ra.constant_coefficient(), rb.constant_coefficient())
     return Model3Match("b2" if resonant else "a", 2, residues=residues)
 
 
@@ -535,11 +530,10 @@ class SectionMap:
         vars2 = components[0].vars
         if len(vars2) != 2:
             raise ValueError("section components live in two variables")
-        zero = {w: desc.zero() for w in vars2}
         for c in components:
             if c.vars != vars2 or c.desc != desc:
                 raise FieldError("mismatched section components")
-            if not c.evaluate(zero).is_zero():
+            if not c.constant_coefficient().is_zero():
                 raise ValueError("section must send the origin to the origin")
         self.components = components
         self.vars = vars2
@@ -662,8 +656,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     if not integrable3(form):
         raise ValueError("the form is not integrable")
     desc = form.desc
-    zero = {w: desc.zero() for w in form.vars}
-    if any(not p.evaluate(zero).is_zero() for p in form.coeffs()):
+    if any(not p.constant_coefficient().is_zero() for p in form.coeffs()):
         return Verdict3("SecondType", evidence=("regular point",))
     witnesses = []
     evidence = []
@@ -771,7 +764,6 @@ def _logarithmic_certificate(form: OneForm3, evidence, notes,
                              jet_order: int) -> bool:
     """Normal-crossings logarithmic germ whose residues are pairwise
     rationally independent never develops a saddle-node: certify that."""
-    desc = form.desc
     x, y, z = form.vars
     a = _residue_series(form.A, (y, z), jet_order)
     b = _residue_series(form.B, (x, z), jet_order)
@@ -779,8 +771,7 @@ def _logarithmic_certificate(form: OneForm3, evidence, notes,
     if a is None or b is None or c is None:
         notes.append("origin: no simple model and not logarithmic")
         return False
-    zero = {w: desc.zero() for w in form.vars}
-    lams = [p.evaluate(zero) for p in (a, b, c)]
+    lams = [p.constant_coefficient() for p in (a, b, c)]
     if any(l.is_zero() for l in lams):
         notes.append("origin: vanishing logarithmic residue")
         return False
@@ -889,9 +880,8 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
         f, D, seqs = panels[path]
         f = normalize3(f)
         desc = f.desc
-        zero = {w: desc.zero() for w in f.vars}
-        local = [b for b in D if b.equation.evaluate(zero).is_zero()]
-        if any(not p.evaluate(zero).is_zero() for p in f.coeffs()):
+        local = [b for b in D if b.equation.constant_coefficient().is_zero()]
+        if any(not p.constant_coefficient().is_zero() for p in f.coeffs()):
             records.append(PointRecord(path, "origin", REGULAR, True))
         else:
             try:
@@ -921,8 +911,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                     tr = b.equation.coerce_to(desc_s).restrict(
                         {kept: desc_s.param_gen()})
                     tr2 = tr.rename(form2.vars)
-                    if tr2.evaluate({w: desc_s.zero()
-                                     for w in form2.vars}).is_zero():
+                    if tr2.constant_coefficient().is_zero():
                         branches.append(DivisorBranch(tr2, b.dicritical))
                 code, well, _ = classify_point2(form2,
                                                 LocalDivisor(branches),
@@ -936,10 +925,9 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                 diagnostics.append("axis %s of %r: %s" % (kept, path, exc))
                 all_simple = False
         for s in seqs:
-            if not s.evaluate(zero).is_zero():
+            if not s.constant_coefficient().is_zero():
                 continue
-            grads = [s.partial(w).evaluate(zero) for w in f.vars]
-            if all(g.is_zero() for g in grads):
+            if s.homogeneous_part(1).is_zero():
                 diagnostics.append(
                     "separatrix strict transform singular at origin of %r"
                     % (path,))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, forms,
                            gsv_index, localize_at, logarithmic_criterion,
                            plane_singularities, sum_theorem_check)
-from foliation_lab.indices import (_cs_over_branches, _local_branches,
-                                   _multi_graph, _resultant_eliminating,
+from foliation_lab.indices import (_branch_coeffs, _cs_over_branches,
+                                   _local_branches, _resultant_eliminating,
                                    _swapped)
 from foliation_lab.poly import MPoly, u_roots_in_tower
 from foliation_lab.reduce2d import SADDLE_NODE
@@ -217,17 +217,24 @@ _higher = st.dictionaries(
 @given(_small, _small.filter(lambda c: c != 0), _higher)
 def test_graph_series_solves_smooth_branches(a, b, higher):
     """f = a u + b v + h.o.t.: the series s solving for v has
-    f(u, s(u)) = O(u^(N+1)); with the variables swapped, as cs_index does
-    when f_v(0) = 0, the series solving for u has f(s(v), v) = O(v^(N+1))."""
+    f(u, s(u)) = O(u^(N+1)); with the variables swapped, as _local_branches
+    does for a vertical tangent (f_v(0) = 0), the series solving for u has
+    f(s(v), v) = O(v^(N+1))."""
     N = 6
     f = mk(UV, dict(higher) | {(1, 0): a, (0, 1): b})
     u = MPoly.variable(UV, "u", Q, N + 1)
     v = MPoly.variable(UV, "v", Q, N + 1)
-    s = _multi_graph(f, Q.rational(-a / b), 1, N)
+
+    def graph(c, slope):
+        return MPoly(UV, {(k + 1, 0): ck for k, ck in
+                          enumerate(_branch_coeffs(c, slope, 1, N))},
+                     Q, N + 1)
+
+    s = graph(f, Q.rational(-a / b))
     assert set(e[1] for e in s.coeffs) <= {0}
     assert f.substitute({"u": u, "v": s}).is_zero()
     g = mk(UV, dict(higher) | {(1, 0): b, (0, 1): 0})  # g_v(0) = 0
-    t = _swapped(_multi_graph(_swapped(g), Q.zero(), 1, N))
+    t = _swapped(graph(_swapped(g), Q.zero()))
     assert set(e[0] for e in t.coeffs) <= {0}
     assert g.substitute({"u": t, "v": v}).is_zero()
 
