@@ -154,8 +154,7 @@ def _product(polys):
 
 
 def _cmd_reduce2(parsed, report, opts, dot_ref):
-    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
-                             opts.jet_order)
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth)
     report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     report["reduction"] = _reduction_dict(tree, dot_ref)
@@ -164,8 +163,7 @@ def _cmd_reduce2(parsed, report, opts, dot_ref):
 
 
 def _cmd_analyze2(parsed, report, opts, dot_ref):
-    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
-                             opts.jet_order)
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth)
     report["nu0"] = nu0(tree.form)
     try:
         report["mu0"] = mu0(tree.form)
@@ -186,8 +184,7 @@ def _cmd_analyze2(parsed, report, opts, dot_ref):
 
 
 def _cmd_separatrices(parsed, report, opts, dot_ref):
-    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
-                             opts.jet_order)
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth)
     report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     seps, rep = _separatrices_and_identity(parsed, tree, opts)
@@ -200,8 +197,7 @@ def _cmd_separatrices(parsed, report, opts, dot_ref):
 
 
 def _cmd_second_type2(parsed, report, opts, dot_ref):
-    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth,
-                             opts.jet_order)
+    tree = seidenberg_reduce(parsed.form, parsed.divisor, opts.max_depth)
     report["nu0"] = nu0(tree.form)
     report["dicritical"] = tree.has_dicritical()
     report["reduction"] = _reduction_dict(tree, dot_ref)
@@ -296,7 +292,7 @@ def _cmd_indices(parsed, report, opts, dot_ref):
         raise UsageError("indices needs a separatrix:{...} block declaring "
                          "the invariant curve factors")
     C = _product(parsed.separatrices)
-    rep = sum_theorem_check(parsed.form, C, opts.jet_order, opts.truncation)
+    rep = sum_theorem_check(parsed.form, C, opts.truncation)
     report["indices"] = _sums_dict(rep)
     report["indices"]["ok"] = rep.ok
     return _EXIT_OK
@@ -316,8 +312,7 @@ def _cmd_log_criterion(parsed, report, opts, dot_ref):
         section = tuple(parsed.desc.rational(Fraction(p.strip()))
                         for p in parts)
     S = _product(parsed.separatrices)
-    rep = logarithmic_criterion(parsed.form, S, section,
-                                jet_order=opts.jet_order, N=opts.truncation)
+    rep = logarithmic_criterion(parsed.form, S, section, N=opts.truncation)
     report["indices"] = {
         "logarithmic": rep.logarithmic,
         "degree": rep.degree,

@@ -29,9 +29,7 @@ from itertools import combinations
 
 from .fields import (
     FieldDescriptor,
-    FieldElement,
     FieldError,
-    coerce,
     sort_key,
     sqrt_or_widen,
 )

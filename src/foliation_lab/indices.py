@@ -33,7 +33,7 @@ from .poly import (
     u_roots_in_tower,
 )
 from .reduce2d import SADDLE_NODE, classify_point2
-from .separatrix import _graph_branch, _scale_dir, _trace_graph
+from .separatrix import _graph_branch, _trace_graph
 
 _UV = ("u", "v")
 
@@ -200,14 +200,7 @@ class PlaneSingularity:
 
 def _dehomog(p: MPoly, drop: int) -> MPoly:
     """Set variable `drop` to one; remaining two become (u, v) in order."""
-    desc = p.desc
-    coeffs = {}
-    for e, c in p.coeffs.items():
-        rest = tuple(k for j, k in enumerate(e) if j != drop)
-        prev = coeffs.get(rest)
-        coeffs[rest] = c if prev is None else prev + c
-    return MPoly(_UV, {e: c for e, c in coeffs.items() if not c.is_zero()},
-                 desc)
+    return p.restrict({p.vars[drop]: 1}).rename(_UV)
 
 
 _CHART_DROP = {"Z": 2, "Y": 1, "X": 0}
@@ -291,27 +284,27 @@ def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):
     return points
 
 
-def plane_singularities(fol: ProjFoliation, jet_order: int = 8):
+def plane_singularities(fol: ProjFoliation):
     """All singular points over the field tower, with affine local forms."""
     if len(fol.vars) != 3:
         raise ValueError("plane singularities need a 3-variable form")
     desc = fol.desc
     while True:
         try:
-            return _plane_sings(fol.coerce_to(desc), jet_order)
+            return _plane_sings(fol.coerce_to(desc))
         except WidenRequest as w:
             desc = desc.widened(w.m)
 
 
-def _classified(point, chart, base, a, b, jet_order):
+def _classified(point, chart, base, a, b):
     form = normalize2(OneForm2(a.translate({"u": base[0], "v": base[1]}),
                                b.translate({"u": base[0], "v": base[1]}),
                                _UV))
-    code, well, M = classify_point2(form, LocalDivisor.empty(), jet_order)
+    code, well, M = classify_point2(form, LocalDivisor.empty())
     return PlaneSingularity(point, chart, base, form, code, well, M)
 
 
-def _plane_sings(fol: ProjFoliation, jet_order: int):
+def _plane_sings(fol: ProjFoliation):
     desc = fol.desc
     zero, one = desc.zero(), desc.one()
     A, B, C = fol.coeffs
@@ -320,8 +313,7 @@ def _plane_sings(fol: ProjFoliation, jet_order: int):
     a, b = _dehomog(A, 2), _dehomog(B, 2)
     pts = _affine_common_roots(a, b, desc)
     for x0, y0 in sorted(pts, key=lambda p: (sort_key(p[0]), sort_key(p[1]))):
-        sings.append(_classified((x0, y0, one), "Z", (x0, y0), a, b,
-                                 jet_order))
+        sings.append(_classified((x0, y0, one), "Z", (x0, y0), a, b))
     # chart Y = 1 restricted to Z = 0, coordinates (X, Z)
     a, c = _dehomog(A, 1), _dehomog(C, 1)
     ra = to_univariate(a.restrict({"v": zero}), "u")
@@ -331,14 +323,12 @@ def _plane_sings(fol: ProjFoliation, jet_order: int):
     common = (ra or rc) if not (ra and rc) else u_gcd(ra, rc, desc)
     if len(common) > 1:
         for x0 in u_roots_in_tower(common, desc):
-            sings.append(_classified((x0, one, zero), "Y", (x0, zero), a, c,
-                                     jet_order))
+            sings.append(_classified((x0, one, zero), "Y", (x0, zero), a, c))
     # chart X = 1 at the single point Y = Z = 0
     b, c = _dehomog(B, 0), _dehomog(C, 0)
     if (b.constant_coefficient().is_zero()
             and c.constant_coefficient().is_zero()):
-        sings.append(_classified((one, zero, zero), "X", (zero, zero), b, c,
-                                 jet_order))
+        sings.append(_classified((one, zero, zero), "X", (zero, zero), b, c))
     return sings
 
 
@@ -431,7 +421,7 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     return IndexValue(-_residue(num, den, form.desc), "CS")
 
 
-def _jet_order(p: MPoly):
+def _order_or_none(p: MPoly):
     return None if p.is_zero() else p.order()
 
 
@@ -465,13 +455,13 @@ def gsv_index(form: OneForm2, branches, g: MPoly = None,
         cross = a_g * gv_g - b_g * gu_g
         if not cross.is_zero() and cross.order() < N - 2:
             raise ValueError("the branch is not invariant")
-        ou, ov = _jet_order(gu_g), _jet_order(gv_g)
+        ou, ov = _order_or_none(gu_g), _order_or_none(gv_g)
         if ou is None and ov is None:
             raise ValueError("the curve equation degenerates on the branch")
         if ov is None or (ou is not None and ou <= ov):
-            num, den = _jet_order(a_g), ou
+            num, den = _order_or_none(a_g), ou
         else:
-            num, den = _jet_order(b_g), ov
+            num, den = _order_or_none(b_g), ov
         if num is None:
             raise ValueError("the proportionality factor vanishes on the "
                              "branch to the computed order")
@@ -511,7 +501,7 @@ class _CurveBranch:
 def _germ_branches(form: OneForm2, code, N: int):
     """Both separatrix branches of a reduced germ, as jets."""
     form = normalize2(form)
-    d1, d2 = _scale_dir(code.strong), _scale_dir(code.weak)
+    d1, d2 = code.strong, code.weak
     return [_CurveBranch(*_trace_graph(form, d, other, N))
             for d, other in ((d1, d2), (d2, d1))]
 
@@ -644,8 +634,7 @@ class SumReport:
                    self.bb_sum, self.bb_ok))
 
 
-def sum_theorem_check(fol: ProjFoliation, C: MPoly, jet_order: int = 8,
-                      N: int = 12) -> SumReport:
+def sum_theorem_check(fol: ProjFoliation, C: MPoly, N: int = 12) -> SumReport:
     """Verify CS over C = d0^2, GSV over C = (d+2)d0 - d0^2, and the
     global BB sum (d+2)^2, all exactly."""
     if len(fol.vars) != 3 or C.vars != fol.vars:
@@ -656,16 +645,15 @@ def sum_theorem_check(fol: ProjFoliation, C: MPoly, jet_order: int = 8,
     desc = fol.desc
     while True:
         try:
-            return _sum_check(fol.coerce_to(desc), C.coerce_to(desc), d0,
-                              jet_order, N)
+            return _sum_check(fol.coerce_to(desc), C.coerce_to(desc), d0, N)
         except WidenRequest as w:
             desc = desc.widened(w.m)
 
 
-def _sum_check(fol, C, d0, jet_order, N):
+def _sum_check(fol, C, d0, N):
     if not invariant_hypersurface(fol.coeffs, fol.vars, C):
         raise ValueError("the declared curve is not invariant")
-    sings = plane_singularities(fol, jet_order)
+    sings = plane_singularities(fol)
     desc = sings[0].desc if sings else fol.desc
     cs_sum = desc.zero()
     gsv_sum = desc.zero()
@@ -716,8 +704,7 @@ class LogCriterionReport:
 
 
 def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
-                          hypotheses=None, jet_order: int = 8,
-                          N: int = 12) -> LogCriterionReport:
+                          hypotheses=None, N: int = 12) -> LogCriterionReport:
     """Decide d0 = d + 2 through a plane section W = a X + b Y + c Z.
 
     `S` is the declared invariant surface; `section` gives (a, b, c).
@@ -745,6 +732,6 @@ def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
     if C.is_zero():
         raise ValueError("the section plane lies inside the surface")
     sec = ProjFoliation(sec_coeffs, plane_vars)
-    sums = sum_theorem_check(sec, C, jet_order, N)
+    sums = sum_theorem_check(sec, C, N)
     return LogCriterionReport(sec.degree, _homogeneous_degree(C), sums,
                               hypotheses or {})

@@ -254,7 +254,7 @@ class _Parser:
     def parse_factor(self) -> MPoly:
         acc = self.parse_primary()
         while self.peek().kind == "^":
-            tok = self.next()
+            self.next()
             exp = self.expect("number", "an integer exponent")
             acc = acc ** int(exp.text)
         return acc

@@ -621,17 +621,16 @@ def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
         return _normalize_lead(q)
     if q.is_zero():
         return _normalize_lead(p)
-    u, v = p.vars
-    a = _to_recursive(p, v)
-    b = _to_recursive(q, v)
+    a = _to_recursive(p)
+    b = _to_recursive(q)
     g = _rec_gcd(a, b, p.vars, p.desc)
     return _normalize_lead(_from_recursive(g, p.vars, p.desc))
 
 
-def _to_recursive(p: MPoly, v: str):
-    """Map to a dict deg_v -> univariate MPoly in the first variable."""
+def _to_recursive(p: MPoly):
+    """Map to a dict (degree in the second variable) -> univariate MPoly
+    in the first variable."""
     out = {}
-    iu, iv = 0, 1
     for (eu, ev), c in p.coeffs.items():
         out.setdefault(ev, {})[(eu, 0)] = c
     return {k: MPoly(p.vars, d, p.desc) for k, d in out.items()}

@@ -25,7 +25,6 @@ from .forms import (
     DivisorBranch,
     LocalDivisor,
     OneForm2,
-    invariant_graph_jet,
     invariant_hypersurface,
     normalize2,
     pullback,
@@ -52,7 +51,12 @@ class ReductionError(Exception):
 
 
 class ClassCode:
-    """Local classification of a point against the simple models."""
+    """Local classification of a point against the simple models.
+
+    At a saddle-node, `strong` and `weak` are the eigendirections of the
+    linear part for the nonzero and the zero eigenvalue, each scaled so
+    its first nonzero entry is 1.
+    """
 
     __slots__ = ("kind", "strong", "weak", "adapted")
 
@@ -134,6 +138,13 @@ def _branch_tangent(eq: MPoly):
     return (fv, -fu)
 
 
+def _scale_dir(d):
+    """Normalize a direction so its first nonzero entry is 1."""
+    pivot = d[0] if not d[0].is_zero() else d[1]
+    inv = pivot.inverse()
+    return (d[0] * inv, d[1] * inv)
+
+
 def _eigdir(M, lam, desc):
     """A kernel direction of M - lam*I."""
     a = M[0][0] - lam
@@ -171,23 +182,14 @@ def _rotate_form(form: OneForm2, d1, d2) -> OneForm2:
                     form.coprime and invertible)
 
 
-def saddle_node_data(form: OneForm2, jet_order: int):
-    """Strong/weak directions of a saddle-node, jet-checked for a weak graph."""
-    desc = form.desc
-    M = form.dual_linear_part()
-    tr = M[0][0] + M[1][1]
-    strong = _eigdir(M, tr, desc)
-    weak = _eigdir(M, desc.zero(), desc)
-    rotated = _rotate_form(form, weak, strong)
-    coeffs = invariant_graph_jet(normalize2(rotated), jet_order)
-    return strong, weak, coeffs
-
-
-def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
+def classify_point2(form: OneForm2, E: LocalDivisor):
     """Classify one point against the simple models, relative to the divisor.
 
     Returns (ClassCode, well_oriented, linear_matrix).  The divisor is
-    restricted to its branches through the origin.
+    restricted to its branches through the origin.  The classification
+    reads the linear part of the form and the tangents and invariance of
+    the divisor branches only: a saddle-node is well oriented when no
+    branch is tangent to its weak direction.
     """
     form = normalize2(form)
     desc = form.desc
@@ -224,7 +226,9 @@ def classify_point2(form: OneForm2, E: LocalDivisor, jet_order: int = 8):
         code = ClassCode(SIMPLE, adapted=adapted)
         return code, True, M
 
-    strong, weak, _ = saddle_node_data(form, jet_order)
+    tr = M[0][0] + M[1][1]
+    strong = _scale_dir(_eigdir(M, tr, desc))
+    weak = _scale_dir(_eigdir(M, desc.zero(), desc))
     well = True
     for b in local:
         if b.dicritical:
@@ -242,9 +246,8 @@ def _restrict_to_line(p: MPoly, var: str, desc):
 
 
 class _Engine:
-    def __init__(self, form, divisor, max_depth, jet_order):
+    def __init__(self, form, divisor, max_depth):
         self.max_depth = max_depth
-        self.jet_order = jet_order
         self.desc = form.desc
         self.tree = ReductionTree(form, form.desc)
         self.next_comp = 0
@@ -277,7 +280,7 @@ class _Engine:
         # every form reaching here descends from the normalized root through
         # translations and strict transforms, so it carries `coprime`
         form = normalize2(form)
-        code, well, M = classify_point2(form, E, self.jet_order)
+        code, well, M = classify_point2(form, E)
         if code.adapted != UNADAPTED:
             if code.kind != REGULAR:
                 self.tree.leaves.append(SingularityRecord(
@@ -324,7 +327,7 @@ class _Engine:
                 "input coefficients were not coprime", self.tree)
         if chart.label == "c1":  # the chart that carries the finite points
             roots = u_roots_in_tower(coeffs, desc)
-            for b_cid, b in strict_branches:
+            for _, b in strict_branches:
                 val = b.equation.restrict({exc_var: desc.zero()})
                 extra = u_roots_in_tower(to_univariate(val, other), desc) \
                     if not val.is_zero() else []
@@ -351,14 +354,14 @@ class _Engine:
 
 
 def seidenberg_reduce(form: OneForm2, E: LocalDivisor = None,
-                      max_depth: int = 64, jet_order: int = 8) -> ReductionTree:
+                      max_depth: int = 64) -> ReductionTree:
     """Reduce the singularity at the origin; widen the tower on demand."""
     if E is None:
         E = LocalDivisor.empty()
     form = normalize2(form)
     while True:
         try:
-            return _Engine(form, E, max_depth, jet_order).run()
+            return _Engine(form, E, max_depth).run()
         except WidenRequest as w:
             desc = form.desc.widened(w.m)
             # coerce_to keeps `coprime`: a field extension leaves the gcd 1
@@ -380,17 +383,16 @@ class SecondTypeResult:
 
 
 def is_second_type2(form: OneForm2, E: LocalDivisor = None,
-                    max_depth: int = 64, jet_order: int = 8) -> SecondTypeResult:
+                    max_depth: int = 64) -> SecondTypeResult:
     """Whether every final singularity is well oriented for the divisor."""
-    tree = seidenberg_reduce(form, E, max_depth, jet_order)
+    tree = seidenberg_reduce(form, E, max_depth)
     witnesses = tree.tangent_witnesses()
     return SecondTypeResult(not witnesses, witnesses, tree)
 
 
-def is_generalized_curve2(form: OneForm2, max_depth: int = 64,
-                          jet_order: int = 8) -> bool:
+def is_generalized_curve2(form: OneForm2, max_depth: int = 64) -> bool:
     """Whether the reduction is free of saddle-nodes."""
-    tree = seidenberg_reduce(form, None, max_depth, jet_order)
+    tree = seidenberg_reduce(form, None, max_depth)
     return not tree.saddle_nodes()
 
 

@@ -36,6 +36,7 @@ from .reduce2d import (
     _eigdir,
     _parallel,
     _rotate_form,
+    _scale_dir,
     classify_point2,
     seidenberg_reduce,
 )
@@ -83,21 +84,13 @@ class DicriticalInputError(ValueError):
         self.components = components
 
 
-def _scale_dir(d):
-    """Normalize a direction so its first nonzero entry is 1."""
-    pivot = d[0] if not d[0].is_zero() else d[1]
-    inv = pivot.inverse()
-    return (d[0] * inv, d[1] * inv)
-
-
 def _leaf_directions(rec):
     """Separatrix directions at a final point: list of (dir, role)."""
     desc = rec.form.desc
     M = rec.linear
     tr = M[0][0] + M[1][1]
     if rec.code.kind == SADDLE_NODE:
-        return [(_scale_dir(rec.code.strong), "strong"),
-                (_scale_dir(rec.code.weak), "weak")]
+        return [(rec.code.strong, "strong"), (rec.code.weak, "weak")]
     # non-degenerate: eigendirections; anchor on a divisor branch when
     # present so no square root is needed
     branch_dirs = [_branch_tangent(b.equation) for b in rec.divisor]
@@ -235,7 +228,7 @@ def _saddle_node_frame(form: OneForm2):
     code, _, _ = classify_point2(form, LocalDivisor.empty())
     if code.kind != SADDLE_NODE:
         raise ValueError("weak separatrix jet needs a saddle-node")
-    return _scale_dir(code.weak), _scale_dir(code.strong)
+    return code.weak, code.strong
 
 
 def weak_separatrix_jet(form: OneForm2, N: int = 10) -> BranchJet:

@@ -28,6 +28,7 @@ from .forms import (
     OneForm2,
     OneForm3,
     PrecisionError,
+    _monomials_below,
     integrable3,
     invariant_surface3,
     normalize2,
@@ -57,22 +58,12 @@ class InconclusiveError(FieldError):
 # dimensional type
 
 
-def _degree_monomials(top: int):
-    """All exponent triples of total degree at most `top`."""
-    out = []
-    for d in range(top + 1):
-        for e1 in range(d + 1):
-            for e2 in range(d - e1 + 1):
-                out.append((e1, e2, d - e1 - e2))
-    return out
-
-
 def _cylinder_candidate(form: OneForm3, order: int):
     """Constant part of a polynomial vector field X of degree below
     `order` with i_X(form) = 0 modulo degree `order`, or None."""
     desc = form.desc
     zero = desc.zero()
-    monos = _degree_monomials(order - 1)
+    monos = sorted(_monomials_below(3, order), key=lambda e: (sum(e), e))
     idx = {e: j for j, e in enumerate(monos)}
     n = len(monos)
     rows_map = {}
@@ -421,7 +412,7 @@ def _match_tau2(form: OneForm3, jet_order: int):
     if w is None:
         raise InconclusiveError("dimensional type changed under normalization")
     form2 = normalize2(_plane_trace(form, w))
-    code, _, M = classify_point2(form2, LocalDivisor.empty(), jet_order)
+    code, _, M = classify_point2(form2, LocalDivisor.empty())
     if code.kind == NON_SIMPLE:
         return Model3Match("NotSimple", 2)
     if code.kind == SADDLE_NODE:
@@ -913,9 +904,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                     tr2 = tr.rename(form2.vars)
                     if tr2.constant_coefficient().is_zero():
                         branches.append(DivisorBranch(tr2, b.dicritical))
-                code, well, _ = classify_point2(form2,
-                                                LocalDivisor(branches),
-                                                jet_order)
+                code, well, _ = classify_point2(form2, LocalDivisor(branches))
                 simple = code.kind in (SIMPLE, SADDLE_NODE, REGULAR)
                 records.append(PointRecord(path, "axis-" + kept, code.kind,
                                            simple, well))

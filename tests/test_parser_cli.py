@@ -8,7 +8,7 @@ import pytest
 from foliation_lab import cli
 from foliation_lab.parser import InputSyntaxError, parse_form
 
-from conftest import Q2
+from conftest import Q2, corpus2
 
 TANGENT2 = "omega2: (v^2 - u*v) du + u^2 dv\n"
 CUSP2 = "omega2: (-3*u^2) du + 2*v dv\n"
@@ -317,3 +317,22 @@ def test_cli_model_match3_reports_the_weak_plane(tmp_form_file, tmp_path):
     (plane,) = v["weak_planes"]
     assert plane.startswith("y - ") and " - x - " in plane
     assert "y + x" not in plane
+
+
+_PLANE_COMMANDS = ("analyze2", "reduce2", "separatrices", "second-type2")
+_JET_BLIND = ([(cmd, "omega2: %s\n" % form.render())
+               for form, _ in corpus2().values() for cmd in _PLANE_COMMANDS]
+              + [("indices", SADDLE_NODE_P2), ("log-criterion", PLANES4_P3)])
+
+
+def test_jet_order_changes_no_plane_or_index_report(tmp_form_file, tmp_path):
+    """--jet-order is read by the three-space commands only: the plane
+    commands and the index sums give the same bytes at order 1."""
+    for k, (command, text) in enumerate(_JET_BLIND):
+        path = tmp_form_file(text)
+        outs = []
+        for flags in ([], ["--jet-order", "1"]):
+            out = tmp_path / ("%d-%d.json" % (k, len(flags)))
+            code = cli.main([command, path, "--out", str(out)] + flags)
+            outs.append((code, out.read_bytes()))
+        assert outs[0] == outs[1], (command, text)

@@ -1,5 +1,6 @@
 """Plane reduction of singularities: corpus oracles, dual graphs, stability."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from foliation_lab import (dual_graph, is_generalized_curve2, is_second_type2,
                            seidenberg_reduce, trees_equivalent)
 from foliation_lab.forms import DivisorBranch, LocalDivisor
-from foliation_lab.reduce2d import REGULAR, SADDLE_NODE, SIMPLE
+from foliation_lab.reduce2d import (REGULAR, SADDLE_NODE, SIMPLE,
+                                    classify_point2)
 
 from conftest import UV, corpus2, f2, mk
 
@@ -103,3 +105,39 @@ def test_divisor_branch_meeting_the_exceptional_line_off_the_origin():
     assert sorted(rec.components) == ["B0", "E1"]
     graph = dual_graph(tree)
     assert ("B0", rec.code.kind, rec.well_oriented) in graph["half_edges"]
+
+
+def _count_graph_solves(monkeypatch):
+    """Count invariant_graph_jet calls through every module that binds it."""
+    calls = []
+    original = sys.modules["foliation_lab.forms"].invariant_graph_jet
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("foliation_lab")
+                and getattr(module, "invariant_graph_jet", None) is original):
+            monkeypatch.setattr(module, "invariant_graph_jet", wrapper)
+    return calls
+
+
+def _first_nonzero(d):
+    return d[0] if not d[0].is_zero() else d[1]
+
+
+def test_saddle_node_classified_from_its_linear_part(monkeypatch):
+    """Classifying a saddle-node reads the 1-jet only: no weak graph is
+    solved, and both directions come back scaled."""
+    calls = _count_graph_solves(monkeypatch)
+    for name in ("sn", "euler"):
+        code, well, _ = classify_point2(corpus2()[name][0],
+                                        LocalDivisor.empty())
+        assert code.kind == SADDLE_NODE and well, name
+        assert _first_nonzero(code.strong).as_fraction() == 1, name
+        assert _first_nonzero(code.weak).as_fraction() == 1, name
+    assert calls == []
+    tree = seidenberg_reduce(corpus2()["sn"][0])
+    assert [rec.code.kind for rec in tree.leaves] == [SADDLE_NODE]
+    assert calls == []
