@@ -3,7 +3,10 @@
 The ground field is Q.  A tower may adjoin one square root of a square-free
 integer m (m = -1 gives the imaginary unit) and one transcendental parameter,
 yielding at most Q(t)(sqrt(m)).  Elements are kept in canonical form
-a + b*sqrt(m) with a, b reduced rational functions of the parameter.
+a + b*sqrt(m).  The descriptor fixes the type of the coordinates a and b:
+bare Fractions in a parameter-free tower, reduced RatFuncs of the parameter
+otherwise.  Both types share + - * /, == and truth testing, so the element
+arithmetic is written once for both.
 """
 
 from __future__ import annotations
@@ -127,16 +130,6 @@ class RatFunc:
     def __init__(self, num, den=_ONE_DEN):
         if isinstance(num, (int, Fraction)):
             num = (Fraction(num),) if num != 0 else ()
-        if isinstance(den, (int, Fraction)):
-            den = (Fraction(den),)
-        if type(num) is not tuple:
-            num = tuple(num)
-        if type(den) is not tuple:
-            den = tuple(den)
-        if any(type(c) is not Fraction for c in num):
-            num = tuple(Fraction(c) for c in num)
-        if any(type(c) is not Fraction for c in den):
-            den = tuple(Fraction(c) for c in den)
         num = _ptrim(num)
         den = _ptrim(den)
         if not den:
@@ -197,15 +190,11 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
         a, b = self._const_value(), other._const_value()
         if a is not None and b is not None:
             return _const_rf(a + b)
         return RatFunc(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
                        _pmul(self.den, other.den))
-
-    __radd__ = __add__
 
     def __neg__(self):
         a = self._const_value()
@@ -214,15 +203,10 @@ class RatFunc:
         return RatFunc(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
         a, b = self._const_value(), other._const_value()
         if a is not None and b is not None:
             return _const_rf(a - b)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return RatFunc(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -234,11 +218,7 @@ class RatFunc:
             return _const_rf(_F0)
         return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         a, b = self._const_value(), other._const_value()
@@ -248,9 +228,6 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         return RatFunc(other) / self
-
-    def degree_pair(self):
-        return (len(self.num) - 1 if self.num else -1, len(self.den) - 1)
 
     def __repr__(self):
         return f"RatFunc({self.num}, {self.den})"
@@ -338,7 +315,7 @@ class FieldDescriptor:
     # -- constructors for elements over this descriptor
 
     def rational(self, q) -> "FieldElement":
-        return FieldElement(self, RatFunc(Fraction(q)), RatFunc(0))
+        return _elem(self, _coord(self, q), _coord(self, 0))
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -349,12 +326,12 @@ class FieldDescriptor:
     def sqrt_gen(self) -> "FieldElement":
         if self.quadratic_extension is None:
             raise FieldError("descriptor has no quadratic extension")
-        return FieldElement(self, RatFunc(0), RatFunc(1))
+        return _elem(self, _coord(self, 0), _coord(self, 1))
 
     def param_gen(self) -> "FieldElement":
         if self.parameter is None:
             raise FieldError("descriptor has no transcendental parameter")
-        return FieldElement(self, RatFunc.variable(), RatFunc(0))
+        return _elem(self, RatFunc.variable(), _coord(self, 0))
 
     def widened(self, m: int) -> "FieldDescriptor":
         s, _ = _squarefree_part(m)
@@ -390,18 +367,57 @@ class FieldDescriptor:
 QQ = FieldDescriptor()
 
 
+def _coord(desc: FieldDescriptor, q):
+    """The rational q as a coordinate of desc's type."""
+    q = Fraction(q)
+    return q if desc.parameter is None else _const_rf(q)
+
+
+def _frac(c) -> Fraction:
+    """The value of a constant coordinate."""
+    return c if type(c) is Fraction else c.as_fraction()
+
+
+def _render(c, name: str) -> str:
+    return str(c) if type(c) is Fraction else c.render(name)
+
+
+def _key(c):
+    """(numerator, denominator) tuples; a Fraction keys as the constant
+    RatFunc, so 0 (empty numerator) sorts before every other rational."""
+    return ((c,) if c else (), _ONE_DEN) if type(c) is Fraction else (c.num, c.den)
+
+
+def _elem(desc: FieldDescriptor, a, b) -> "FieldElement":
+    """The trusted constructor: no checks.  Only for coordinates already of
+    desc's type with b zero when desc has no sqrt(m), as arithmetic on
+    elements of desc yields them."""
+    x = object.__new__(FieldElement)
+    x.desc, x.a, x.b = desc, a, b
+    return x
+
+
 class FieldElement:
-    """Element a + b*sqrt(m) of a field tower, a and b rational functions."""
+    """Element a + b*sqrt(m) of a field tower.
+
+    a and b are Fractions when desc has no parameter and reduced RatFuncs
+    when it has one.  The public constructor checks the tower and converts
+    the coordinates to that type; results of arithmetic are built by the
+    trusted `_elem`.
+    """
 
     __slots__ = ("desc", "a", "b")
 
-    def __init__(self, desc: FieldDescriptor, a: RatFunc, b: RatFunc):
-        if desc.quadratic_extension is None and not b.is_zero():
-            raise FieldError("sqrt coordinate in a tower without extension")
+    def __init__(self, desc: FieldDescriptor, a, b):
         if desc.parameter is None:
-            for part in (a, b):
-                if part.degree_pair() > (0, 0):
-                    raise FieldError("parameter appears in a parameter-free tower")
+            if any(type(c) is RatFunc and not c.is_constant() for c in (a, b)):
+                raise FieldError("parameter appears in a parameter-free tower")
+            a, b = (Fraction(_frac(c) if type(c) is RatFunc else c)
+                    for c in (a, b))
+        else:
+            a, b = (c if type(c) is RatFunc else RatFunc(c) for c in (a, b))
+        if desc.quadratic_extension is None and b:
+            raise FieldError("sqrt coordinate in a tower without extension")
         self.desc = desc
         self.a = a
         self.b = b
@@ -409,36 +425,38 @@ class FieldElement:
     # -- coercion helpers
 
     def _coerce(self, other):
+        if isinstance(other, FieldElement):
+            if other.desc is not self.desc and other.desc != self.desc:
+                raise MismatchedFieldError(
+                    f"{self.desc.describe()} vs {other.desc.describe()}")
+            return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.desc, RatFunc(other), RatFunc(0))
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if other.desc != self.desc:
-            raise MismatchedFieldError(
-                f"{self.desc.describe()} vs {other.desc.describe()}")
-        return other
+            return self.desc.rational(other)
+        return NotImplemented
 
     def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+        return not self.a and not self.b
 
     def is_rational(self):
-        return self.b.is_zero() and self.a.is_constant()
+        return not self.b and (type(self.a) is Fraction or self.a.is_constant())
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise FieldError("element is not rational")
-        return self.a.as_fraction()
+        return _frac(self.a)
 
     def involves_parameter(self) -> bool:
-        return self.a.degree_pair() > (0, 0) or self.b.degree_pair() > (0, 0)
+        return self.desc.parameter is not None and not (
+            self.a.is_constant() and self.b.is_constant())
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.b.is_zero() and self.a == RatFunc(other)
-        return (isinstance(other, FieldElement) and self.desc == other.desc
+            return not self.b and self.a == other
+        return (isinstance(other, FieldElement)
+                and (self.desc is other.desc or self.desc == other.desc)
                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
@@ -448,18 +466,18 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.desc, self.a + other.a, self.b + other.b)
+        return _elem(self.desc, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.desc, -self.a, -self.b)
+        return _elem(self.desc, -self.a, -self.b)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _elem(self.desc, self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -469,11 +487,10 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         m = self.desc.quadratic_extension
-        a = self.a * other.a
-        if m is not None:
-            a = a + self.b * other.b * m
-        b = self.a * other.b + self.b * other.a
-        return FieldElement(self.desc, a, b)
+        if m is None:
+            return _elem(self.desc, self.a * other.a, self.b)
+        return _elem(self.desc, self.a * other.a + self.b * other.b * m,
+                     self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
 
@@ -486,17 +503,16 @@ class FieldElement:
         return out
 
     def inverse(self):
-        if self.is_zero():
+        """1/a without sqrt(m); else the conjugate over the norm
+        a^2 - m b^2, which vanishes only at 0 as m is square-free."""
+        a, b = self.a, self.b
+        m = self.desc.quadratic_extension
+        norm = a if m is None else a * a - b * b * m
+        if not norm:
             raise ZeroDivisionError("inverse of zero field element")
-        return self._inv_conj()
-
-    def _inv_conj(self):
-        m = self.desc.quadratic_extension or 0
-        norm = self.a * self.a - self.b * self.b * m
-        if norm.is_zero():
-            # impossible for square-free m over Q(t); defensive
-            raise FieldError("zero norm in quadratic tower")
-        return FieldElement(self.desc, self.a / norm, -self.b / norm)
+        if m is None:
+            return _elem(self.desc, 1 / a, b)
+        return _elem(self.desc, a / norm, -b / norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -508,17 +524,17 @@ class FieldElement:
         return self.inverse() * other
 
     def conjugate(self):
-        return FieldElement(self.desc, self.a, -self.b)
+        return _elem(self.desc, self.a, -self.b)
 
     def render(self) -> str:
         name = self.desc.parameter or "t"
         m = self.desc.quadratic_extension
-        if self.b.is_zero():
-            return self.a.render(name)
+        if not self.b:
+            return _render(self.a, name)
         parts = []
-        if not self.a.is_zero():
-            parts.append(self.a.render(name))
-        bs = self.b.render(name)
+        if self.a:
+            parts.append(_render(self.a, name))
+        bs = _render(self.b, name)
         root = f"rt({m})"
         if bs == "1":
             parts.append(root)
@@ -535,20 +551,22 @@ class FieldElement:
         """Floating image; only for numerical test oracles."""
         if self.involves_parameter():
             raise FieldError("cannot take a numeric image of a parameter")
-        val = complex(self.a.as_fraction())
+        val = complex(_frac(self.a))
         if self.desc.quadratic_extension is not None and self.b:
-            val += complex(self.b.as_fraction()) * complex(self.desc.quadratic_extension) ** 0.5
+            val += complex(_frac(self.b)) * complex(self.desc.quadratic_extension) ** 0.5
         return val
 
 
 def coerce(x: FieldElement, desc: FieldDescriptor) -> FieldElement:
     """Embed x into a tower that extends its own."""
-    if x.desc == desc:
+    if x.desc is desc or x.desc == desc:
         return x
     if not desc.extends(x.desc):
         raise FieldExtensionError(
             f"cannot embed {x.desc.describe()} into {desc.describe()}")
-    return FieldElement(desc, x.a, x.b)
+    if desc.parameter is not None and x.desc.parameter is None:
+        return _elem(desc, _const_rf(x.a), _const_rf(x.b))
+    return _elem(desc, x.a, x.b)
 
 
 def _fraction_sqrt(q: Fraction):
@@ -580,19 +598,19 @@ def sqrt_in_tower(x: FieldElement):
         return None
     desc = x.desc
     m = desc.quadratic_extension
-    a = x.a.as_fraction()
-    if x.b.is_zero():
+    a = _frac(x.a)
+    if not x.b:
         r = _fraction_sqrt(a)
         if r is not None:
             return desc.rational(r)
         if m is not None:
             r = _fraction_sqrt(a / m)
             if r is not None:
-                return FieldElement(desc, RatFunc(0), RatFunc(r))
+                return _elem(desc, _coord(desc, 0), _coord(desc, r))
         return None
     # x = a + b*sqrt(m); candidate sqrt c + d*sqrt(m) needs
     # c^2 + m d^2 = a and 2 c d = b, so z = c^2 solves z^2 - a z + m b^2 / 4 = 0.
-    b = x.b.as_fraction()
+    b = _frac(x.b)
     disc = a * a - Fraction(m) * b * b
     s = _fraction_sqrt(disc)
     if s is None:
@@ -601,7 +619,7 @@ def sqrt_in_tower(x: FieldElement):
         c = _fraction_sqrt(root)
         if c is not None and c != 0:
             d = b / (2 * c)
-            cand = FieldElement(desc, RatFunc(c), RatFunc(d))
+            cand = _elem(desc, _coord(desc, c), _coord(desc, d))
             if cand * cand == x:
                 return cand
     return None
@@ -617,8 +635,8 @@ def sqrt_or_widen(x: FieldElement):
         return r
     if x.involves_parameter():
         raise FieldExtensionError("square root of a parameter-dependent element")
-    if x.b.is_zero() and x.desc.quadratic_extension is None:
-        q = x.a.as_fraction()
+    if not x.b and x.desc.quadratic_extension is None:
+        q = _frac(x.a)
         s, _ = _squarefree_part(q.numerator * q.denominator)
         raise WidenRequest(s)
     raise FieldExtensionError(
@@ -627,7 +645,7 @@ def sqrt_or_widen(x: FieldElement):
 
 def sort_key(x: FieldElement):
     """Deterministic total order key for elements of one tower."""
-    return (x.a.num, x.a.den, x.b.num, x.b.den)
+    return _key(x.a) + _key(x.b)
 
 
 def ratio_in_positive_rationals(tr: FieldElement, det: FieldElement) -> str:

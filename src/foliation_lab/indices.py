@@ -412,11 +412,14 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     coeffs, names = form.coeffs(), form.vars
     normal = names[0] if gamma[0].coefficient((1,)).is_zero() else names[1]
     along = dict(zip(names, gamma))
-    tangent = pullback(coeffs, names, along)[0]
+    # A and B along gamma, shared by the pull-back and the denominator
+    images = [c.substitute(along) for c in coeffs]
+    x = gamma[0].vars[0]
+    tangent = images[0] * gamma[0].partial(x) + images[1] * gamma[1].partial(x)
     if any(not tangent.coefficient((k,)).is_zero() for k in range(N - 1)):
         raise ValueError("the branch is not invariant")
     num = pullback([c.partial(normal) for c in coeffs], names, along)[0]
-    den = coeffs[names.index(normal)].substitute(along)
+    den = images[names.index(normal)]
     num, den = ([p.coefficient((k,)) for k in range(N + 1)] for p in (num, den))
     return IndexValue(-_residue(num, den, form.desc), "CS")
 

@@ -9,6 +9,7 @@ reporting an untrusted coefficient).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -22,7 +23,7 @@ class OrderIndeterminate(FieldError):
 
 def _as_element(c, desc: FieldDescriptor) -> FieldElement:
     if isinstance(c, FieldElement):
-        if c.desc != desc:
+        if c.desc is not desc and c.desc != desc:
             raise MismatchedFieldError("coefficient over a different tower")
         return c
     return desc.rational(Fraction(c))
@@ -66,7 +67,15 @@ class MPoly:
         return cls(vars, {tuple(exp): 1}, desc, prec)
 
     def _make(self, coeffs, prec):
-        return MPoly(self.vars, coeffs, self.desc, prec)
+        """Trusted constructor over self's variables and tower: `coeffs`
+        maps well-formed exponents to elements of self.desc, as operations
+        on this polynomial's own terms build it; only zero coefficients and
+        terms of degree >= prec are dropped."""
+        p = object.__new__(MPoly)
+        p.vars, p.desc, p.prec = self.vars, self.desc, prec
+        p.coeffs = {e: c for e, c in coeffs.items()
+                    if c and (prec is None or sum(e) < prec)}
+        return p
 
     # -- basic queries -----------------------------------------------------
 
@@ -125,7 +134,7 @@ class MPoly:
             return NotImplemented
         if other.vars != self.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        if other.desc != self.desc:
+        if other.desc is not self.desc and other.desc != self.desc:
             raise MismatchedFieldError("operands over different towers")
         return other
 
@@ -168,7 +177,7 @@ class MPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 if prec is not None and sum(e) >= prec:
                     continue
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
@@ -250,7 +259,7 @@ class MPoly:
                 term = term * cache[k]
             for te, tc in term.coeffs.items():
                 out[te] = out[te] + tc if te in out else tc
-        return MPoly(tgt.vars, out, self.desc, prec)
+        return tgt._make(out, prec)
 
     def translate(self, shifts: dict) -> "MPoly":
         """Substitute name -> name + c for each (name, c) in shifts."""
