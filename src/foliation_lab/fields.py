@@ -450,7 +450,7 @@ class FieldElement:
             self.a.is_constant() and self.b.is_constant())
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -17,6 +17,10 @@ mu0, and the 1-form calculus shared by every number of variables:
 - invariant_hypersurface: {f = 0} is invariant when f divides every
   minor c_i df/dx_j - c_j df/dx_i of omega ^ df.
 - integrable: omega ^ d omega = 0, one triple i < j < k at a time.
+- _solve_graph: the one series solver for graphs v = s(u), shared by the
+  separatrix traces (invariant_graph_jet) and the curve branches of the
+  index sums; it reads each order of the residual from a table of the
+  coefficients of the powers of s and never substitutes the graph.
 
 Boolean questions about truncated series are three-valued internally;
 an answer that cannot be certified at the available precision raises
@@ -74,13 +78,14 @@ class InvarianceResult:
 class OneForm2:
     """A du + B dv with labeled variables, default (u, v).
 
-    `coprime` records that normalize2 has already certified that A and B
-    share no nonconstant factor, so a later normalize2 only strips
-    monomial content.  It is False unless set by normalize2 or carried by
-    an operation that provably keeps the property: translate, rename and
-    coerce_to (a gcd does not change under automorphisms or a field
-    extension), the strict transforms of blowup_point2 and invertible
-    linear changes of coordinates.  Any other new form starts with False.
+    `coprime` records that A and B are known to share no nonconstant
+    factor, so a later normalize2 only strips monomial content.  It is
+    False unless set by normalize2, by a caller that proves it
+    (indices._plane_sings), or carried by an operation that provably
+    keeps the property: translate, rename and coerce_to (a gcd does not
+    change under automorphisms or a field extension), the strict
+    transforms of blowup_point2 and invertible linear changes of
+    coordinates.  Any other new form starts with False.
     """
 
     __slots__ = ("vars", "A", "B", "desc", "coprime")
@@ -607,35 +612,80 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     return res
 
 
-def _solve_graph(residual, c1, offset: int, beta, N: int, fail: str):
-    """Coefficients c_1..c_N of a graph s = sum c_k u^k that makes a
-    residual vanish, one order at a time.
+def _solve_graph(polys, c1, offset: int, beta, N: int, fail: str):
+    """Coefficients c_1..c_N of a graph s = sum c_k u^k along which the
+    residual R = P(u, s), for polys = (P,), or R = P(u, s) + Q(u, s) s',
+    for polys = (P, Q), vanishes; P and Q are in two variables (u, v).
 
-    `residual(cs, prec)` is the one-variable residual of the graph with
-    coefficients `cs`, valid below degree `prec`; its coefficient at order
-    k + offset is alpha + beta(k) c_k with alpha free of c_k and later
-    coefficients.  Each order k >= 2 evaluates it once (c_k = 0) and sets
-    c_k = 0 when alpha = 0, else -alpha/beta(k).  A nonzero coefficient
-    below k + offset, or beta(k) = 0 != alpha, means there is no such
-    graph and raises ValueError(fail % {"k": k}).
+    The coefficient of R at order k + offset must be alpha + beta(k) c_k
+    with alpha free of c_k and later coefficients.  Each order k >= 2
+    reads alpha (c_k = 0) and sets c_k = 0 when alpha = 0, else
+    -alpha/beta(k).  A nonzero coefficient below 2 + offset (checked once,
+    when N >= 2; linearity keeps the later ones zero) or beta(k) = 0 !=
+    alpha means there is no such graph and raises
+    ValueError(fail % {"k": k}).
+
+    Nothing is substituted: R is read from the terms of P and Q and a
+    table of the coefficients [u^n] s^j, and [u^n] s^j, [u^n] Q(u, s) are
+    kept once every c_i they read is known, so each is computed once
+    (entries that still read the unknown c_k are recomputed).  A
+    coefficient of R at or past the precision of P and Q reads as zero.
     """
-    coeffs, zero, last = [c1], c1.desc.zero(), None
+    zero, one = c1.desc.zero(), c1.desc.one()
+    cs, powers, images = [c1], {}, {}
+    prec = min((p.prec for p in polys if p.prec is not None), default=None)
+
+    def power(j, n):  # [u^n] s^j
+        if j == 0 or n < j:
+            return one if n == j else zero
+        val = powers.get((j, n))
+        if val is None:
+            val = zero
+            for i in range(1, min(n - j + 1, len(cs)) + 1):
+                if cs[i - 1]:
+                    val = val + cs[i - 1] * power(j - 1, n - i)
+            if n - j < len(cs):
+                powers[j, n] = val
+        return val
+
+    def composed(p, n):  # [u^n] polys[p](u, s)
+        val = images.get((p, n))
+        if val is None:
+            val = zero
+            for (i, j), c in polys[p].coeffs.items():
+                if i + j <= n:
+                    w = power(j, n - i)
+                    if w:
+                        val = val + c * w
+            if n <= len(cs):
+                images[p, n] = val
+        return val
+
+    def coefficient(n):  # [u^n] R
+        if prec is not None and n >= prec:
+            return zero
+        val = composed(0, n)
+        if len(polys) > 1:
+            for i in range(1, min(n + 1, len(cs)) + 1):
+                if cs[i - 1]:
+                    val = val + composed(1, n + 1 - i) * (cs[i - 1] * i)
+        return val
+
+    if N >= 2 and any(coefficient(n) for n in range(2 + offset)):
+        raise ValueError(fail % {"k": 2})
+    last = None
     for k in range(2, N + 1):
-        target, alpha = k + offset, zero
-        for e, c in residual(coeffs, target + 1).coeffs.items():
-            if sum(e) < target:
-                raise ValueError(fail % {"k": k})
-            alpha = c if sum(e) == target else alpha
-        if alpha.is_zero():
-            coeffs.append(zero)
+        alpha = coefficient(k + offset)
+        if not alpha:
+            cs.append(zero)
             continue
         b = beta(k)
-        if b.is_zero():
+        if not b:
             raise ValueError(fail % {"k": k})
         if b is not last:  # a constant beta is inverted once
             last, inv = b, b.inverse()
-        coeffs.append(-(alpha * inv))
-    return coeffs
+        cs.append(-(alpha * inv))
+    return cs
 
 
 def invariant_graph_jet(form: OneForm2, N: int, slope=None):
@@ -647,7 +697,6 @@ def invariant_graph_jet(form: OneForm2, N: int, slope=None):
     is linear in c_k with beta(k) = (a01 + b01 c_1) + k (b10 + b01 c_1); an
     inconsistent order raises ValueError and a free coefficient is zero.
     """
-    u, v = form.vars
     desc = form.desc
     if N < 1:
         raise ValueError("need at least one coefficient")
@@ -671,13 +720,6 @@ def invariant_graph_jet(form: OneForm2, N: int, slope=None):
             raise ValueError(fail % {"k": 1})
         slope = desc.zero() if q1.is_zero() else -(a10 / q1)
 
-    uu = MPoly.variable((u,), u, desc)
-
-    def residual(cs, prec):
-        # one guard order so the derivative is still valid below `prec`
-        s = MPoly((u,), {(k + 1,): c for k, c in enumerate(cs)}, desc, prec + 1)
-        return pullback(form.coeffs(), form.vars, {u: uu, v: s})[0]
-
     lin, step = a01 + b01 * slope, b10 + b01 * slope
-    return _solve_graph(residual, slope, 0,
+    return _solve_graph((A, B), slope, 0,
                         lambda k: lin + desc.rational(k) * step, N, fail)

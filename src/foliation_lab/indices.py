@@ -177,8 +177,9 @@ class PlaneSingularity:
     variable set to one, and `form` the translated affine local 1-form in
     (u, v); `code` and `linear` come from the plane classification.
     `form` is normalized once, when the point is found, and carries the
-    `coprime` flag, so the classification and every index taken at the
-    point only strip its monomial content.
+    `coprime` flag (proved in _plane_sings, not certified), so the
+    classification and every index taken at the point only strip its
+    monomial content.
     """
 
     __slots__ = ("point", "chart", "base", "form", "code", "well_oriented",
@@ -297,14 +298,29 @@ def plane_singularities(fol: ProjFoliation):
 
 
 def _classified(point, chart, base, a, b):
+    # a and b are coprime (see _plane_sings), and translation keeps it
     form = normalize2(OneForm2(a.translate({"u": base[0], "v": base[1]}),
                                b.translate({"u": base[0], "v": base[1]}),
-                               _UV))
+                               _UV, coprime=True))
     code, well, M = classify_point2(form, LocalDivisor.empty())
     return PlaneSingularity(point, chart, base, form, code, well, M)
 
 
 def _plane_sings(fol: ProjFoliation):
+    """Singular points chart by chart: Z = 1, then Y = 1 on Z = 0, then
+    (1 : 0 : 0).
+
+    The two chart coefficients of every local form share no nonconstant
+    factor, so the forms are built with `coprime` and normalize2 only
+    strips monomial content.  In chart Z, _affine_common_roots has
+    proved gcd(a, b) = 1.  In charts Y and X, a common factor would be a
+    curve of singular points (the Euler relation makes the third
+    coefficient vanish there too).  Off Z = 0 such a curve lies in chart
+    Z, where coprime a and b have only finitely many common zeros; so it
+    would be the line Z = 0, whose two restrictions in chart Y would then
+    both vanish, and that is refused before any point of chart Y or X is
+    built.
+    """
     desc = fol.desc
     zero, one = desc.zero(), desc.one()
     A, B, C = fol.coeffs
@@ -587,17 +603,11 @@ def _branch_coeffs(c: MPoly, slope: FieldElement, m: int, N: int):
     u, v = c.vars
     fail = "the tangent direction is not a simple branch"
     uu = MPoly.variable(c.vars, u, c.desc, N + m)
-
-    def residual(cs, prec):
-        s = MPoly(c.vars, {(k + 1, 0): ck for k, ck in enumerate(cs)},
-                  c.desc, prec)
-        return c.substitute({u: uu, v: s})
-
     eta = c.partial(v).substitute({u: uu, v: uu.scale(slope)}).coefficient(
         (m - 1, 0))
     if eta.is_zero():
         raise ValueError(fail)
-    return _solve_graph(residual, slope, m - 1, lambda k: eta, N, fail)
+    return _solve_graph((c,), slope, m - 1, lambda k: eta, N, fail)
 
 
 # ---------------------------------------------------------------------------

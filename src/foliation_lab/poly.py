@@ -242,22 +242,35 @@ class MPoly:
             if img.vars != tgt.vars or img.desc != self.desc:
                 raise ValueError("substitution images are incompatible")
             prec = self._join_prec(prec, img.prec)
-        out = {}
-        pow_cache = [{0: MPoly.constant(tgt.vars, 1, self.desc, prec)}
-                     for _ in images]
+        if prec is not None:
+            images = [img.truncate(prec) for img in images]
+        powers = [[None, img] for img in images]  # powers[i][k] = image^k
+
+        def power(i, k):
+            cache = powers[i]
+            while len(cache) <= k:
+                cache.append(cache[-1] * cache[1])
+            return cache[k]
+
+        # terms sharing their exponents past the first variable are one
+        # combination of powers of the first image, multiplied out once
+        origin = (0,) * len(tgt.vars)
+        groups = {}
         for e, c in self.terms():
-            term = MPoly.constant(tgt.vars, c, self.desc, prec)
-            for i, k in enumerate(e):
-                cache = pow_cache[i]
-                if k not in cache:
-                    kk = max(cache)
-                    acc = cache[kk]
-                    while kk < k:
-                        acc = acc * images[i]
-                        kk += 1
-                        cache[kk] = acc
-                term = term * cache[k]
-            for te, tc in term.coeffs.items():
+            acc = groups.setdefault(e[1:], {})
+            if not e[0]:
+                acc[origin] = acc[origin] + c if origin in acc else c
+                continue
+            for te, tc in power(0, e[0]).coeffs.items():
+                tc = c * tc
+                acc[te] = acc[te] + tc if te in acc else tc
+        out = {}
+        for rest, acc in groups.items():
+            part = tgt._make(acc, prec)
+            for i, k in enumerate(rest, 1):
+                if k:
+                    part = part * power(i, k)
+            for te, tc in part.coeffs.items():
                 out[te] = out[te] + tc if te in out else tc
         return tgt._make(out, prec)
 

@@ -541,6 +541,17 @@ def test_rational_queries_and_comparisons_agree(desc, data):
     assert (lx == lx + 0) and (lx != lx + 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_towers, st.data())
+def test_truth_value_agrees_with_reference(desc, data):
+    """__bool__ tests both coordinates itself, in every tower."""
+    lx, rx = _pair(data.draw, desc)
+    assert bool(lx) == bool(rx) == (not rx.is_zero())
+    assert not desc.zero() and not (lx - lx) and desc.one()
+    if desc.quadratic_extension is not None:
+        assert desc.sqrt_gen()  # a = 0, b = 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(_towers, st.data())
 def test_square_roots_agree_with_reference(desc, data):

@@ -4,18 +4,20 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, forms,
-                           gsv_index, localize_at, logarithmic_criterion,
-                           plane_singularities, sum_theorem_check)
+                           gsv_index, indices, localize_at,
+                           logarithmic_criterion, plane_singularities,
+                           sum_theorem_check)
 from foliation_lab.indices import (_branch_coeffs, _cs_over_branches,
                                    _local_branches, _resultant_eliminating,
                                    _swapped)
-from foliation_lab.poly import MPoly, u_roots_in_tower
+from foliation_lab.poly import MPoly, gcd_bivariate, u_roots_in_tower
 from foliation_lab.reduce2d import SADDLE_NODE
 
 from conftest import (PROJ3, Q, UV, corpus2, log_plane_foliation, mk,
@@ -59,7 +61,56 @@ def test_sum_check_certifies_each_point_once(monkeypatch):
                         lambda polys: calls.append(1) or certify(polys))
     rep = sum_theorem_check(fol, X * Y * Z)
     assert rep.cs_ok and rep.gsv_ok and rep.bb_ok
-    assert 0 < len(calls) <= points
+    assert points and len(calls) == 0  # coprime by proof (_plane_sings)
+
+
+def _check_local_forms_coprime(monkeypatch):
+    """Run the full certificate on every local form that the index code
+    normalizes with the `coprime` flag set; returns the forms checked."""
+    checked = []
+    normalize = indices.normalize2
+
+    def certifying(form):
+        if form.coprime:
+            A, B = forms._content_and_gcd([form.A, form.B], coprime=True)
+            assert not A.is_zero() and not B.is_zero(), form.render()
+            assert (forms._quickly_coprime([A, B])
+                    or gcd_bivariate(A, B).degree() == 0), form.render()
+            checked.append(form)
+        return normalize(form)
+
+    monkeypatch.setattr(indices, "normalize2", certifying)
+    return checked
+
+
+def test_local_forms_of_conftest_foliations_are_coprime(monkeypatch):
+    checked = _check_local_forms_coprime(monkeypatch)
+    fol, (X, Y, Z) = log_plane_foliation()
+    assert sum_theorem_check(fol, X * Y * Z).ok
+    fol, _ = saddle_node_plane_foliation()
+    plane_singularities(fol)
+    fol, gens = planes4_foliation()
+    logarithmic_criterion(fol, gens[0] * gens[1] * gens[2] * gens[3],
+                          (1, 2, 3))
+    assert len(checked) >= 10
+
+
+@pytest.mark.parametrize("seed", [5, 33])
+def test_local_forms_of_the_projective_workload_are_coprime(
+        monkeypatch, tmp_path, seed):
+    """Every index and log-criterion item of one cycle of the
+    bench/workloads.py space3-projective generator."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+    import workloads
+    checked = _check_local_forms_coprime(monkeypatch)
+    items = [item for item in workloads.generate("space3-projective", seed, 1)
+             if item.command in ("indices", "log-criterion")]
+    for item in items:
+        path = tmp_path / (item.name + ".form")
+        path.write_text(item.text + "\n", encoding="utf-8")
+        cli.main([item.command, str(path), "--out",
+                  str(tmp_path / (item.name + ".json"))] + item.flags)
+    assert len(items) == 65 and len(checked) > 100
 
 
 def test_index_sums_over_the_full_triangle():

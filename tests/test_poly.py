@@ -101,6 +101,55 @@ def test_substitute_series_into_a_one_variable_series():
             - mk(UV, {(1, 1): 1, (2, 2): 1}).truncate(5)).is_zero()
 
 
+def _frozen_substitute(p, mapping):
+    """MPoly.substitute before terms were grouped: every term a checked
+    constant times the cached powers, one full product per factor."""
+    images = [mapping[name] for name in p.vars]
+    tgt = images[0]
+    prec = p.prec
+    for img in images:
+        prec = MPoly._join_prec(prec, img.prec)
+    out = {}
+    pow_cache = [{0: MPoly.constant(tgt.vars, 1, p.desc, prec)}
+                 for _ in images]
+    for e, c in p.terms():
+        term = MPoly.constant(tgt.vars, c, p.desc, prec)
+        for i, k in enumerate(e):
+            cache = pow_cache[i]
+            if k not in cache:
+                kk = max(cache)
+                acc = cache[kk]
+                while kk < k:
+                    acc = acc * images[i]
+                    kk += 1
+                    cache[kk] = acc
+            term = term * cache[k]
+        for te, tc in term.coeffs.items():
+            out[te] = out[te] + tc if te in out else tc
+    return MPoly(tgt.vars, out, p.desc, prec)
+
+
+_XYZ = ("x", "y", "z")
+_precs = st.one_of(st.none(), st.integers(1, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3),
+       st.lists(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _fracs,
+                                max_size=5), min_size=4, max_size=4),
+       st.lists(_precs, min_size=4, max_size=4))
+def test_substitute_matches_frozen_copy(n_src, n_tgt, dicts, precs):
+    """Polynomials and series in 1-3 variables, images in 1-3 variables,
+    exact or truncated, including the constant and zero images."""
+    src, tgt = _XYZ[:n_src], ("u", "v", "w")[:n_tgt]
+    p = MPoly(src, {e[:n_src]: c for e, c in dicts[0].items()}, Q, precs[0])
+    mapping = {name: MPoly(tgt, {e[:n_tgt]: c for e, c in d.items()}, Q, pr)
+               for name, d, pr in zip(src, dicts[1:], precs[1:])}
+    got, want = p.substitute(mapping), _frozen_substitute(p, mapping)
+    assert (got.vars, got.coeffs, got.prec) == (want.vars, want.coeffs,
+                                                 want.prec)
+
+
 def test_vanishing_order():
     assert mk(UV, {(2, 1): 1, (0, 4): 2}).order() == 3
 
