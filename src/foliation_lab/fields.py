@@ -547,15 +547,6 @@ class FieldElement:
     def __repr__(self):
         return f"<{self.render()} in {self.desc.describe()}>"
 
-    def to_complex(self) -> complex:
-        """Floating image; only for numerical test oracles."""
-        if self.involves_parameter():
-            raise FieldError("cannot take a numeric image of a parameter")
-        val = complex(_frac(self.a))
-        if self.desc.quadratic_extension is not None and self.b:
-            val += complex(_frac(self.b)) * complex(self.desc.quadratic_extension) ** 0.5
-        return val
-
 
 def coerce(x: FieldElement, desc: FieldDescriptor) -> FieldElement:
     """Embed x into a tower that extends its own."""

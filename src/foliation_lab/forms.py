@@ -41,10 +41,8 @@ from .linalg import rank
 from .poly import (
     MPoly,
     OrderIndeterminate,
-    _utrim,
     exact_divide,
     gcd_bivariate,
-    u_gcd,
 )
 
 
@@ -63,13 +61,6 @@ class InvarianceResult:
 
     def __bool__(self):
         return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, bool):
-            return self.value == other
-        if isinstance(other, InvarianceResult):
-            return self.value == other.value and self.order == other.order
-        return NotImplemented
 
     def __repr__(self):
         return "InvarianceResult(%r, order=%r)" % (self.value, self.order)
@@ -189,31 +180,11 @@ class OneForm3:
             self.vars,
         )
 
-    def translate(self, shifts) -> "OneForm3":
-        return OneForm3(
-            self.A.translate(shifts),
-            self.B.translate(shifts),
-            self.C.translate(shifts),
-            self.vars,
-        )
-
-    def rename(self, new_vars) -> "OneForm3":
-        new_vars = tuple(new_vars)
-        return OneForm3(
-            self.A.rename(new_vars),
-            self.B.rename(new_vars),
-            self.C.rename(new_vars),
-            new_vars,
-        )
-
-    def render(self) -> str:
+    def __repr__(self):
         x, y, z = self.vars
-        return "(%s) d%s + (%s) d%s + (%s) d%s" % (
+        return "OneForm3((%s) d%s + (%s) d%s + (%s) d%s)" % (
             self.A.render(), x, self.B.render(), y, self.C.render(), z,
         )
-
-    def __repr__(self):
-        return "OneForm3(%s)" % self.render()
 
 
 class DivisorBranch:
@@ -280,77 +251,14 @@ class CurveJet:
         return "CurveJet(%s)" % ", ".join(c.render() for c in self.components)
 
 
-def _line_restriction(p: MPoly, k):
-    """Coefficient list of p(u, k*u) in the single variable u."""
-    desc = p.desc
-    powers = {0: desc.one()}
-    out = {}
-    for (i, j), c in p.coeffs.items():
-        if j not in powers:
-            acc = desc.one()
-            for _ in range(j):
-                acc = acc * k
-            powers[j] = acc
-        d = i + j
-        out[d] = out.get(d, desc.zero()) + c * powers[j]
-    if not out:
-        return []
-    n = max(out)
-    return _utrim([out.get(d, desc.zero()) for d in range(n + 1)])
-
-
-def _strip_origin_root(r):
-    k = 0
-    while k < len(r) and r[k].is_zero():
-        k += 1
-    return r[k:]
-
-
-def _dehomog_lowest(p: MPoly):
-    """g(1, t) for the lowest homogeneous part g of p, as a coefficient list."""
-    low = p.lowest_part()
-    d = sum(next(iter(low.coeffs)))
-    out = [p.desc.zero()] * (d + 1)
-    for (_, j), c in low.coeffs.items():
-        out[j] = c
-    return _utrim(out)
-
-
-def _quickly_coprime(polys):
-    """Certify that the exact bivariate polynomials share no nonconstant
-    factor.  A homogeneous common factor would divide all the lowest
-    homogeneous parts; a non-homogeneous one leaves a nonconstant trace
-    on one of 2*D+1 lines v = k*u after the forced root at the origin is
-    stripped.  False means 'not certified', not 'not coprime'."""
-    desc = polys[0].desc
-
-    def common_constant(rests):
-        g = rests[0]
-        for r in rests[1:]:
-            g = u_gcd(g, r, desc)
-            if len(g) == 1:
-                return True
-        return len(g) == 1
-
-    if not common_constant([_dehomog_lowest(p) for p in polys]):
-        return False
-    D = min(p.degree() for p in polys)
-    for kq in range(1, 2 * D + 2):
-        k = desc.rational(kq)
-        rests = [_strip_origin_root(_line_restriction(p, k)) for p in polys]
-        if any(not r for r in rests):
-            return False
-        if not common_constant(rests):
-            return False
-    return True
-
-
 def _content_and_gcd(coeffs, coprime=False):
     """Common factor of a list of nonzero polynomials/series.
 
     Monomial content always comes out; a genuine polynomial gcd is taken
     only for exact bivariate input, where the subresultant walk applies,
     and only when the caller does not already know the list is coprime.
+    gcd_bivariate is then the one certificate: a gcd of degree 0 proves
+    the list coprime.
     """
     alive = [p for p in coeffs if not p.is_zero()]
     if not alive:
@@ -373,10 +281,7 @@ def _content_and_gcd(coeffs, coprime=False):
         return stripped
     alive = [p for p in stripped if not p.is_zero()]
     exact = all(p.prec is None for p in alive)
-    if exact and len(alive[0].vars) == 2 and len(alive) >= 2 \
-            and _quickly_coprime(alive):
-        return stripped
-    if exact and len(alive[0].vars) == 2 and len(alive) >= 1:
+    if exact and len(alive[0].vars) == 2:
         g = alive[0]
         for p in alive[1:]:
             g = gcd_bivariate(g, p)
@@ -401,8 +306,9 @@ def normalize2(form: OneForm2) -> OneForm2:
 
     The result has `coprime` set: for exact coefficients A and B share
     no nonconstant factor; truncated series only lose monomial content.
-    A form that already carries the flag (see OneForm2) skips the gcd
-    certificate and only loses its monomial content.
+    Coprimality of exact coefficients is decided by gcd_bivariate alone.
+    A form that already carries the flag (see OneForm2) skips that gcd
+    and only loses its monomial content.
     """
     if form.is_zero():
         raise ValueError("zero form cannot be normalized")

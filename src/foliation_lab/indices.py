@@ -136,18 +136,6 @@ class LogarithmicData:
         self.vars = vars_
         self.desc = desc
 
-    def surface_degree(self) -> int:
-        return sum(_homogeneous_degree(f) for f in self.factors)
-
-    def degree(self) -> int:
-        return self.surface_degree() - 2
-
-    def surface(self) -> MPoly:
-        out = MPoly.constant(self.vars, 1, self.desc)
-        for f in self.factors:
-            out = out * f
-        return out
-
 
 def logarithmic_build(data: LogarithmicData) -> ProjFoliation:
     """The polynomial form F_1...F_l * sum lam_i dF_i / F_i."""

@@ -30,7 +30,7 @@ def _echelon(rows, ncols, det_factors=None):
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
@@ -41,12 +41,12 @@ def _echelon(rows, ncols, det_factors=None):
         if det_factors is not None:
             det_factors.append(-p if pivot != r else p)
         inv = p.inverse()
-        nz = [j for j, x in enumerate(prow) if not x.is_zero()]
+        nz = [j for j, x in enumerate(prow) if x]
         for j in nz:
             prow[j] = prow[j] * inv
         for i, row in enumerate(rows):
             f = row[c]
-            if i != r and not f.is_zero():
+            if i != r and f:
                 for j in nz:
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
@@ -91,12 +91,12 @@ def solve(matrix, rhs, desc: FieldDescriptor):
     """One solution of matrix * x = rhs, or None when inconsistent."""
     n = len(matrix)
     if n == 0:
-        return [] if all(b.is_zero() for b in rhs) else None
+        return None if any(rhs) else []
     ncols = len(matrix[0])
     rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     pivots = _echelon(rows, ncols)
     for r in range(len(pivots), n):
-        if not rows[r][ncols].is_zero():
+        if rows[r][ncols]:
             return None
     x = [desc.zero()] * ncols
     for r, c in enumerate(pivots):

@@ -166,9 +166,6 @@ class MPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._match(other)
         if other is NotImplemented:

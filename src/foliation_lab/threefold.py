@@ -530,20 +530,6 @@ class SectionMap:
         self.vars = vars2
         self.desc = desc
 
-    def factor(self, i: int):
-        """Monomial factorization phi_i = u^r v^s * unit-or-strict part."""
-        c = self.components[i]
-        if c.is_zero():
-            return (0, 0, c)
-        r, s = c.monomial_content()
-        rest = c
-        u, v = self.vars
-        if r:
-            rest = rest.divide_var_power(u, r)
-        if s:
-            rest = rest.divide_var_power(v, s)
-        return (r, s, rest)
-
     def __repr__(self):
         return "SectionMap(%s)" % ", ".join(c.render() for c in self.components)
 

@@ -1,5 +1,6 @@
-"""No dead names in the package: every module-level import is used, and
-every local name a function stores is read again (``_`` excepted)."""
+"""No dead names in the package: every module-level import is used,
+every local name a function stores is read again (``_`` excepted), and
+every private top-level function or class is named outside itself."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,35 @@ def dead_names(source):
     return found
 
 
+def _named(node):
+    """Every name, attribute and imported name that a node mentions."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def orphans(sources):
+    """(module, name, line) of every private top-level function or class
+    that no top-level statement but its own definition names; `sources`
+    maps module names to their source text."""
+    defs, named = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            named.append((node, _named(node)))
+            if (isinstance(node, _SCOPES + (ast.ClassDef,))
+                    and node.name.startswith("_")):
+                defs.append((module, node))
+    return [(module, node.name, node.lineno) for module, node in defs
+            if not any(node.name in names
+                       for other, names in named if other is not node)]
+
+
 def test_no_dead_names_in_the_package():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -74,3 +104,22 @@ def test_dead_name_guard_sees_planted_names():
               "    return lcm(a, g())\n")
     assert dead_names(source) == [("<module>", "os", 1),
                                   ("<module>", "gcd", 2), ("f", "b", 4)]
+
+
+def test_no_orphaned_private_helpers_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert orphans(sources) == []
+
+
+def test_orphan_guard_sees_planted_helpers():
+    sources = {"a.py": ("def _used():\n"
+                        "    return 1\n"
+                        "def _orphan(n):\n"
+                        "    return _orphan(n - 1) if n else 0\n"
+                        "class _Lonely:\n"
+                        "    pass\n"),
+               "b.py": ("from .a import _used\n"
+                        "def f():\n"
+                        "    return _used()\n")}
+    assert orphans(sources) == [("a.py", "_orphan", 3), ("a.py", "_Lonely", 5)]

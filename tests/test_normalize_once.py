@@ -140,7 +140,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_reduce2_certifies_coprimality_once(monkeypatch, tmp_path):
-    calls = _counting(monkeypatch, forms, "_quickly_coprime")
+    calls = _counting(monkeypatch, forms, "gcd_bivariate")
     [(code, _)] = _reports("reduce2", [CUBIC], tmp_path)
     assert code == 0
     assert len(calls) == 1
@@ -197,8 +197,7 @@ _FLOAT_CALLS = {"float", "complex"}
 
 
 class _FloatFinder(ast.NodeVisitor):
-    """Float-producing constructs outside FieldElement.to_complex, which
-    only the numeric test oracles use."""
+    """Float-producing constructs, each with its scope and line."""
 
     def __init__(self):
         self.scope = []
@@ -213,8 +212,7 @@ class _FloatFinder(ast.NodeVisitor):
     visit_FunctionDef = _enter
 
     def _flag(self, node, what):
-        if self.scope[-2:] != ["FieldElement", "to_complex"]:
-            self.found.append((".".join(self.scope), node.lineno, what))
+        self.found.append((".".join(self.scope), node.lineno, what))
 
     def visit_Call(self, node):
         if isinstance(node.func, ast.Name) and node.func.id in _FLOAT_CALLS:

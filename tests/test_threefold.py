@@ -1,12 +1,14 @@
 """Three-variable germs: model matching, section tests, main harness."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from foliation_lab import (dimensional_type, match_simple_model3,
-                           second_type3_via_sections, theorem_main_harness)
-from foliation_lab.forms import OneForm3
+from foliation_lab import (cli, dimensional_type, match_simple_model3,
+                           second_type3_via_sections, theorem_main_harness,
+                           well_oriented3)
+from foliation_lab.forms import DivisorBranch, LocalDivisor, OneForm3
 from foliation_lab.poly import MPoly
 
 from conftest import (CUSP_LINE_SCRIPT, Q, Q2, XYZ, cusp_line_form, f3)
@@ -63,6 +65,14 @@ def test_match_model_b2():
     assert m.code == "B2"
     assert m.powers == (1, 1)
     assert [w.render() for w in m.weak_planes] == ["z"]
+
+
+def test_well_oriented3_reads_the_invariant_divisor():
+    fb2 = f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(2, 2, 0): 1})
+    m = match_simple_model3(fb2)
+    weak = MPoly.variable(XYZ, "z", Q).scale(Q.rational(2))
+    assert not well_oriented3(m, LocalDivisor([DivisorBranch(weak)]))
+    assert well_oriented3(m, LocalDivisor([DivisorBranch(weak, True)]))
 
 
 def test_match_model_b3_resonant_monomial():
@@ -130,3 +140,26 @@ def test_harness_flags_non_simple_point():
     rep = theorem_main_harness(_fibered_tangent(), S, [])
     assert not rep.ok
     assert any(not r.simple for r in rep.records)
+
+
+# After the blow-up of the x-axis, chart az carries the exceptional plane
+# {z = 0} and a B2 point at its origin.  In the first germ the weak plane
+# of that point is the exceptional plane; in the second it is {y = 0},
+# which the match reaches through a non-identity permutation.
+@pytest.mark.parametrize("omega3,well,ok", [
+    ("y*z^2 dx + x*z^2 dy + (x^2*y^2 - x*y*z) dz", False, False),
+    ("y*z dx + x^2*z^2 dy + (x*y - x^2*y*z) dz", True, True),
+], ids=["weak-plane-exceptional", "weak-plane-y"])
+def test_theorem_main_checks_well_orientedness(tmp_form_file, tmp_path,
+                                               omega3, well, ok):
+    text = ("omega3: %s\nseparatrix:{ x, y, z }\nscript:[ axis-x ]\n"
+            % omega3)
+    out = tmp_path / "t.json"
+    assert cli.main(["theorem-main", tmp_form_file(text),
+                     "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    [rec] = [r for r in v["records"]
+             if r["path"] == ["az"] and r["where"] == "origin"]
+    assert rec["result"] == "B2" and rec["simple"] is True
+    assert rec["well_oriented"] is well
+    assert v["ok"] is ok
