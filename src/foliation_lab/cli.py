@@ -130,15 +130,16 @@ def _separatrices_and_identity(parsed, tree, opts):
     """Separatrix set of `tree` and the multiplicity identity report.
 
     Without divisor branches `tree` is the reduction the identity needs,
-    so the form is reduced and its branches collected only once.
+    so the form is reduced, saturated and its branches collected only
+    once: `tree.form` is the normalized root.
     """
-    form = parsed.form
     if parsed.divisor is None or not parsed.divisor.branches:
-        rep = multiplicity_identity_check(form, opts.truncation,
+        rep = multiplicity_identity_check(tree.form, opts.truncation,
                                           opts.max_depth, tree=tree)
         return rep.seps, rep
-    seps = separatrices2(form.coerce_to(tree.desc), tree, opts.truncation)
-    return seps, multiplicity_identity_check(form, opts.truncation,
+    seps = separatrices2(parsed.form.coerce_to(tree.desc), tree,
+                         opts.truncation)
+    return seps, multiplicity_identity_check(parsed.form, opts.truncation,
                                              opts.max_depth)
 
 

@@ -189,16 +189,16 @@ def separatrices2(form: OneForm2, tree: ReductionTree, N: int = 12) -> Separatri
         raise DicriticalInputError(tree.dicritical_components())
     form = normalize2(form).coerce_to(tree.desc)
     try:
-        return _collect_branches(form, tree, N)
+        return _collect_branches(tree, N)
     except WidenRequest as w:
         # an eigendirection left the tower; widen and redo the reduction
         desc = tree.desc.widened(w.m)
         form = form.coerce_to(desc)
         tree = seidenberg_reduce(form)
-        return _collect_branches(form, tree, N)
+        return _collect_branches(tree, N)
 
 
-def _collect_branches(form: OneForm2, tree: ReductionTree, N: int) -> SeparatrixSet:
+def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
     branches = []
     for rec in tree.leaves:
         if rec.code.kind == REGULAR:

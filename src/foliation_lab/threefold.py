@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _lcm
 
 from .fields import (
     FieldElement,
@@ -267,108 +267,85 @@ def _fully_nonresonant(lams, bound: int) -> bool:
     return True
 
 
+def _integer_powers(a0: FieldElement, others):
+    """Coprime positive integers (p1, p2, ...) with others[i] / a0 equal
+    to p_(i+2) / p1, or None when a ratio is not a positive rational."""
+    ratios = [_positive_rational(r / a0) for r in others]
+    if any(r is None for r in ratios):
+        return None
+    p1 = _lcm(*(r.denominator for r in ratios))
+    powers = [p1] + [int(r * p1) for r in ratios]
+    g = _igcd(*powers)
+    return tuple(p // g for p in powers)
+
+
 def _match_tau3(form: OneForm3, jet_order: int, resonance_bound: int):
-    desc = form.desc
-    vars3 = form.vars
+    x, y, z = form.vars
     for perm in itertools.permutations(range(3)):
-        A = _perm_poly(form.coeffs()[perm[0]], perm)
-        B = _perm_poly(form.coeffs()[perm[1]], perm)
-        C = _perm_poly(form.coeffs()[perm[2]], perm)
-        x, y, z = vars3
+        A, B, C = (_perm_poly(form.coeffs()[i], perm) for i in perm)
         a = _residue_series(A, (y, z), jet_order)
         b = _residue_series(B, (x, z), jet_order)
         c = _residue_series(C, (x, y), jet_order)
         if a is None or b is None or c is None:
             continue
         a0, b0, c0 = (p.constant_coefficient() for p in (a, b, c))
-        if a0.is_zero():
+        if not a0 or (c0 and not b0):
             continue
-        plane = lambda i: MPoly.variable(vars3, vars3[perm[i]], desc)
-        if not b0.is_zero() and not c0.is_zero():
-            # model B3 first: a positive integer residue vector carrying a
-            # resonant monomial.  Tried before model A because integer
-            # residue ratios always pass the zero-sum non-resonance check
-            # yet the germ need not be linearizable.
-            r2 = _positive_rational(b0 / a0)
-            r3 = _positive_rational(c0 / a0)
-            if r2 is not None and r3 is not None:
-                den = r2.denominator * r3.denominator // _igcd(
-                    r2.denominator, r3.denominator)
-                p1, p2, p3 = den, int(r2 * den), int(r3 * den)
-                g = _igcd(_igcd(p1, p2), p3)
-                p1, p2, p3 = p1 // g, p2 // g, p3 // g
-                p1e = desc.rational(p1)
-                qb = _series_quot(b.scale(p1e), a, jet_order)
-                qc = _series_quot(c.scale(p1e), a, jet_order)
-                if qb is not None and qc is not None:
-                    qb = qb - MPoly.constant(vars3, desc.rational(p2), desc,
-                                             jet_order)
-                    qc = qc - MPoly.constant(vars3, desc.rational(p3), desc,
-                                             jet_order)
-                    got = _extract_pair(qb, qc, (p1, p2, p3))
-                    if got is not None:
-                        phi, l2, l3 = got
-                        if _pair_nonresonant(l2, l3):
-                            return Model3Match(
-                                "B3", 3,
-                                residues=(desc.rational(p1), l2, l3),
-                                powers=(p1, p2, p3), phi=phi,
-                                permutation=perm)
+        if b0:
+            # model B3 (c0 != 0) or B2 (c0 = 0, weak plane {z = 0}):
+            # positive integer residue ratios.  B3 is tried before model
+            # A because integer residue ratios always pass the zero-sum
+            # non-resonance check yet the germ need not be linearizable.
+            powers = _integer_powers(a0, (b0, c0) if c0 else (b0,))
+            if powers is not None and not c.is_zero():
+                qb, qc = (_series_quot(p, a, jet_order) for p in (b, c))
+                match = _model_b(qb, qc, powers, perm)
+                if match is not None:
+                    return match
             # model A: three nonzero, fully non-resonant residues.  The
             # residue series need not be constant: a non-resonant germ is
             # formally linearizable, so unit factors picked up along the
             # way do not change the model.
-            if _fully_nonresonant((a0, b0, c0), resonance_bound):
+            if c0 and _fully_nonresonant((a0, b0, c0), resonance_bound):
                 return Model3Match("A", 3, residues=(a0, b0, c0),
                                    permutation=perm)
             continue
-        if not b0.is_zero() and c0.is_zero():
-            # model B2: two positive integer residues, weak plane {z = 0}
-            r2 = _positive_rational(b0 / a0)
-            if r2 is None or c.is_zero():
-                continue
-            p1, p2 = r2.denominator, r2.numerator
-            p1e = desc.rational(p1)
-            qb = _series_quot(b.scale(p1e), a, jet_order)
-            qc = _series_quot(c.scale(p1e), a, jet_order)
-            if qb is None or qc is None:
-                continue
-            qb = qb - MPoly.constant(vars3, desc.rational(p2), desc, jet_order)
-            got = _extract_pair(qb, qc, (p1, p2, 0))
-            if got is None:
-                continue
-            phi, l2, l3 = got
-            if l3.is_zero() or not _pair_nonresonant(l2, l3):
-                continue
-            return Model3Match("B2", 3, residues=(desc.rational(p1), l2, l3),
-                               powers=(p1, p2), phi=phi,
-                               weak_planes=(plane(2),), permutation=perm)
-        if b0.is_zero() and c0.is_zero():
-            # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
-            qb = _series_quot(b, a, jet_order)
-            qc = _series_quot(c, a, jet_order)
-            if qb is None or qc is None or qb.is_zero() or qc.is_zero():
-                continue
-            if any(q.degree_in(y) or q.degree_in(z) for q in (qb, qc)):
-                continue
-            exps = set()
-            for q in (qb, qc):
-                exps.update(e[0] for e in q.coeffs)
-            p1 = 0
-            for e in exps:
-                p1 = _igcd(p1, e)
-            got = _extract_pair(qb, qc, (p1, 0, 0))
-            if got is None:
-                continue
-            phi, l2, l3 = got
-            l2, l3 = l2 * desc.rational(p1), l3 * desc.rational(p1)
-            if not _pair_nonresonant(l2, l3):
-                continue
-            return Model3Match("B1", 3, residues=(desc.rational(p1), l2, l3),
-                               powers=(p1,), phi=phi,
-                               weak_planes=(plane(1), plane(2)),
-                               permutation=perm)
+        # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
+        qb, qc = (_series_quot(p, a, jet_order) for p in (b, c))
+        if any(q.is_zero() or q.degree_in(y) or q.degree_in(z)
+               for q in (qb, qc)):
+            continue
+        p1 = _igcd(*(e[0] for q in (qb, qc) for e in q.coeffs))
+        match = _model_b(qb, qc, (p1,), perm)
+        if match is not None:
+            return match
     return Model3Match("NotSimple", 3)
+
+
+def _model_b(qb: MPoly, qc: MPoly, powers, perm):
+    """Model B<k>, k = len(powers), from qb = b/a and qc = c/a, or None.
+
+    With (p1, p2, p3) the powers padded by zeros, p1 qb - p2 and
+    p1 qc - p3 must be lam_b phi and lam_c phi for one series phi in
+    x^p1 y^p2 z^p3; a residue lam whose power is 0 must not vanish, and
+    (lam_b, lam_c) must be non-resonant.  The weak planes are the
+    coordinate planes past the powers.
+    """
+    vars3, desc = qb.vars, qb.desc
+    pvec = tuple(powers) + (0,) * (3 - len(powers))
+    p1 = desc.rational(pvec[0])
+    got = _extract_pair(qb.scale(p1) - desc.rational(pvec[1]),
+                        qc.scale(p1) - desc.rational(pvec[2]), pvec)
+    if got is None:
+        return None
+    phi, l2, l3 = got
+    if (any(not l for l, p in zip((l2, l3), pvec[1:]) if not p)
+            or not _pair_nonresonant(l2, l3)):
+        return None
+    k = len(powers)
+    planes = [MPoly.variable(vars3, vars3[perm[i]], desc) for i in range(k, 3)]
+    return Model3Match("B%d" % k, 3, residues=(p1, l2, l3), powers=powers,
+                       phi=phi, weak_planes=planes, permutation=perm)
 
 
 def _extract_pair(qb: MPoly, qc: MPoly, pvec):
@@ -434,17 +411,11 @@ def _match_tau2(form: OneForm3, jet_order: int):
             resonant = True
     residues = ()
     u2, v2 = form2.vars
-    ra = _residue_series2(form2.A, v2)
-    rb = _residue_series2(form2.B, u2)
+    ra = _residue_series(form2.A, (v2,), jet_order)
+    rb = _residue_series(form2.B, (u2,), jet_order)
     if ra is not None and rb is not None:
         residues = (ra.constant_coefficient(), rb.constant_coefficient())
     return Model3Match("b2" if resonant else "a", 2, residues=residues)
-
-
-def _residue_series2(p: MPoly, w: str):
-    if p.is_zero() or p.min_exponent_in(w) < 1:
-        return None
-    return p.divide_var_power(w, 1)
 
 
 def _lift_to3(eq2: MPoly, vars3):
@@ -596,7 +567,20 @@ def _axis_trace_form(form: OneForm3, kept: str, param_name: str = "s"):
             desc_s)
 
 
-def _random_section(rng, vars3, vars2, desc):
+def _axis_divisor(branches, kept: str, vars2, value) -> LocalDivisor:
+    """The traces on the plane {kept = value}, in `vars2`, of the divisor
+    branches that contain the axis of `kept`, with their dicritical tags:
+    the branches through a generic point of the axis."""
+    traces = []
+    for b in branches:
+        eq = b.equation
+        if eq.restrict({w: 0 for w in eq.vars if w != kept}).is_zero():
+            tr = eq.coerce_to(value.desc).restrict({kept: value})
+            traces.append(DivisorBranch(tr.rename(vars2), b.dicritical))
+    return LocalDivisor(traces)
+
+
+def _random_section(rng, vars2, desc):
     u, v = vars2
     uu = MPoly.variable(vars2, u, desc)
     vv = MPoly.variable(vars2, v, desc)
@@ -639,18 +623,16 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     evidence = []
     notes = []
     planes = _invariant_planes(form)
+    plane_branches = [DivisorBranch(MPoly.variable(form.vars, w, desc))
+                      for w in planes]
 
     # transversal type at a generic point of each singular axis
     for kept in _singular_axes(form):
         try:
             form2, desc_s = _axis_trace_form(form, kept)
-            branches = []
-            for w in planes:
-                if w == kept:
-                    continue
-                branches.append(DivisorBranch(
-                    MPoly.variable(form2.vars, w, desc_s), False))
-            st = is_second_type2(form2, LocalDivisor(branches), max_depth)
+            D2 = _axis_divisor(plane_branches, kept, form2.vars,
+                               desc_s.param_gen())
+            st = is_second_type2(form2, D2, max_depth)
             if not st:
                 witnesses.append(("axis", kept, st.witnesses))
             else:
@@ -669,10 +651,8 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
         elif match.tau == 2:
             w = cylinder_direction(form)
             form2 = _plane_trace(form, w)
-            branches = [DivisorBranch(
-                MPoly.variable(form2.vars, v, desc), False)
-                for v in planes if v != w]
-            st = is_second_type2(form2, LocalDivisor(branches), max_depth)
+            D2 = _axis_divisor(plane_branches, w, form2.vars, desc.zero())
+            st = is_second_type2(form2, D2, max_depth)
             if not st:
                 witnesses.append(("origin", w, st.witnesses))
             else:
@@ -692,7 +672,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     for trial in range(trials):
         section = None
         for _ in range(40):
-            cand, rows = _random_section(rng, form.vars, ("u", "v"), desc)
+            cand, rows = _random_section(rng, ("u", "v"), desc)
             try:
                 G = pullback_section(form, cand)
             except ValueError:
@@ -856,7 +836,6 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
     for path in sorted(panels):
         f, D, seqs = panels[path]
         f = normalize3(f)
-        desc = f.desc
         local = [b for b in D if b.equation.constant_coefficient().is_zero()]
         if any(not p.constant_coefficient().is_zero() for p in f.coeffs()):
             records.append(PointRecord(path, "origin", REGULAR, True))
@@ -880,17 +859,8 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
         for kept in _singular_axes(f):
             try:
                 form2, desc_s = _axis_trace_form(f, kept)
-                branches = []
-                for b in local:
-                    fixed = {w: desc.zero() for w in f.vars if w != kept}
-                    if b.equation.restrict(fixed).is_zero():
-                        continue  # contains the axis? then no trace
-                    tr = b.equation.coerce_to(desc_s).restrict(
-                        {kept: desc_s.param_gen()})
-                    tr2 = tr.rename(form2.vars)
-                    if tr2.constant_coefficient().is_zero():
-                        branches.append(DivisorBranch(tr2, b.dicritical))
-                code, well, _ = classify_point2(form2, LocalDivisor(branches))
+                code, well, _ = classify_point2(form2, _axis_divisor(
+                    local, kept, form2.vars, desc_s.param_gen()))
                 simple = code.kind in (SIMPLE, SADDLE_NODE, REGULAR)
                 records.append(PointRecord(path, "axis-" + kept, code.kind,
                                            simple, well))

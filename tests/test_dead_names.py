@@ -55,6 +55,41 @@ def dead_names(source):
     return found
 
 
+# the signature that every command handler in cli._HANDLERS shares
+_HANDLER_SIGNATURE = ("parsed", "report", "opts", "dot_ref")
+
+
+def unread_parameters(source):
+    """(function, parameter, line) of every parameter that a private
+    top-level function, or a method of a private top-level class, never
+    reads.  The first parameter of a method and the command-handler
+    signature are exempt."""
+    tree = ast.parse(source)
+    fns = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            fns.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    fns.append(("%s.%s" % (node.name, fn.name), fn,
+                                0 if static else 1))
+    found = []
+    for name, fn, skip in fns:
+        a = fn.args
+        params = (a.posonlyargs + a.args + a.kwonlyargs
+                  + [p for p in (a.vararg, a.kwarg) if p])[skip:]
+        if tuple(p.arg for p in params) == _HANDLER_SIGNATURE:
+            continue
+        read = _loads(fn)
+        found += [(name, p.arg, p.lineno) for p in params
+                  if p.arg not in read]
+    return found
+
+
 def _named(node):
     """Every name, attribute and imported name that a node mentions."""
     out = set()
@@ -123,3 +158,36 @@ def test_orphan_guard_sees_planted_helpers():
                         "def f():\n"
                         "    return _used()\n")}
     assert orphans(sources) == [("a.py", "_orphan", 3), ("a.py", "_Lonely", 5)]
+
+
+def test_no_unread_parameters_in_the_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [(path.name,) + f
+                  for f in unread_parameters(path.read_text(encoding="utf-8"))]
+    assert not found
+
+
+def test_unread_parameter_guard_sees_planted_names():
+    source = ("def _f(a, b, *rest, c=1, **kw):\n"
+              "    return a + c\n"
+              "def public(a, b):\n"
+              "    return a\n"
+              "def _handler(parsed, report, opts, dot_ref):\n"
+              "    return report\n"
+              "def _outer(n):\n"
+              "    def inner():\n"
+              "        return n\n"
+              "    return inner\n"
+              "class _C:\n"
+              "    def m(self, x, y):\n"
+              "        return y\n"
+              "    @staticmethod\n"
+              "    def s(first):\n"
+              "        return 0\n"
+              "class Public:\n"
+              "    def m(self, x):\n"
+              "        return 0\n")
+    assert unread_parameters(source) == [
+        ("_f", "b", 1), ("_f", "rest", 1), ("_f", "kw", 1),
+        ("_C.m", "x", 12), ("_C.s", "first", 15)]

@@ -7,7 +7,7 @@ import pytest
 
 from foliation_lab import (cli, dimensional_type, match_simple_model3,
                            second_type3_via_sections, theorem_main_harness,
-                           well_oriented3)
+                           threefold, well_oriented3)
 from foliation_lab.forms import DivisorBranch, LocalDivisor, OneForm3
 from foliation_lab.poly import MPoly
 
@@ -45,8 +45,7 @@ def test_match_model_a():
 
 
 def test_match_rejects_zero_sum_residues():
-    fn = f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(1, 1, 0): -2})
-    assert match_simple_model3(fn).code == "NotSimple"
+    assert match_simple_model3(_fn()).code == "NotSimple"
 
 
 def test_match_model_b1():
@@ -163,3 +162,44 @@ def test_theorem_main_checks_well_orientedness(tmp_form_file, tmp_path,
     assert rec["result"] == "B2" and rec["simple"] is True
     assert rec["well_oriented"] is well
     assert v["ok"] is ok
+
+
+def test_theorem_main_traces_the_divisor_on_an_axis(tmp_form_file, tmp_path):
+    """After the blow-up of the z-axis, chart ax has a b1 point whose weak
+    plane {x = 0} is the exceptional plane.  That plane contains the
+    z-axis, so its trace on the transversal plane at a generic axis point
+    is the weak direction of the axis saddle-node: the axis checkpoint is
+    not well oriented either."""
+    text = ("omega3: (y^2 + x*y) dx - x^2 dy\nseparatrix:{ x }\n"
+            "script:[ axis-z ]\n")
+    out = tmp_path / "t.json"
+    assert cli.main(["theorem-main", tmp_form_file(text),
+                     "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    recs = {r["where"]: r for r in v["records"] if r["path"] == ["ax"]}
+    assert recs["origin"]["result"] == "b1"
+    assert recs["origin"]["well_oriented"] is False
+    assert recs["axis-z"]["result"] == "SaddleNode"
+    assert recs["axis-z"]["well_oriented"] is False
+    assert v["ok"] is False
+
+
+def _fn():
+    return f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(1, 1, 0): -2})
+
+
+@pytest.mark.parametrize("form,calls", [
+    (lambda: OneForm3(_m3((0, 1, 1), Q2.one()), _m3((1, 0, 1), _R2),
+                      _m3((1, 1, 0), _R2 + _R2), XYZ), 0),
+    (_fn, 0),
+    (_dxyz, 2),
+], ids=["model-A-irrational", "resonant-all-permutations", "B3-then-A"])
+def test_match_divides_by_a_only_for_the_b_models(monkeypatch, form, calls):
+    """b/a and c/a are series divisions: at most once per permutation, and
+    never when only model A can match."""
+    seen = []
+    quot = threefold._series_quot
+    monkeypatch.setattr(threefold, "_series_quot",
+                        lambda *args: seen.append(args) or quot(*args))
+    match_simple_model3(form())
+    assert len(seen) == calls
