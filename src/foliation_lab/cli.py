@@ -393,16 +393,18 @@ def _validate(opts):
 
 
 def _check_divisor(form, divisor):
-    """Refuse a branch through the origin that is neither invariant nor
-    tagged dicritical: no blow-up ever adapts the divisor to it."""
-    form = normalize2(form)
+    """Refuse a branch through the origin of the saturated `form` that is
+    invariant exactly when tagged dicritical: no blow-up ever adapts the
+    divisor to such a branch."""
     for b in divisor:
-        if (b.dicritical or not b.equation.constant_coefficient().is_zero()
-                or invariant_hypersurface(form.coeffs(), form.vars,
-                                          b.equation)):
+        if not b.equation.constant_coefficient().is_zero():
             continue
-        raise UsageError("divisor branch %s is neither invariant nor tagged "
-                         "dicritical(...)" % b.equation.render())
+        if bool(invariant_hypersurface(form.coeffs(), form.vars,
+                                       b.equation)) == b.dicritical:
+            raise UsageError("divisor branch %s is %s" % (
+                b.equation.render(),
+                "invariant but tagged dicritical(...)" if b.dicritical
+                else "neither invariant nor tagged dicritical(...)"))
 
 
 def _run_one(opts, path):
@@ -429,6 +431,8 @@ def _run_one(opts, path):
                 if opts.command in _TREE_COMMANDS else None)
     try:
         if parsed.kind == "omega2" and parsed.divisor is not None:
+            # saturate the root once: every later normalize2 sees the flag
+            parsed.form = normalize2(parsed.form)
             _check_divisor(parsed.form, parsed.divisor)
         code = _HANDLERS[opts.command](parsed, report, opts, dot_path)
     except (WidenRequest, FieldExtensionError, PrecisionError,

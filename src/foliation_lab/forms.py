@@ -43,6 +43,8 @@ from .poly import (
     OrderIndeterminate,
     exact_divide,
     gcd_bivariate,
+    monomials_below,
+    multiplication_matrix,
 )
 
 
@@ -341,45 +343,15 @@ def nu0(form) -> int:
     return best
 
 
-def _monomials_below(nvars: int, d: int):
-    """All exponent tuples of total degree < d, lexicographic."""
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            prefix.append(e)
-            rec(prefix, remaining - 1, budget - e)
-            prefix.pop()
-
-    rec([], nvars, d - 1)
-    return sorted(out)
-
-
 def _ideal_codim(A: MPoly, B: MPoly, d: int) -> int:
-    """dim of O/((A,B) + m^d) by monomial linear algebra at degree < d."""
-    desc = A.desc
-    monos = _monomials_below(2, d)
-    index = {e: i for i, e in enumerate(monos)}
-    zero = desc.zero()
-    rows = []
-    for gen in (A, B):
-        base = gen.order()
-        for m in _monomials_below(2, max(d - base, 1)):
-            shifted = {}
-            for e, c in gen.coeffs.items():
-                f = (e[0] + m[0], e[1] + m[1])
-                if sum(f) < d:
-                    shifted[f] = c
-            if not shifted:
-                continue
-            row = [zero] * len(monos)
-            for e, c in shifted.items():
-                row[index[e]] = c
-            rows.append(row)
-    return len(monos) - rank(rows, desc)
+    """dim of O/((A,B) + m^d) by monomial linear algebra at degree < d.
+
+    Shifts of degree >= d - ord g give g only zero columns, so one shift
+    list serves both generators.
+    """
+    shifts = monomials_below(2, d - min(A.order(), B.order()))
+    rows, _ = multiplication_matrix((A, B), shifts, lambda E: sum(E) < d)
+    return len(monomials_below(2, d)) - rank(rows, A.desc)
 
 
 def mu0(form: OneForm2) -> int:

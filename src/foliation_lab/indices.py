@@ -684,16 +684,14 @@ def _sum_check(fol, C, d0, N):
 class LogCriterionReport:
     """Verdict of the pole-degree characterization d0 = d + 2."""
 
-    __slots__ = ("degree", "curve_degree", "slack", "logarithmic", "sums",
-                 "hypotheses")
+    __slots__ = ("degree", "curve_degree", "slack", "logarithmic", "sums")
 
-    def __init__(self, degree, curve_degree, sums, hypotheses):
+    def __init__(self, degree, curve_degree, sums):
         self.degree = degree
         self.curve_degree = curve_degree
         self.slack = (curve_degree - (degree + 2)) ** 2
         self.logarithmic = curve_degree == degree + 2 and sums.ok
         self.sums = sums
-        self.hypotheses = dict(hypotheses)
 
     def __bool__(self):
         return self.logarithmic
@@ -705,12 +703,10 @@ class LogCriterionReport:
 
 
 def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
-                          hypotheses=None, N: int = 12) -> LogCriterionReport:
+                          N: int = 12) -> LogCriterionReport:
     """Decide d0 = d + 2 through a plane section W = a X + b Y + c Z.
 
     `S` is the declared invariant surface; `section` gives (a, b, c).
-    Caller-asserted hypotheses (separatrix containment, first integrals)
-    are recorded verbatim in the report.
     """
     if len(fol.vars) != 4:
         raise ValueError("the logarithmic criterion runs in four variables")
@@ -734,5 +730,4 @@ def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
         raise ValueError("the section plane lies inside the surface")
     sec = ProjFoliation(sec_coeffs, plane_vars)
     sums = sum_theorem_check(sec, C, N)
-    return LogCriterionReport(sec.degree, _homogeneous_degree(C), sums,
-                              hypotheses or {})
+    return LogCriterionReport(sec.degree, _homogeneous_degree(C), sums)

@@ -2,13 +2,14 @@
 
 Matrices are lists of lists of FieldElement.  Sizes are small (desk scale),
 so plain Gauss-Jordan elimination with exact division is adequate.  The
-matrices that reach it (series division, cylinder candidates, Milnor
-algebras, Sylvester matrices) are mostly zeros, so the one elimination
-loop skips them: it scales only the nonzero entries of the pivot row and
-updates every other row only in those columns.  Skipping a zero changes
-no value, and the pivot is still the first nonzero entry of its column at
-or below the current row, so the pivots and reduced rows are exactly
-those of dense elimination.
+matrices that reach it (Sylvester matrices, and the monomial matrices of
+poly.multiplication_matrix for division, cylinder candidates and Milnor
+algebras) are mostly zeros, so the one elimination loop skips them: it
+scales only the nonzero entries of the pivot row and updates every other
+row only in those columns.  Skipping a zero changes no value, and the
+pivot is still the first nonzero entry of its column at or below the
+current row, so the pivots and reduced rows are exactly those of dense
+elimination.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ reporting an untrusted coefficient).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -373,77 +374,74 @@ def _plain(s: str) -> bool:
     return all(ch not in s for ch in "+-*/ ") or (s.lstrip("-").isdigit())
 
 
+def monomials_below(nvars: int, d: int):
+    """All exponent tuples of total degree < d, lexicographic."""
+    return [e for e in itertools.product(range(d), repeat=nvars)
+            if sum(e) < d]
+
+
+def multiplication_matrix(gens, shifts, keep):
+    """Matrix of (r_1, ..., r_k) -> sum g_i r_i on monomials.
+
+    Column i * len(shifts) + k holds the coefficients of g_i * x^shifts[k].
+    There is one row per exponent E that some product reaches and
+    keep(E) accepts, in sorted order.  Returns (rows, exponents).
+    """
+    n = len(shifts)
+    entries = {}
+    for i, g in enumerate(gens):
+        for k, s in enumerate(shifts):
+            for e, c in g.coeffs.items():
+                E = tuple(map(operator.add, e, s))
+                if keep(E):
+                    entries.setdefault(E, {})[i * n + k] = c
+    exponents = sorted(entries)
+    rows = [[gens[0].desc.zero()] * (len(gens) * n) for _ in exponents]
+    for row, E in zip(rows, exponents):
+        for j, c in entries[E].items():
+            row[j] = c
+    return rows, exponents
+
+
 def exact_divide(p: MPoly, q: MPoly):
     """Quotient r with p = q*r (exact, or to the joint precision); None if
     the division fails.
 
-    Solved as a bounded linear system in the unknown coefficients of r, which
-    avoids multivariate division orderings.
+    Solved as a bounded linear system in the unknown coefficients of r
+    (a box of exponents, or the monomials below prec - ord q for series)
+    with the multiplication_matrix of q; no division ordering is needed.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MPoly.zero(p.vars, p.desc, MPoly._join_prec(p.prec, q.prec))
-    desc = p.desc
-    nvars = len(p.vars)
     prec = MPoly._join_prec(p.prec, q.prec)
     try:
         oq = q.order()
     except OrderIndeterminate:
         return None
     if prec is None:
-        bounds = []
-        for i in range(nvars):
-            dp = max(e[i] for e in p.coeffs)
-            dq = max((e[i] for e in q.coeffs), default=0)
-            if dp < dq:
-                return None
-            bounds.append(dp - dq)
-        unknowns = _box_exponents(bounds)
-        deg_cap = None
+        bounds = [max(e[i] for e in p.coeffs) - max(e[i] for e in q.coeffs)
+                  for i in range(len(p.vars))]
+        if any(b < 0 for b in bounds):
+            return None
+        unknowns = list(itertools.product(*(range(b + 1) for b in bounds)))
     else:
-        cap = max(prec - oq, 0)
-        unknowns = [e for e in _box_exponents([max(cap - 1, 0)] * nvars)
-                    if sum(e) < cap]
-        deg_cap = prec
-    unknowns = sorted(set(unknowns))
-    index = {e: j for j, e in enumerate(unknowns)}
-    # equations: for every exponent E reachable in q*r or present in p
-    eqs = {}
-    for eq_exp, qc in q.coeffs.items():
-        for ue in unknowns:
-            E = tuple(a + b for a, b in zip(eq_exp, ue))
-            if deg_cap is not None and sum(E) >= deg_cap:
-                continue
-            row = eqs.setdefault(E, {})
-            j = index[ue]
-            row[j] = row.get(j, desc.zero()) + qc
-    for E in p.coeffs:
-        if deg_cap is not None and sum(E) >= deg_cap:
-            continue
-        eqs.setdefault(E, {})
-    exps = sorted(eqs)
-    matrix = []
-    rhs = []
-    zero = desc.zero()
-    for E in exps:
-        row = [zero] * len(unknowns)
-        for j, v in eqs[E].items():
-            row[j] = v
-        matrix.append(row)
-        rhs.append(p.coeffs.get(E, zero))
-    sol = linalg.solve(matrix, rhs, desc)
+        unknowns = monomials_below(len(p.vars), prec - oq)
+
+    def keep(E):
+        return prec is None or sum(E) < prec
+
+    matrix, exps = multiplication_matrix([q], unknowns, keep)
+    reached = set(exps)
+    if any(keep(E) and E not in reached for E in p.coeffs):
+        return None  # that row would read 0 = p_E != 0
+    zero = p.desc.zero()
+    sol = linalg.solve(matrix, [p.coeffs.get(E, zero) for E in exps], p.desc)
     if sol is None:
         return None
     out_prec = None if prec is None else max(prec - oq, 0)
-    return MPoly(p.vars, {e: sol[j] for e, j in index.items()}, desc, out_prec)
-
-
-def _box_exponents(bounds):
-    exps = [()]
-    for b in bounds:
-        exps = [e + (k,) for e in exps for k in range(b + 1)]
-    return exps
+    return MPoly(p.vars, dict(zip(unknowns, sol)), p.desc, out_prec)
 
 
 def divides(p: MPoly, q: MPoly) -> bool:

@@ -390,9 +390,9 @@ def is_second_type2(form: OneForm2, E: LocalDivisor = None,
     return SecondTypeResult(not witnesses, witnesses, tree)
 
 
-def is_generalized_curve2(form: OneForm2, max_depth: int = 64) -> bool:
+def is_generalized_curve2(form: OneForm2) -> bool:
     """Whether the reduction is free of saddle-nodes."""
-    tree = seidenberg_reduce(form, None, max_depth)
+    tree = seidenberg_reduce(form)
     return not tree.saddle_nodes()
 
 

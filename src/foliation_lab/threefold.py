@@ -28,7 +28,6 @@ from .forms import (
     OneForm2,
     OneForm3,
     PrecisionError,
-    _monomials_below,
     integrable3,
     invariant_surface3,
     normalize2,
@@ -38,7 +37,8 @@ from .forms import (
 )
 from .blowup import blowup_curve3, blowup_point3
 from .linalg import nullspace
-from .poly import MPoly, exact_divide
+from .poly import (MPoly, exact_divide, monomials_below,
+                   multiplication_matrix)
 from .reduce2d import (
     NON_SIMPLE,
     REGULAR,
@@ -61,30 +61,14 @@ class InconclusiveError(FieldError):
 def _cylinder_candidate(form: OneForm3, order: int):
     """Constant part of a polynomial vector field X of degree below
     `order` with i_X(form) = 0 modulo degree `order`, or None."""
-    desc = form.desc
-    zero = desc.zero()
-    monos = sorted(_monomials_below(3, order), key=lambda e: (sum(e), e))
-    idx = {e: j for j, e in enumerate(monos)}
+    # the null-space basis follows the column order, so the shifts stay
+    # by (degree, exponent); (0, 0, 0) leads each block of n columns
+    monos = sorted(monomials_below(3, order), key=lambda e: (sum(e), e))
+    rows, _ = multiplication_matrix(form.coeffs(), monos,
+                                    lambda E: sum(E) <= order)
     n = len(monos)
-    rows_map = {}
-    for i, coeff in enumerate(form.coeffs()):
-        for ec, c in coeff.coeffs.items():
-            dc = sum(ec)
-            if dc > order or c.is_zero():
-                continue
-            for ex in monos:
-                if sum(ex) + dc > order:
-                    continue
-                m = (ex[0] + ec[0], ex[1] + ec[1], ex[2] + ec[2])
-                col = i * n + idx[ex]
-                row = rows_map.setdefault(m, {})
-                prev = row.get(col)
-                row[col] = c if prev is None else prev + c
-    rows = [[row.get(j, zero) for j in range(3 * n)]
-            for _, row in sorted(rows_map.items())]
-    const = [i * n + idx[(0, 0, 0)] for i in range(3)]
-    for vec in nullspace(rows, 3 * n, desc):
-        v = tuple(vec[c] for c in const)
+    for vec in nullspace(rows, 3 * n, form.desc):
+        v = (vec[0], vec[n], vec[2 * n])
         if any(not c.is_zero() for c in v):
             return v
     return None
@@ -559,10 +543,10 @@ def _singular_axes(form: OneForm3):
     return axes
 
 
-def _axis_trace_form(form: OneForm3, kept: str, param_name: str = "s"):
+def _axis_trace_form(form: OneForm3, kept: str):
     """The foliation on a transversal plane at a generic axis point, over
     the tower extended by a transcendental parameter."""
-    desc_s = form.desc.with_parameter(param_name)
+    desc_s = form.desc.with_parameter("s")
     return (_plane_trace(form.coerce_to(desc_s), kept, desc_s.param_gen()),
             desc_s)
 

@@ -191,3 +191,86 @@ def test_unread_parameter_guard_sees_planted_names():
     assert unread_parameters(source) == [
         ("_f", "b", 1), ("_f", "rest", 1), ("_f", "kw", 1),
         ("_C.m", "x", 12), ("_C.s", "first", 15)]
+
+
+def _callee(call):
+    f = call.func
+    return (f.id if isinstance(f, ast.Name)
+            else f.attr if isinstance(f, ast.Attribute) else None)
+
+
+def unset_defaults(sources, callers):
+    """(module, function, parameter, line) of every parameter with a
+    default that no call passes, by keyword, by position or through a
+    `*` or `**` argument.  `sources` maps module names to the source
+    whose definitions are checked, `callers` is every source whose calls
+    count.  A call reaches each function or method of its name; a class
+    name reaches its __init__."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {fn: cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(fn)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[skip:]
+            defaulted = [(p, i) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p, None) for p, d in zip(a.kwonlyargs,
+                                                    a.kw_defaults) if d]
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            sites = calls.get(name, [])
+
+            def passed(p, i):
+                return any(
+                    any(k.arg in (None, p.arg) for k in c.keywords)
+                    or (i is not None
+                        and (len(c.args) > i
+                             or any(isinstance(x, ast.Starred)
+                                    for x in c.args)))
+                    for c in sites)
+            found += [(module, fn.name, p.arg, p.lineno)
+                      for p, i in defaulted if not passed(p, i)]
+    return found
+
+
+def test_no_unset_defaults_in_the_package():
+    tests = Path(__file__).resolve().parent
+    callers = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))
+               + sorted(tests.glob("*.py"))]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unset_defaults(sources, callers) == []
+
+
+def test_unset_default_guard_sees_planted_parameters():
+    source = ("def f(a, by_kw=1, by_pos=2, unset=3, *, kw_only=4):\n"
+              "    return a\n"
+              "def g(a, starred=1):\n"
+              "    return a\n"
+              "def h(a, double=1):\n"
+              "    return a\n"
+              "class C:\n"
+              "    def __init__(self, x, y=0):\n"
+              "        self.x = x\n"
+              "    def m(self, z=0):\n"
+              "        return z\n")
+    callers = [source, ("f(0, 1, 2, by_kw=5)\n"
+                        "g(*args)\n"
+                        "h(0, **opts)\n"
+                        "C(1, 2).m()\n")]
+    assert unset_defaults({"m.py": source}, callers) == [
+        ("m.py", "f", "unset", 1), ("m.py", "f", "kw_only", 1),
+        ("m.py", "m", "z", 10)]

@@ -146,6 +146,17 @@ def test_reduce2_certifies_coprimality_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze2", "separatrices", "reduce2",
+                                     "second-type2"])
+def test_divisor_block_saturates_the_root_once(monkeypatch, tmp_path,
+                                               command):
+    calls = _counting(monkeypatch, forms, "gcd_bivariate")
+    text = "omega2: (v^2 - u^3) du + (u*v) dv\ndivisor:{ u }\n"
+    [(code, _)] = _reports(command, [text], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_analyze2_reduces_once(monkeypatch, tmp_path):
     calls = _counting(monkeypatch, cli, "seidenberg_reduce")
     monkeypatch.setattr(separatrix, "seidenberg_reduce",

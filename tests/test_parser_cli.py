@@ -305,6 +305,22 @@ def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
         assert cli.main(["reduce2", path]) != 1
 
 
+def test_cli_refuses_invariant_divisor_branches_tagged_dicritical(
+        tmp_form_file, capsys):
+    """An invariant branch tagged dicritical would keep every point on its
+    strict transform unadapted; it is a usage error that names it."""
+    sn = "omega2: (-v - u*v) du + u^2 dv\n"
+    for form, branch in ((sn, "u"), (CUSP2, "v^2 - u^3")):
+        path = tmp_form_file(form + "divisor:{ dicritical(%s) }\n" % branch)
+        for command in ("analyze2", "reduce2", "separatrices",
+                        "second-type2"):
+            t0 = time.perf_counter()
+            assert cli.main([command, path]) == 1
+            assert time.perf_counter() - t0 < 10
+            err = capsys.readouterr().err
+            assert "divisor branch %s is invariant but tagged" % branch in err
+
+
 def test_cli_model_match3_reports_the_weak_plane(tmp_form_file, tmp_path):
     """The trace (x - y) dx + (2 (x + y)^2 + x - y) dy is a saddle-node
     with weak direction (1, 1) and strong separatrix {y + x = 0}."""
