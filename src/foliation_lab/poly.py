@@ -631,7 +631,15 @@ def u_resultant(a, b, desc: FieldDescriptor) -> FieldElement:
 
 def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
     """Gcd of two exact polynomials in exactly two variables, monic-ish
-    (normalized so its leading term has coefficient one)."""
+    (normalized so its leading term has coefficient one).
+
+    The second variable is the main one: the contents in the first are
+    split off, and the primitive parts go through a pseudo-remainder
+    sequence unless one specialization of the first variable already
+    proves them coprime (_coprime_at_a_point), as it does for most
+    coprime pairs.  Callers: forms._content_and_gcd (normalize2) and
+    indices._affine_common_roots.
+    """
     if p.prec is not None or q.prec is not None:
         raise ValueError("gcd of series is not supported")
     if p.is_zero():
@@ -695,6 +703,9 @@ def _rec_gcd(a, b, vars, desc):
     cg = u_gcd(ca, cb, desc)
     a = _rec_primitive(a, vars, desc, ca)
     b = _rec_primitive(b, vars, desc, cb)
+    cgpoly = MPoly(vars, {(i, 0): c for i, c in enumerate(cg)}, desc)
+    if _coprime_at_a_point(a, b, vars, desc):
+        return {0: cgpoly}
     while b:
         if _rec_deg(a) < _rec_deg(b):
             a, b = b, a
@@ -704,8 +715,30 @@ def _rec_gcd(a, b, vars, desc):
         if b:
             cb2 = _rec_content(b, vars, desc)
             b = _rec_primitive(b, vars, desc, cb2)
-    cgpoly = MPoly(vars, {(i, 0): c for i, c in enumerate(cg)}, desc)
     return {k: p * cgpoly for k, p in a.items()}
+
+
+def _coprime_at_a_point(a, b, vars, desc):
+    """True when a point u0 in {1, 2, 3} proves the primitive parts a and
+    b coprime: neither leading coefficient in v vanishes at u0, and the
+    specializations a(u0, v) and b(u0, v) have a constant gcd.
+
+    Proof: a common factor g of positive v-degree divides a and b, so its
+    leading coefficient divides theirs and does not vanish at u0; then
+    g(u0, v) keeps that degree and divides both specializations.  A
+    constant gcd there leaves only common factors in K[u], and primitive
+    parts share none.  u0 = 0 is not tried: local forms vanish at the
+    origin, so their specializations there share a power of v.  False
+    means only that no point certified; the caller then runs the
+    pseudo-remainder sequence.
+    """
+    for u0 in (1, 2, 3):
+        point = {vars[0]: u0, vars[1]: 0}
+        sa, sb = ([d[k].evaluate(point) if k in d else desc.zero()
+                   for k in range(_rec_deg(d) + 1)] for d in (a, b))
+        if sa[-1] and sb[-1]:
+            return len(u_gcd(sa, sb, desc)) == 1
+    return False
 
 
 def _rec_prem(a, b, vars, desc):

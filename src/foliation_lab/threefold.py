@@ -37,8 +37,7 @@ from .forms import (
 )
 from .blowup import blowup_curve3, blowup_point3
 from .linalg import nullspace
-from .poly import (MPoly, exact_divide, monomials_below,
-                   multiplication_matrix)
+from .poly import MPoly, monomials_below, multiplication_matrix
 from .reduce2d import (
     NON_SIMPLE,
     REGULAR,
@@ -164,10 +163,22 @@ def _perm_poly(p: MPoly, perm):
 
 
 def _series_quot(p: MPoly, q: MPoly, N: int):
-    """p / q truncated at order N; q must be a unit series."""
-    if p.is_zero():
-        return MPoly.zero(p.vars, p.desc, N)
-    return exact_divide(p.truncate(N), q.truncate(N))
+    """p / q at the joint precision min(N, p.prec, q.prec); q must be a
+    unit series.
+
+    Divided one degree at a time: the homogeneous part of degree d of
+    the quotient is r_d = (p_d - sum_{k>=1} q_k r_{d-k}) / q_0.
+    """
+    prec = min([N] + [s.prec for s in (p, q) if s.prec is not None])
+    inv = q.constant_coefficient().inverse()
+    qk = [q.homogeneous_part(k) for k in range(prec)]
+    parts = []
+    for d in range(prec):
+        r = p.homogeneous_part(d)
+        for k in range(1, d + 1):
+            r = r - qk[k] * parts[d - k]
+        parts.append(r.scale(inv))
+    return sum(parts, MPoly.zero(p.vars, p.desc, prec))
 
 
 def _residue_series(p: MPoly, divisors, N: int):
@@ -231,22 +242,32 @@ def _pair_nonresonant(l2: FieldElement, l3: FieldElement) -> bool:
 def _fully_nonresonant(lams, bound: int) -> bool:
     """No relation m . lam = 0 with m in Z_{>=0}^3 \\ 0, |m| <= bound.
 
-    The multiples k*lam_i for k = 0..bound are built once, by repeated
-    addition, so each triple costs two additions and a zero test.  The
-    triples are tried by increasing |m|.
+    A vanishing residue lam_i is the relation e_i.  Otherwise m3 is
+    determined by (m1, m2): m3 = m1 r1 + m2 r2 with r_i = -lam_i/lam3,
+    and m is a relation exactly when that value is an integer in
+    [0, bound - m1 - m2].  The multiples k*r_i for k = 0..bound are
+    built once by repeated addition, so each of the (bound+1)(bound+2)/2
+    pairs costs one addition and a rationality test.
     """
-    multiples = []
-    for lam in lams:
-        row = [lam.desc.zero()]
+    if not all(lams):
+        return False
+    l1, l2, l3 = lams
+    inv = -l3.inverse()
+    rows = []
+    for r in (l1 * inv, l2 * inv):
+        row = [r.desc.zero()]
         for _ in range(bound):
-            row.append(row[-1] + lam)
-        multiples.append(row)
-    k1, k2, k3 = multiples
-    for total in range(1, bound + 1):
-        for m1 in range(total + 1):
-            s1 = k1[m1]
-            for m2 in range(total - m1 + 1):
-                if (s1 + k2[m2] + k3[total - m1 - m2]).is_zero():
+            row.append(row[-1] + r)
+        rows.append(row)
+    k1, k2 = rows
+    for m1 in range(bound + 1):
+        s1 = k1[m1]
+        for m2 in range(bound - m1 + 1):
+            m3 = s1 + k2[m2]
+            if m3.is_rational():
+                f = m3.as_fraction()
+                if (f.denominator == 1 and 0 <= f <= bound - m1 - m2
+                        and m1 + m2 + f):
                     return False
     return True
 

@@ -4,11 +4,12 @@ solve/nullspace/rank/det, same resonance verdicts."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import FieldDescriptor
 from foliation_lab import linalg
+from foliation_lab.fields import FieldElement
 from foliation_lab.threefold import _fully_nonresonant
 
 Q = FieldDescriptor()
@@ -206,18 +207,35 @@ def test_det_sign_of_a_row_swap():
 # ---------------------------------------------------------------------------
 # resonance table
 
+def _gen(desc):
+    """rt(m), the parameter or 1: a generator of the tower over Q."""
+    return (desc.sqrt_gen() if desc.quadratic_extension
+            else desc.param_gen() if desc.parameter else desc.one())
+
+
 def _residues(desc):
-    gen = desc.sqrt_gen() if desc.quadratic_extension else desc.zero()
+    gen = _gen(desc)
     return st.tuples(_small, _small).map(
         lambda t: desc.rational(t[0]) + desc.rational(t[1]) * gen)
 
 
-_triples = st.sampled_from([Q, Q2]).flatmap(
-    lambda d: st.tuples(_residues(d), _residues(d), _residues(d)))
+def _triple(desc):
+    """Three residues over desc, one of them zero in about a fifth of the
+    draws."""
+    some = _residues(desc)
+    one = st.just(desc.zero()) | some | some | some | some
+    return st.tuples(one, one, one)
 
 
-@settings(max_examples=40, deadline=None)
+_triples = st.sampled_from([Q, Q2, QS]).flatmap(_triple)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_triples, st.integers(1, 25))
+@example((Q.one(), Q.rational(2), Q.rational(-3)), 1)
+@example((Q.one(), Q.rational(-1), Q.rational(5)), 1)
+@example((Q.one(), Q.zero(), Q.rational(5)), 1)
+@example((QS.param_gen(), QS.rational(-2) * QS.param_gen(), QS.one()), 3)
 def test_resonance_verdicts_match_on_random_triples(lams, bound):
     assert _fully_nonresonant(lams, bound) \
         == _fully_nonresonant_dense(lams, bound)
@@ -226,12 +244,12 @@ def test_resonance_verdicts_match_on_random_triples(lams, bound):
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
        .filter(lambda m: 0 < m[0] + m[1] + m[2] <= 25 and m[2] > 0),
-       _nonzero, _nonzero, st.booleans(), st.integers(1, 25))
-def test_resonance_verdicts_match_on_planted_relations(m, a, b, quad, bound):
+       _nonzero, _nonzero, st.sampled_from([Q, Q2, QS]),
+       st.integers(1, 25))
+def test_resonance_verdicts_match_on_planted_relations(m, a, b, desc, bound):
     # lam3 is solved from m . lam = 0, so the relation m is planted
-    desc = Q2 if quad else Q
     lam1 = desc.rational(a)
-    lam2 = desc.rational(b) * (desc.sqrt_gen() if quad else desc.one())
+    lam2 = desc.rational(b) * _gen(desc)
     lam3 = -(lam1 * desc.rational(m[0]) + lam2 * desc.rational(m[1])) \
         * desc.rational(Fraction(1, m[2]))
     lams = (lam1, lam2, lam3)
@@ -239,3 +257,27 @@ def test_resonance_verdicts_match_on_planted_relations(m, a, b, quad, bound):
     assert got == _fully_nonresonant_dense(lams, bound)
     if sum(m) <= bound:
         assert not got
+
+
+def test_resonance_search_adds_once_per_pair(monkeypatch):
+    """Without a relation every pair (m1, m2) with m1 + m2 <= bound is
+    tried, at one field addition each, after 2*bound additions for the
+    two tables of multiples."""
+    adds = []
+    add = FieldElement.__add__
+
+    def counting(x, y):
+        adds.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(FieldElement, "__add__", counting)
+    monkeypatch.setattr(FieldElement, "__radd__", counting)
+    cases = [(Q.one(), Q.rational(Fraction(1, 3)), Q.rational(7)),
+             (Q2.one(), Q2.sqrt_gen(), Q2.one() + Q2.sqrt_gen()),
+             (QS.one(), QS.param_gen(), QS.rational(2))]
+    for lams in cases:
+        for bound in (1, 2, 5, 25):
+            adds.clear()
+            assert _fully_nonresonant(lams, bound)
+            assert len(adds) <= ((bound + 1) * (bound + 2) // 2
+                                 + 2 * bound + 1)

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from foliation_lab import (cli, dimensional_type, match_simple_model3,
-                           second_type3_via_sections, theorem_main_harness,
-                           threefold, well_oriented3)
+from foliation_lab import (cli, dimensional_type, linalg,
+                           match_simple_model3, second_type3_via_sections,
+                           theorem_main_harness, threefold, well_oriented3)
 from foliation_lab.forms import DivisorBranch, LocalDivisor, OneForm3
 from foliation_lab.poly import MPoly
 
@@ -48,10 +48,25 @@ def test_match_rejects_zero_sum_residues():
     assert match_simple_model3(_fn()).code == "NotSimple"
 
 
+def _fb1():
+    return OneForm3(_m3((0, 1, 1), Q2.one()), _m3((2, 0, 1), _R2),
+                    _m3((2, 1, 0), Q2.one()), XYZ)
+
+
+def _fb2():
+    return f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(2, 2, 0): 1})
+
+
+def _fb3():
+    """Residues (1, 1, 1) carrying the resonant monomial xyz."""
+    return OneForm3(
+        _m3((0, 1, 1), Q2.one()),
+        _m3((1, 0, 1), Q2.one()) + _m3((2, 1, 2), Q2.one()),
+        _m3((1, 1, 0), Q2.one()) + _m3((2, 2, 1), _R2), XYZ)
+
+
 def test_match_model_b1():
-    fb1 = OneForm3(_m3((0, 1, 1), Q2.one()), _m3((2, 0, 1), _R2),
-                   _m3((2, 1, 0), Q2.one()), XYZ)
-    m = match_simple_model3(fb1)
+    m = match_simple_model3(_fb1())
     assert m.code == "B1"
     assert m.powers == (1,)
     assert [r.render() for r in m.residues] == ["1", "rt(2)", "1"]
@@ -59,30 +74,34 @@ def test_match_model_b1():
 
 
 def test_match_model_b2():
-    fb2 = f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(2, 2, 0): 1})
-    m = match_simple_model3(fb2)
+    m = match_simple_model3(_fb2())
     assert m.code == "B2"
     assert m.powers == (1, 1)
     assert [w.render() for w in m.weak_planes] == ["z"]
 
 
 def test_well_oriented3_reads_the_invariant_divisor():
-    fb2 = f3({(0, 1, 1): 1}, {(1, 0, 1): 1}, {(2, 2, 0): 1})
-    m = match_simple_model3(fb2)
+    m = match_simple_model3(_fb2())
     weak = MPoly.variable(XYZ, "z", Q).scale(Q.rational(2))
     assert not well_oriented3(m, LocalDivisor([DivisorBranch(weak)]))
     assert well_oriented3(m, LocalDivisor([DivisorBranch(weak, True)]))
 
 
 def test_match_model_b3_resonant_monomial():
-    # residues (1, 1, 1) carrying the resonant monomial xyz
-    fb3 = OneForm3(
-        _m3((0, 1, 1), Q2.one()),
-        _m3((1, 0, 1), Q2.one()) + _m3((2, 1, 2), Q2.one()),
-        _m3((1, 1, 0), Q2.one()) + _m3((2, 2, 1), _R2), XYZ)
-    m = match_simple_model3(fb3)
+    m = match_simple_model3(_fb3())
     assert m.code == "B3"
     assert m.powers == (1, 1, 1)
+
+
+def test_b_models_divide_without_a_linear_solve(monkeypatch):
+    """b/a and c/a are unit-series quotients, divided degree by degree."""
+    solves = []
+    original = linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *a: solves.append(1) or original(*a))
+    for build, code in ((_fb1, "B1"), (_fb2, "B2"), (_fb3, "B3")):
+        assert match_simple_model3(build()).code == code
+    assert solves == []
 
 
 def test_match_cylinder_over_tangent_germ_is_not_simple():
