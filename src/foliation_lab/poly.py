@@ -385,7 +385,9 @@ def multiplication_matrix(gens, shifts, keep):
 
     Column i * len(shifts) + k holds the coefficients of g_i * x^shifts[k].
     There is one row per exponent E that some product reaches and
-    keep(E) accepts, in sorted order.  Returns (rows, exponents).
+    keep(E) accepts, in sorted order.  Returns (rows, exponents); each
+    row is a sparse linalg row, a dict {column: coefficient} that holds
+    the nonzero coefficients only, so no zero of the matrix is built.
     """
     n = len(shifts)
     entries = {}
@@ -396,11 +398,7 @@ def multiplication_matrix(gens, shifts, keep):
                 if keep(E):
                     entries.setdefault(E, {})[i * n + k] = c
     exponents = sorted(entries)
-    rows = [[gens[0].desc.zero()] * (len(gens) * n) for _ in exponents]
-    for row, E in zip(rows, exponents):
-        for j, c in entries[E].items():
-            row[j] = c
-    return rows, exponents
+    return [entries[E] for E in exponents], exponents
 
 
 def exact_divide(p: MPoly, q: MPoly):
@@ -609,19 +607,8 @@ def u_resultant(a, b, desc: FieldDescriptor) -> FieldElement:
         return a[0] ** m if m >= 0 else desc.one()
     if m == 0:
         return b[0] ** n
-    size = n + m
-    zero = desc.zero()
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, cj in enumerate(reversed(a)):
-            row[i + j] = cj
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, cj in enumerate(reversed(b)):
-            row[i + j] = cj
-        rows.append(row)
+    rows = [{i + j: c for j, c in enumerate(reversed(p)) if c}
+            for p, shifts in ((a, m), (b, n)) for i in range(shifts)]
     return linalg.det(rows, desc)
 
 

@@ -130,8 +130,18 @@ def _graph_branch(cs, d_target, d_other, variables, desc, N: int):
 
 def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     """Jet of the invariant curve tangent to d_target, as a parametrization
-    and an implicit jet in the form's own coordinates."""
+    and an implicit jet in the form's own coordinates.
+
+    At a regular point the curve is the leaf through the origin, and
+    d_target spans the kernel of omega(0).  Its graph is solved for
+    u' * omega: the pull-back of u' * omega along a graph is u' times that
+    of omega, so the graph is the same, and u' * omega has a singular
+    point at the origin, where invariant_graph_jet applies.
+    """
     rotated = normalize2(_rotate_form(form, d_target, d_other))
+    if rotated.B.constant_coefficient():
+        u = MPoly.variable(rotated.vars, rotated.vars[0], form.desc)
+        rotated = OneForm2(rotated.A * u, rotated.B * u, rotated.vars)
     return _graph_branch(invariant_graph_jet(rotated, N), d_target, d_other,
                          form.vars, form.desc, N)
 
@@ -198,8 +208,23 @@ def separatrices2(form: OneForm2, tree: ReductionTree, N: int = 12) -> Separatri
         return _collect_branches(tree, N)
 
 
+def _regular_leaf(form: OneForm2, N: int) -> BranchJet:
+    """The one separatrix of a regular point: the leaf through the origin,
+    tangent to the kernel of omega(0).  Its path is empty, so nothing is
+    pushed down."""
+    a, b = form.A.constant_coefficient(), form.B.constant_coefficient()
+    d = _scale_dir((b, -a))
+    zero, one = form.desc.zero(), form.desc.one()
+    d_other = (zero, one) if d[0] else (one, zero)
+    param, implicit = _trace_graph(form, d, d_other, N)
+    return BranchJet(param, _normalize_implicit(implicit), True, "ordinary",
+                     ())
+
+
 def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
-    branches = []
+    # a root that is neither blown up nor a leaf is a regular point
+    branches = ([] if tree.blowup_count or tree.leaves
+                else [_regular_leaf(tree.form, N)])
     for rec in tree.leaves:
         if rec.code.kind == REGULAR:
             continue

@@ -133,11 +133,13 @@ class Model3Match:
     `code` is one of A, B1, B2, B3 (three-variable models), a, b1, b2
     (cylinders over the plane models) or NotSimple.  `weak_planes` holds
     local equations of the weak separatrix surfaces of the saddle-node
-    shaped models.
+    shaped models.  `axis` is the coordinate along which a germ of
+    dimensional type 2 is a cylinder, and None otherwise; reports do not
+    render it.
     """
 
     __slots__ = ("code", "tau", "residues", "powers", "phi",
-                 "weak_planes", "permutation")
+                 "weak_planes", "permutation", "axis")
 
     def __init__(self, code, tau, residues=(), powers=(), phi=None,
                  weak_planes=(), permutation=(0, 1, 2)):
@@ -148,6 +150,7 @@ class Model3Match:
         self.phi = phi
         self.weak_planes = tuple(weak_planes)
         self.permutation = tuple(permutation)
+        self.axis = None
 
     def is_simple(self) -> bool:
         return self.code != "NotSimple"
@@ -396,31 +399,34 @@ def _match_tau2(form: OneForm3, jet_order: int):
     form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty())
     if code.kind == NON_SIMPLE:
-        return Model3Match("NotSimple", 2)
-    if code.kind == SADDLE_NODE:
+        match = Model3Match("NotSimple", 2)
+    elif code.kind == SADDLE_NODE:
         from .separatrix import weak_separatrix_jet
         try:
             weak = weak_separatrix_jet(form2, N=jet_order)
             planes = (_lift_to3(weak.implicit, form.vars),)
         except (ValueError, PrecisionError):
             planes = ()
-        return Model3Match("b1", 2, weak_planes=planes)
-    # nondegenerate: resonant (negative rational quotient) or not
-    tr = M[0][0] + M[1][1]
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    t = tr * tr / det
-    resonant = False
-    if t.is_rational():
-        tq = t.as_fraction()
-        if tq <= 0 and _fraction_sqrt((tq - 2) ** 2 - 4) is not None:
-            resonant = True
-    residues = ()
-    u2, v2 = form2.vars
-    ra = _residue_series(form2.A, (v2,), jet_order)
-    rb = _residue_series(form2.B, (u2,), jet_order)
-    if ra is not None and rb is not None:
-        residues = (ra.constant_coefficient(), rb.constant_coefficient())
-    return Model3Match("b2" if resonant else "a", 2, residues=residues)
+        match = Model3Match("b1", 2, weak_planes=planes)
+    else:
+        # nondegenerate: resonant (negative rational quotient) or not
+        tr = M[0][0] + M[1][1]
+        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+        t = tr * tr / det
+        resonant = False
+        if t.is_rational():
+            tq = t.as_fraction()
+            if tq <= 0 and _fraction_sqrt((tq - 2) ** 2 - 4) is not None:
+                resonant = True
+        residues = ()
+        u2, v2 = form2.vars
+        ra = _residue_series(form2.A, (v2,), jet_order)
+        rb = _residue_series(form2.B, (u2,), jet_order)
+        if ra is not None and rb is not None:
+            residues = (ra.constant_coefficient(), rb.constant_coefficient())
+        match = Model3Match("b2" if resonant else "a", 2, residues=residues)
+    match.axis = w
+    return match
 
 
 def _lift_to3(eq2: MPoly, vars3):
@@ -654,7 +660,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
             origin_ok = True
             evidence.append("origin matches model %s" % match.code)
         elif match.tau == 2:
-            w = cylinder_direction(form)
+            w = match.axis
             form2 = _plane_trace(form, w)
             D2 = _axis_divisor(plane_branches, w, form2.vars, desc.zero())
             st = is_second_type2(form2, D2, max_depth)

@@ -148,6 +148,14 @@ def cusp_line_form(lam2):
         XYZ)
 
 
+def dressed_cusp_cylinder():
+    """d(y^2 - (x + yz)^3): a cylinder along z over the cusp whose three
+    coefficients all involve z, so only the null space finds the axis."""
+    x, y, z = (MPoly.variable(XYZ, w, Q) for w in XYZ)
+    g = y * y - (x + y * z) ** 3
+    return OneForm3(g.partial("x"), g.partial("y"), g.partial("z"), XYZ)
+
+
 CUSP_LINE_SCRIPT = [((), "axis-z"), (("ax",), "axis-z"),
                     (("ax", "ay"), "axis-z")]
 

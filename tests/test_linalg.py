@@ -1,6 +1,7 @@
-"""Zero-skipping elimination and the resonance table against frozen copies
+"""Sparse-row elimination and the resonance table against frozen copies
 of the dense loops they replaced: same pivots, same reduced rows, same
-solve/nullspace/rank/det, same resonance verdicts."""
+solve/nullspace/rank/det, same resonance verdicts; and the same answers
+from list rows and from dict rows."""
 
 from fractions import Fraction
 
@@ -143,6 +144,17 @@ def _matrix_and_desc(square=False):
     return _towers.flatmap(lambda d: st.tuples(_sparse(d, square), st.just(d)))
 
 
+def _dense(row, ncols, desc):
+    out = [desc.zero()] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _as_dicts(matrix):
+    return [{j: x for j, x in enumerate(r) if x} for r in matrix]
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -150,12 +162,15 @@ def _matrix_and_desc(square=False):
 @settings(max_examples=60, deadline=None)
 @given(_matrix_and_desc())
 def test_echelon_matches_the_dense_loop(case):
-    matrix, _ = case
+    matrix, desc = case
     ncols = len(matrix[0])
-    fast = [list(r) for r in matrix]
+    before = [list(r) for r in matrix]
     slow = [list(r) for r in matrix]
-    assert linalg._echelon(fast, ncols) == _echelon_dense(slow, ncols)
-    assert fast == slow
+    pivots, rows = linalg._echelon(matrix, ncols)
+    assert pivots == _echelon_dense(slow, ncols)
+    assert [_dense(r, ncols, desc) for r in rows] == slow
+    assert all(x for r in rows for x in r.values())
+    assert matrix == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,6 +209,30 @@ def test_solve_nullspace_rank_match_the_dense_loop(case, data):
 def test_det_matches_the_dense_loop(case):
     matrix, desc = case
     assert linalg.det(matrix, desc) == _det_dense(matrix, desc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_and_desc(), _matrix_and_desc(square=True), st.data())
+def test_list_rows_and_dict_rows_agree(case, square_case, data):
+    """The same matrix as list rows and as dict rows {column: nonzero
+    entry} gives the same solve, rank, nullspace and det."""
+    matrix, desc = case
+    ncols = len(matrix[0])
+    sparse = _as_dicts(matrix)
+    before = [dict(r) for r in sparse]
+    rhs = [data.draw(st.just(desc.zero()) | _ENTRIES[desc]) for _ in matrix]
+    assert linalg.rank(sparse, desc) == linalg.rank(matrix, desc)
+    assert linalg.nullspace(sparse, ncols, desc) \
+        == linalg.nullspace(matrix, ncols, desc)
+    # a dict row has no width of its own: its solution stops at the
+    # last column that holds an entry, and the unknowns past it are free
+    width = max((j + 1 for r in sparse for j in r), default=0)
+    want = linalg.solve(matrix, rhs, desc)
+    got = linalg.solve(sparse, rhs, desc)
+    assert got == (None if want is None else want[:width])
+    assert sparse == before
+    square, desc = square_case
+    assert linalg.det(_as_dicts(square), desc) == linalg.det(square, desc)
 
 
 def test_det_sign_of_a_row_swap():

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import linalg
+from foliation_lab.fields import FieldElement
 from foliation_lab.forms import OneForm2, OneForm3, mu0
-from foliation_lab.poly import MPoly, exact_divide, monomials_below
+from foliation_lab.poly import (MPoly, exact_divide, monomials_below,
+                                multiplication_matrix)
 from foliation_lab.threefold import _cylinder_candidate
 
 import frozen_monomial_systems as frozen
-from conftest import Q, Q2, UV, XYZ
+from conftest import Q, Q2, UV, XYZ, dressed_cusp_cylinder
 
 _NONZERO = sorted({Fraction(a, b) for a in range(-5, 6) if a
                    for b in (1, 2, 3)})
@@ -195,3 +197,61 @@ def test_cylinder_candidate_finds_the_axis_of_a_cylinder():
         v = _cylinder_candidate(form, order)
         assert v == frozen._cylinder_candidate(form, order)
         assert v[0].is_zero() and v[1].is_zero() and not v[2].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# operation counts of the sparse rows
+
+
+def _cylinder_system(form, order):
+    monos = sorted(monomials_below(3, order), key=lambda e: (sum(e), e))
+    rows, _ = multiplication_matrix(form.coeffs(), monos,
+                                    lambda E: sum(E) <= order)
+    return rows, 3 * len(monos)
+
+
+def test_multiplication_matrix_rows_hold_no_zero():
+    form = dressed_cusp_cylinder()
+    for order in (4, 6):
+        rows, ncols = _cylinder_system(form, order)
+        assert all(isinstance(row, dict) for row in rows)
+        assert all(x for row in rows for x in row.values())
+        assert all(0 <= j < ncols for row in rows for j in row)
+    p = MPoly(UV, {(3, 1): Q.one(), (0, 2): Q.rational(2)}, Q)
+    rows, _ = multiplication_matrix([p], monomials_below(2, 3),
+                                    lambda E: True)
+    assert sum(len(row) for row in rows) == 2 * len(monomials_below(2, 3))
+
+
+def test_nullspace_negates_only_nonzero_entries(monkeypatch):
+    """On the order-6 cylinder system (71 pivots, 97 free columns) the
+    basis is built from the nonzero entries of the reduced rows, each
+    negated once: 61 negations, where the dense loop made one for every
+    (pivot, free column) pair, 71 * 97 = 6887.  Elimination adds one per
+    updated row; those are not counted here."""
+    negations = []
+    inside = []
+    neg, echelon = FieldElement.__neg__, linalg._echelon
+
+    def counting_neg(x):
+        if not inside:
+            negations.append(1)
+        return neg(x)
+
+    def quiet_echelon(*args):
+        inside.append(1)
+        try:
+            return echelon(*args)
+        finally:
+            inside.pop()
+
+    form = dressed_cusp_cylinder()
+    rows, ncols = _cylinder_system(form, 6)
+    basis = linalg.nullspace(rows, ncols, Q)
+    monkeypatch.setattr(FieldElement, "__neg__", counting_neg)
+    monkeypatch.setattr(linalg, "_echelon", quiet_echelon)
+    v = _cylinder_candidate(form, 6)
+    assert [x.is_zero() for x in v] == [True, True, False]
+    assert len(basis) == 97
+    assert len(negations) == sum(sum(1 for x in b if x) - 1
+                                 for b in basis) == 61

@@ -128,6 +128,18 @@ def test_cli_analyze2_full_report(tmp_form_file, tmp_path):
     assert rep["separatrices"][0]["tags"] == ["analytic", "ordinary"]
 
 
+@pytest.mark.parametrize("command", ["analyze2", "separatrices"])
+def test_cli_regular_point_reports_its_leaf(tmp_form_file, tmp_path,
+                                            command):
+    out = tmp_path / "r.json"
+    assert cli.main([command, tmp_form_file("omega2: du"),
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["separatrices"] == [{"jet": "u + O(deg 13)",
+                                    "tags": ["analytic", "ordinary"]}]
+    assert rep["identity_check"] == {"nu_form": 0, "nu_dg": 0, "equal": True}
+
+
 def test_cli_plane_invariants_are_those_of_the_saturated_form(
         tmp_form_file, tmp_path):
     # u^2 v du - u v^2 dv = u v (u du - v dv): the saturated form has nu 1

@@ -15,7 +15,7 @@ from foliation_lab.forms import (CurveJet, LocalDivisor, invariant_curve,
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import _rotate_form, classify_point2
 
-from conftest import corpus2
+from conftest import corpus2, f2
 
 
 def test_node_has_two_smooth_transversal_branches():
@@ -157,3 +157,28 @@ def test_weak_graph_coefficients_start_at_the_weak_slope():
                   form.desc, 7)
         assert invariant_curve(form, CurveJet((t, s)))
     assert 0 < vertical < 40
+
+
+@pytest.mark.parametrize("a, b, jet", [
+    ({(0, 0): 1}, {}, "u"),                                  # du
+    ({(0, 0): 1}, {(0, 1): -2}, "-v^2 + u"),                 # d(u - v^2)
+    ({(0, 2): 1}, {(0, 0): 1, (1, 0): 1}, "v"),              # v^2 du + (1 + u) dv
+    ({(0, 0): 1}, {(0, 0): 1, (2, 0): 1}, None),             # du + (1 + u^2) dv
+])
+def test_a_regular_point_has_the_leaf_as_its_one_separatrix(a, b, jet):
+    """The leaf through a regular point is its one separatrix; the
+    identity holds with nu = 0 on both sides."""
+    form = f2(a, b)
+    seps = separatrices2(form, seidenberg_reduce(form))
+    assert seps.s0() == 1
+    (branch,) = seps.branches
+    assert branch.tags() == ("analytic", "ordinary") and branch.path == ()
+    if jet is not None:
+        assert branch.implicit.render() == jet + " + O(deg 13)"
+    pb = pullback_curve(form, branch.param)
+    assert pb.is_zero() or pb.order() >= 11
+    g = branch.implicit.substitute(
+        dict(zip(form.vars, branch.param.components)))
+    assert g.is_zero() or g.order() >= 12
+    rep = multiplicity_identity_check(form)
+    assert (rep.nu_form, rep.nu_dg, rep.equal) == (0, 0, True)

@@ -11,7 +11,8 @@ from foliation_lab import (cli, dimensional_type, linalg,
 from foliation_lab.forms import DivisorBranch, LocalDivisor, OneForm3
 from foliation_lab.poly import MPoly
 
-from conftest import (CUSP_LINE_SCRIPT, Q, Q2, XYZ, cusp_line_form, f3)
+from conftest import (CUSP_LINE_SCRIPT, Q, Q2, XYZ, cusp_line_form,
+                      dressed_cusp_cylinder, f3)
 
 _R2 = Q2.sqrt_gen()
 
@@ -102,6 +103,26 @@ def test_b_models_divide_without_a_linear_solve(monkeypatch):
     for build, code in ((_fb1, "B1"), (_fb2, "B2"), (_fb3, "B3")):
         assert match_simple_model3(build()).code == code
     assert solves == []
+
+
+def test_section_test_reads_the_cylinder_axis_from_the_match(monkeypatch):
+    """dimensional_type and _match_tau2 each solve the cylinder system
+    (two null spaces each, at orders 4 and 6); the origin check of the
+    section test reads the axis from the match instead of a third
+    solve."""
+    orders = []
+    original = threefold._cylinder_candidate
+    monkeypatch.setattr(threefold, "_cylinder_candidate",
+                        lambda form, order: orders.append(order)
+                        or original(form, order))
+    form = dressed_cusp_cylinder()
+    match = match_simple_model3(form)
+    assert (match.code, match.tau, match.axis) == ("NotSimple", 2, "z")
+    orders.clear()
+    v = second_type3_via_sections(form, trials=0, seed=0)
+    assert v.kind == "SecondType"
+    assert "origin: cylinder reduction clean" in v.evidence
+    assert orders == [4, 6, 4, 6]
 
 
 def test_match_cylinder_over_tangent_germ_is_not_simple():
