@@ -99,6 +99,14 @@ def _pgcd(p, q):
     return a
 
 
+def _peval(p, x):
+    """The value of p at the rational x (Horner's rule)."""
+    acc = _F0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def _pmonic_scale(p):
     """Return (monic polynomial, leading coefficient)."""
     if not p:
@@ -169,6 +177,11 @@ class RatFunc:
 
     def is_zero(self):
         return not self.num
+
+    def at(self, x):
+        """The value at the rational x, or None at a pole."""
+        den = _peval(self.den, x)
+        return _peval(self.num, x) / den if den else None
 
     def is_constant(self):
         return len(self.num) <= 1 and self.den == (Fraction(1),)
@@ -558,6 +571,17 @@ def coerce(x: FieldElement, desc: FieldDescriptor) -> FieldElement:
     if desc.parameter is not None and x.desc.parameter is None:
         return _elem(desc, _const_rf(x.a), _const_rf(x.b))
     return _elem(desc, x.a, x.b)
+
+
+def common_denominator(elements) -> RatFunc:
+    """The monic lcm in Q[t] of the denominators of the coordinates of
+    elements of a tower with a parameter, as a polynomial RatFunc."""
+    d = _ONE_DEN
+    for x in elements:
+        for c in (x.a, x.b):
+            if len(c.den) > 1:
+                d = _pmul(d, _pdivmod(c.den, _pgcd(d, c.den))[0])
+    return RatFunc(d)
 
 
 def _fraction_sqrt(q: Fraction):

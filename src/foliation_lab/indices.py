@@ -19,7 +19,8 @@ saddle-node is CS + 2 GSV over both separatrices.
 
 from __future__ import annotations
 
-from .fields import FieldDescriptor, FieldElement, WidenRequest, sort_key
+from .fields import (FieldDescriptor, FieldElement, RatFunc, WidenRequest,
+                     common_denominator, sort_key)
 from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
                     integrable, invariant_hypersurface, normalize2, pullback)
 from .poly import (
@@ -27,6 +28,8 @@ from .poly import (
     _utrim,
     divides,
     gcd_bivariate,
+    interpolate,
+    specialize,
     to_univariate,
     u_gcd,
     u_resultant,
@@ -203,13 +206,32 @@ def localize_at(p: MPoly, sing: PlaneSingularity) -> MPoly:
 
 def _resultant_eliminating(p: MPoly, q: MPoly, var: str, desc):
     """Resultant of two exact bivariate polynomials eliminating `var`,
-    as a univariate coefficient list in the other variable
+    as a univariate coefficient list in the other variable u
     (evaluation-interpolation).
 
-    Points where a leading coefficient in `var` vanishes are skipped:
-    there the specialized resultant is not the specialization of the
-    resultant.
+    Without a parameter: the Sylvester resultants of p(u0, .) and
+    q(u0, .) over the tower at deg p * deg q + 1 integer points u0, which
+    bounds the degree in u of the resultant, interpolated.  Points where
+    a leading coefficient in `var` vanishes are skipped: there the
+    specialized resultant is not the specialization of the resultant.
+
+    Over a tower with a parameter s: let L_p and L_q in Q[s] be the lcms
+    of the denominators of p and q, P = L_p p and Q = L_q q, and d_p, d_q
+    the degrees of p and q in `var`.  The resultant is homogeneous of
+    degree d_q in the coefficients of p and of degree d_p in those of q,
+    so Res(P, Q) = L_p^d_q L_q^d_p Res(p, q).  Each Sylvester row has at
+    most the s-degree of its polynomial, so Res(P, Q) is a polynomial in
+    (u, s) of degree at most D = d_q deg_s P + d_p deg_s Q in s.  Take
+    D + 1 integer points s0 where no coefficient has a pole and neither
+    degree in `var` drops.  At each, Res(p, q)(u, s0) is the resultant of
+    the specializations over the tower without s, computed as above.
+    The rational part and the square-root part of each coefficient in u
+    of Res(P, Q) are then interpolated in s, which gives them exactly,
+    and divided by L_p^d_q L_q^d_p.  No determinant runs over rational
+    functions of s.
     """
+    if desc.parameter is not None:
+        return _resultant_by_specialization(p, q, var, desc)
     other = [w for w in p.vars if w != var][0]
     bound = p.degree() * q.degree() + 1
     pts = []
@@ -224,24 +246,39 @@ def _resultant_eliminating(p: MPoly, q: MPoly, var: str, desc):
             continue
         pts.append(t)
         vals.append(u_resultant(pa, pb, desc))
-    # Lagrange interpolation on the chosen points
-    coeffs = [desc.zero()] * bound
-    for i, t in enumerate(pts):
-        num = [desc.one()]
-        denom = desc.one()
-        for j, s in enumerate(pts):
-            if j == i:
-                continue
-            new = [desc.zero()] * (len(num) + 1)
-            for k, ck in enumerate(num):
-                new[k] = new[k] - ck * s
-                new[k + 1] = new[k + 1] + ck
-            num = new
-            denom = denom * (t - s)
-        w = vals[i] / denom
-        for k, ck in enumerate(num):
-            coeffs[k] = coeffs[k] + ck * w
-    return coeffs
+    return interpolate(pts, vals)
+
+
+def _resultant_by_specialization(p, q, var, desc):
+    """_resultant_eliminating over a tower with a parameter."""
+    dp, dq = p.degree_in(var), q.degree_in(var)
+    scale = RatFunc(1)  # L_p^dq L_q^dp
+    D = 0
+    for f, k in ((p, dq), (q, dp)):
+        den = common_denominator(f.coeffs.values())
+        D += k * (max(len(c.num) - len(c.den) for x in f.coeffs.values()
+                      for c in (x.a, x.b) if c) + len(den.num) - 1)
+        for _ in range(k):
+            scale = scale * den
+    length = p.degree() * q.degree() + 1
+    pts, vals = [], []
+    s0 = 0
+    while len(pts) <= D:
+        ps, qs = specialize(p, s0), specialize(q, s0)
+        if (ps is not None and qs is not None and ps.degree_in(var) == dp
+                and qs.degree_in(var) == dq):
+            f = scale.at(s0)
+            res = _resultant_eliminating(ps, qs, var, ps.desc)
+            pts.append(s0)
+            vals.append([c * f for c in res]
+                        + [ps.desc.zero()] * (length - len(res)))
+        s0 += 1
+    out = []
+    for k in range(length):
+        a = interpolate(pts, [row[k].a for row in vals])
+        b = interpolate(pts, [row[k].b for row in vals])
+        out.append(FieldElement(desc, RatFunc(a) / scale, RatFunc(b) / scale))
+    return out
 
 
 def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):

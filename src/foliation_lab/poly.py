@@ -469,6 +469,25 @@ def _utrim(c):
     return c[:n]
 
 
+def interpolate(xs, ys):
+    """Coefficients, low to high, of the polynomial of degree below
+    len(xs) that takes the value ys[i] at the rational xs[i] (distinct):
+    Newton's divided differences, expanded by Horner's rule.  The values
+    are field elements or Fractions."""
+    c = list(ys)
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        x = xs[i]
+        out = ([c[i] - out[0] * x]
+               + [out[k - 1] - out[k] * x for k in range(1, len(out))]
+               + out[-1:])
+    return out
+
+
 def u_eval(c, x: FieldElement):
     acc = x.desc.zero()
     for k in reversed(c):
@@ -613,6 +632,26 @@ def u_resultant(a, b, desc: FieldDescriptor) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# the parameter at a rational value
+
+
+def specialize(x, s0):
+    """x, a field element or an exact MPoly over a tower with a
+    parameter, at the rational parameter value s0: the same over the
+    tower without the parameter, or None when a coefficient has a pole
+    at s0."""
+    ground = FieldDescriptor(x.desc.quadratic_extension)
+    poly = isinstance(x, MPoly)
+    out = {}
+    for e, c in (x.coeffs.items() if poly else ((None, x),)):
+        a, b = c.a.at(s0), c.b.at(s0)
+        if a is None or b is None:
+            return None
+        out[e] = FieldElement(ground, a, b)
+    return MPoly(x.vars, out, ground) if poly else out[None]
+
+
+# ---------------------------------------------------------------------------
 # bivariate gcd (used by 1-form normalization)
 
 
@@ -620,11 +659,13 @@ def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
     """Gcd of two exact polynomials in exactly two variables, monic-ish
     (normalized so its leading term has coefficient one).
 
-    The second variable is the main one: the contents in the first are
-    split off, and the primitive parts go through a pseudo-remainder
-    sequence unless one specialization of the first variable already
-    proves them coprime (_coprime_at_a_point), as it does for most
-    coprime pairs.  Callers: forms._content_and_gcd (normalize2) and
+    Specializations decide first (_coprime_at_points).  Most coprime
+    pairs are proved coprime there, and no content is computed.  When
+    they rule out only the common factors of positive degree in the
+    second variable, the gcd is that of the contents in the first.
+    Otherwise the contents are split off and the primitive parts go
+    through a pseudo-remainder sequence in the second variable.
+    Callers: forms._content_and_gcd (normalize2) and
     indices._affine_common_roots.
     """
     if p.prec is not None or q.prec is not None:
@@ -633,10 +674,63 @@ def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
         return _normalize_lead(q)
     if q.is_zero():
         return _normalize_lead(p)
+    certified = _coprime_at_points(p, q)
+    if certified == 2:
+        return MPoly.constant(p.vars, 1, p.desc)
     a = _to_recursive(p)
     b = _to_recursive(q)
-    g = _rec_gcd(a, b, p.vars, p.desc)
+    g = _rec_gcd(a, b, p.vars, p.desc, certified == 1)
     return _normalize_lead(_from_recursive(g, p.vars, p.desc))
+
+
+def _coprime_at_points(p, q):
+    """What specializations prove about common factors of p and q, in
+    variables (u, v) over a tower K: 2 when no common factor has positive
+    degree in u or in v, so the gcd is 1; 1 when none has positive degree
+    in v, so the gcd is that of the contents in u; 0 when no point
+    certified.
+
+    Let k be K without its parameter s (Q or Q(rt m)); without a
+    parameter s is not set.  The test for v at a point (u0, s0): no
+    coefficient of p or q has a pole at s0, neither leading coefficient
+    in v vanishes at (u0, s0), and p(u0, s0, v) and q(u0, s0, v) have a
+    constant gcd over k.  Proof: multiply p and q by the lcm of their
+    denominators in k[s], which do not vanish at s0, to get P and Q in
+    k[s, u][v].  Let g of positive v-degree divide p and q.  By Gauss's
+    lemma (k[s, u] is a UFD) g may be taken primitive in k[s, u][v], and
+    then it divides P and Q there.  So lc_v(g) divides lc_v(P) and
+    lc_v(Q) in k[s, u] and does not vanish at (u0, s0): g(u0, s0, v)
+    keeps its positive degree and divides both specializations, whose
+    gcd is then not constant.  The same test with u and v exchanged, at
+    (v0, s0), rules out the common factors of positive u-degree, and a
+    common factor of degree 0 in both is a unit.
+
+    v is tested first and u only once v is certified.  A point where
+    the test fails (a leading coefficient vanishes, or the gcd is not
+    constant although p and q may be coprime) passes to the next one.
+    u0 = 0 is not used: local forms vanish at the origin, so their
+    specializations there share a power of v.
+    """
+    vars = p.vars
+    degrees = [(p.degree_in(w), q.degree_in(w)) for w in vars]
+    done = 0
+    for x0, s0 in ((1, 2), (2, 3), (3, 5), (5, 7)):
+        ps, qs = p, q
+        if p.desc.parameter is not None:
+            ps, qs = specialize(p, s0), specialize(q, s0)
+            if ps is None or qs is None:
+                continue
+        while done < 2:
+            main, other = vars[1 - done], vars[done]
+            sa, sb = (to_univariate(f.restrict({other: x0}), main)
+                      for f in (ps, qs))
+            if ((len(sa) - 1, len(sb) - 1) != degrees[1 - done]
+                    or len(u_gcd(sa, sb, ps.desc)) > 1):
+                break
+            done += 1
+        if done == 2:
+            break
+    return done
 
 
 def _to_recursive(p: MPoly):
@@ -684,15 +778,17 @@ def _rec_deg(d):
     return max(d) if d else -1
 
 
-def _rec_gcd(a, b, vars, desc):
+def _rec_gcd(a, b, vars, desc, parts_coprime):
+    """Gcd of the contents in the first variable, times that of the
+    primitive parts by pseudo-remainders unless `parts_coprime`."""
     ca = _rec_content(a, vars, desc)
     cb = _rec_content(b, vars, desc)
     cg = u_gcd(ca, cb, desc)
+    cgpoly = MPoly(vars, {(i, 0): c for i, c in enumerate(cg)}, desc)
+    if parts_coprime:
+        return {0: cgpoly}
     a = _rec_primitive(a, vars, desc, ca)
     b = _rec_primitive(b, vars, desc, cb)
-    cgpoly = MPoly(vars, {(i, 0): c for i, c in enumerate(cg)}, desc)
-    if _coprime_at_a_point(a, b, vars, desc):
-        return {0: cgpoly}
     while b:
         if _rec_deg(a) < _rec_deg(b):
             a, b = b, a
@@ -703,29 +799,6 @@ def _rec_gcd(a, b, vars, desc):
             cb2 = _rec_content(b, vars, desc)
             b = _rec_primitive(b, vars, desc, cb2)
     return {k: p * cgpoly for k, p in a.items()}
-
-
-def _coprime_at_a_point(a, b, vars, desc):
-    """True when a point u0 in {1, 2, 3} proves the primitive parts a and
-    b coprime: neither leading coefficient in v vanishes at u0, and the
-    specializations a(u0, v) and b(u0, v) have a constant gcd.
-
-    Proof: a common factor g of positive v-degree divides a and b, so its
-    leading coefficient divides theirs and does not vanish at u0; then
-    g(u0, v) keeps that degree and divides both specializations.  A
-    constant gcd there leaves only common factors in K[u], and primitive
-    parts share none.  u0 = 0 is not tried: local forms vanish at the
-    origin, so their specializations there share a power of v.  False
-    means only that no point certified; the caller then runs the
-    pseudo-remainder sequence.
-    """
-    for u0 in (1, 2, 3):
-        point = {vars[0]: u0, vars[1]: 0}
-        sa, sb = ([d[k].evaluate(point) if k in d else desc.zero()
-                   for k in range(_rec_deg(d) + 1)] for d in (a, b))
-        if sa[-1] and sb[-1]:
-            return len(u_gcd(sa, sb, desc)) == 1
-    return False
 
 
 def _rec_prem(a, b, vars, desc):

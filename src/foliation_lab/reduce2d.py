@@ -96,14 +96,16 @@ class SingularityRecord:
 
 
 class ReductionTree:
-    """Full record of one reduction run."""
+    """Full record of one reduction run; `divisor` is the declared
+    LocalDivisor."""
 
-    __slots__ = ("form", "desc", "components", "edges", "events", "leaves",
-                 "blowup_count")
+    __slots__ = ("form", "desc", "divisor", "components", "edges", "events",
+                 "leaves", "blowup_count")
 
-    def __init__(self, form, desc):
+    def __init__(self, form, desc, divisor):
         self.form = form
         self.desc = desc
+        self.divisor = divisor
         self.components = {}
         self.edges = set()
         self.events = []
@@ -249,7 +251,7 @@ class _Engine:
     def __init__(self, form, divisor, max_depth):
         self.max_depth = max_depth
         self.desc = form.desc
-        self.tree = ReductionTree(form, form.desc)
+        self.tree = ReductionTree(form, form.desc, divisor)
         self.next_comp = 0
         init = []
         for b in divisor:

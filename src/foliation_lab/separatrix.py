@@ -208,23 +208,30 @@ def separatrices2(form: OneForm2, tree: ReductionTree, N: int = 12) -> Separatri
         return _collect_branches(tree, N)
 
 
-def _regular_leaf(form: OneForm2, N: int) -> BranchJet:
-    """The one separatrix of a regular point: the leaf through the origin,
-    tangent to the kernel of omega(0).  Its path is empty, so nothing is
-    pushed down."""
+def _regular_branches(form: OneForm2, divisor, N: int):
+    """The separatrices of a regular point: the leaf through the origin,
+    tangent to the kernel of omega(0), unless a branch of `divisor`
+    through the origin is tangent to it.  Its path is empty, so nothing
+    is pushed down."""
     a, b = form.A.constant_coefficient(), form.B.constant_coefficient()
     d = _scale_dir((b, -a))
+    if any(_parallel(d, _branch_tangent(br.equation)) for br in divisor
+           if br.equation.constant_coefficient().is_zero()):
+        return []
     zero, one = form.desc.zero(), form.desc.one()
     d_other = (zero, one) if d[0] else (one, zero)
     param, implicit = _trace_graph(form, d, d_other, N)
-    return BranchJet(param, _normalize_implicit(implicit), True, "ordinary",
-                     ())
+    return [BranchJet(param, _normalize_implicit(implicit), True, "ordinary",
+                      ())]
 
 
 def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
+    """The separatrix branches of the leaves, or of a regular root.  A
+    declared divisor branch is never one of them, so the set may be
+    empty; then g = 1."""
     # a root that is neither blown up nor a leaf is a regular point
     branches = ([] if tree.blowup_count or tree.leaves
-                else [_regular_leaf(tree.form, N)])
+                else _regular_branches(tree.form, tree.divisor, N))
     for rec in tree.leaves:
         if rec.code.kind == REGULAR:
             continue
@@ -240,10 +247,8 @@ def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
                 _pushdown_implicit(implicit_up, rec.path))
             analytic = not (rec.code.kind == SADDLE_NODE and role == "weak")
             branches.append(BranchJet(param, implicit, analytic, role, rec.path))
-    if not branches:
-        raise ValueError("no separatrix branches found")
-    g = branches[0].implicit
-    for b in branches[1:]:
+    g = MPoly.constant(tree.form.vars, 1, tree.desc)
+    for b in branches:
         g = g * b.implicit
     return SeparatrixSet(branches, g)
 

@@ -1,8 +1,10 @@
-"""The bivariate gcd, certified coprime at one point when it can be,
+"""The bivariate gcd, certified coprime at points when it can be,
 against a frozen copy of the pseudo-remainder gcd (frozen_gcd.py): the
 same normalized gcd on coprime pairs, on pairs with a planted common
-factor, and on pairs whose certificate cannot run."""
+factor, and on pairs whose certificate cannot run, over Q, Q(rt 2), Q(s)
+and Q(s)(rt 2)."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ import frozen_gcd
 from conftest import Q, Q2, UV, cusp_line_form, mk
 
 QS = FieldDescriptor(parameter="s")
+QS2 = FieldDescriptor(2, "s")
 
 _NONZERO = sorted({Fraction(a, b) for a in range(-4, 5) if a
                    for b in (1, 2)})
@@ -25,10 +28,11 @@ _nonzero = st.sampled_from(_NONZERO)
 @st.composite
 def _coeff(draw, desc):
     c = desc.rational(draw(_nonzero))
-    gen = (desc.sqrt_gen() if desc.quadratic_extension
-           else desc.param_gen() if desc.parameter else None)
-    if gen is not None and draw(st.booleans()):
-        c = c + desc.rational(draw(_nonzero)) * gen
+    gens = ([desc.sqrt_gen()] if desc.quadratic_extension else []) + (
+        [desc.param_gen()] if desc.parameter else [])
+    for gen in gens:
+        if draw(st.booleans()):
+            c = c + desc.rational(draw(_nonzero)) * gen
     return c
 
 
@@ -49,11 +53,11 @@ def _same_gcd(a, b):
     return new
 
 
-_descs = st.sampled_from([Q, Q, Q2, Q2, QS])
+_descs = st.sampled_from([Q, Q, Q2, Q2, QS, QS2])
 # The pseudo-remainder sequence of the frozen copy grows rational
 # functions of s without bound: some coprime pairs of degree 4 over Q(s)
-# run for minutes.  Over Q(s) the degrees are halved.
-_DEGREE = {Q: 4, Q2: 4, QS: 2}
+# run for minutes.  Over Q(s) and Q(s)(rt 2) the degrees are halved.
+_DEGREE = {Q: 4, Q2: 4, QS: 2, QS2: 2}
 
 
 @settings(max_examples=80, deadline=None)
@@ -109,21 +113,101 @@ def _counting(monkeypatch, name):
 
 def test_leading_coefficients_vanishing_at_every_point_fall_back(
         monkeypatch):
-    """Both leading coefficients in v vanish at u = 1, 2 and 3, so no
+    """Both leading coefficients in v vanish at u = 1, 2, 3 and 5, so no
     point certifies and the pseudo-remainder sequence runs."""
-    lead = {(3, 0): 1, (2, 0): -6, (1, 0): 11, (0, 0): -6}  # (u-1)(u-2)(u-3)
+    # (u - 1)(u - 2)(u - 3)(u - 5)
+    lead = {(4, 0): 1, (3, 0): -11, (2, 0): 41, (1, 0): -61, (0, 0): 30}
     a = mk(UV, {(e[0], 2): c for e, c in lead.items()}
            | {(0, 1): 1, (1, 0): 1})
     b = mk(UV, {(e[0], 1): c for e, c in lead.items()} | {(2, 0): 3})
-    certified = _counting(monkeypatch, "_coprime_at_a_point")
+    certified = _counting(monkeypatch, "_coprime_at_points")
     prems = _counting(monkeypatch, "_rec_prem")
     assert _same_gcd(a, b).degree() == 0
-    assert certified == [False] and prems
+    assert certified == [0] and prems
     prems.clear()
     # the same leading coefficients with a planted common factor v - u
     g = mk(UV, {(0, 1): 1, (1, 0): -1})
     assert _same_gcd(a * g, b * g).degree() == 1
     assert prems
+
+
+def _param_ops(monkeypatch):
+    """Calls of u_gcd and _rec_prem over a tower with a parameter."""
+    seen = []
+    for name in ("u_gcd", "_rec_prem"):
+        original = getattr(poly, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            if args[-1].parameter is not None:
+                seen.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(poly, name, wrapper)
+    return seen
+
+
+def _random_pair(rng):
+    """Two polynomials over Q(s) of degree <= 4 with up to 5 terms each,
+    with coefficients r0 + r1 s, as in the pairs that ran for seconds in
+    the pseudo-remainder gcd."""
+    s = QS.param_gen()
+    exps = monomials_below(2, 5)
+
+    def draw():
+        terms = {}
+        for e in rng.sample(exps, rng.randint(2, 5)):
+            c = QS.rational(rng.choice(_NONZERO))
+            if rng.random() < 0.5:
+                c = c + QS.rational(rng.choice(_NONZERO)) * s
+            terms[e] = c
+        return MPoly(UV, terms, QS)
+
+    while True:
+        a, b = draw(), draw()
+        shared = [min(x, y) for x, y in zip(a.monomial_content(),
+                                            b.monomial_content())]
+        if not any(shared):
+            return a, b
+
+
+def test_coprime_parameter_pairs_need_no_work_over_the_parameter(
+        monkeypatch):
+    """50 drawn coprime pairs over Q(s) of degree <= 4 are certified at
+    points: no pseudo-remainder and no u_gcd runs over Q(s)."""
+    rng = random.Random(18)
+    pairs = [_random_pair(rng) for _ in range(50)]
+    seen = _param_ops(monkeypatch)
+    for a, b in pairs:
+        assert gcd_bivariate(a, b) == MPoly.constant(UV, 1, QS), \
+            (a.render(), b.render())
+    assert seen == []
+
+
+def test_an_unlucky_first_point_passes_to_the_next():
+    """a = -3v(u + sv - s) and b = 3u(u + sv - 1) are coprime, but at
+    u = 1 both specializations vanish at v = 0, and at v = 1 both vanish
+    at u = 0.  A later point certifies the pair."""
+    s = QS.param_gen()
+    u, v = (MPoly.variable(UV, w, QS) for w in UV)
+    a = v.scale(QS.rational(-3)) * (u + v.scale(s) - s)
+    b = u.scale(QS.rational(3)) * (u + v.scale(s) - 1)
+    assert poly._coprime_at_points(a, b) == 2
+    for x0, s0 in ((1, 2), (2, 3)):
+        sa, sb = (poly.specialize(f, s0) for f in (a, b))
+        first = [poly.to_univariate(f.restrict({"u": x0}), "v")
+                 for f in (sa, sb)]
+        assert len(poly.u_gcd(*first, sa.desc)) == (2 if x0 == 1 else 1)
+    assert _same_gcd(a, b) == MPoly.constant(UV, 1, QS)
+
+
+def test_a_pair_unlucky_at_three_points_is_certified_at_the_fourth():
+    """-v(v + 2u - uv) and u(v + 2u - u^2), from a plane reduction: the
+    leading coefficient u - 1 vanishes at u = 1, and at u = 2 and u = 3
+    the specializations share a root."""
+    a = mk(UV, {(0, 2): -1, (1, 1): -2, (1, 2): 1})
+    b = mk(UV, {(1, 1): 1, (2, 0): 2, (3, 0): -1})
+    assert poly._coprime_at_points(a, b) == 2
+    assert _same_gcd(a, b) == MPoly.constant(UV, 1, Q)
 
 
 def _cusp_line_pullback():

@@ -140,6 +140,24 @@ def test_cli_regular_point_reports_its_leaf(tmp_form_file, tmp_path,
     assert rep["identity_check"] == {"nu_form": 0, "nu_dg": 0, "equal": True}
 
 
+@pytest.mark.parametrize("command", ["analyze2", "separatrices"])
+@pytest.mark.parametrize("text, nu", [
+    ("omega2: v du + 2*u dv\ndivisor:{ u, v }\n", 1),
+    ("omega2: du\ndivisor:{ u }\n", 0),
+])
+def test_cli_declared_branches_leave_no_separatrix(tmp_form_file, tmp_path,
+                                                   command, text, nu):
+    """Declared divisor branches are never listed as separatrices; an
+    empty list is a valid answer.  The identity is that of the form
+    without its divisor."""
+    out = tmp_path / "d.json"
+    assert cli.main([command, tmp_form_file(text), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["separatrices"] == []
+    assert rep["identity_check"] == {"nu_form": nu, "nu_dg": nu,
+                                     "equal": True}
+
+
 def test_cli_plane_invariants_are_those_of_the_saturated_form(
         tmp_form_file, tmp_path):
     # u^2 v du - u v^2 dv = u v (u du - v dv): the saturated form has nu 1

@@ -10,8 +10,8 @@ from foliation_lab import (DicriticalInputError, OneForm2,
                            multiplicity_identity_check, mu0,
                            seidenberg_reduce, separatrices2,
                            weak_graph_coefficients, weak_separatrix_jet)
-from foliation_lab.forms import (CurveJet, LocalDivisor, invariant_curve,
-                                 normalize2, pullback_curve)
+from foliation_lab.forms import (CurveJet, DivisorBranch, LocalDivisor,
+                                 invariant_curve, normalize2, pullback_curve)
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import _rotate_form, classify_point2
 
@@ -182,3 +182,19 @@ def test_a_regular_point_has_the_leaf_as_its_one_separatrix(a, b, jet):
     assert g.is_zero() or g.order() >= 12
     rep = multiplicity_identity_check(form)
     assert (rep.nu_form, rep.nu_dg, rep.equal) == (0, 0, True)
+
+
+@pytest.mark.parametrize("a, b, branches", [
+    ({(0, 1): 1}, {(1, 0): 2}, ({(1, 0): 1}, {(0, 1): 1})),  # node, {u, v}
+    ({(0, 0): 1}, {}, ({(1, 0): 1},)),                        # du, {u}
+])
+def test_declared_divisor_branches_are_never_separatrices(a, b, branches):
+    """At a node whose two separatrices are declared and at a regular
+    point whose leaf is declared, the separatrix set is empty and g = 1."""
+    form = f2(a, b)
+    E = LocalDivisor([DivisorBranch(MPoly(form.vars, eq, form.desc))
+                      for eq in branches])
+    seps = separatrices2(form, seidenberg_reduce(form, E))
+    assert seps.s0() == 0
+    assert seps.g == MPoly.constant(form.vars, 1, form.desc)
+

@@ -33,13 +33,14 @@ TRACED = ["poly.MPoly.substitute.calls", "poly.MPoly.substitute.self_s",
           "poly.MPoly.__mul__.calls", "poly.MPoly.__mul__.self_s",
           "forms.normalize2.calls", "forms.normalize2.self_s",
           "poly.gcd_bivariate.calls", "poly.gcd_bivariate.self_s",
-          "poly.exact_divide.calls", "linalg.solve.calls",
-          "linalg.nullspace.self_s", "linalg.det.self_s",
+          "poly.exact_divide.calls", "poly.u_gcd.self_s",
+          "poly.u_resultant.self_s", "indices.plane_singularities.self_s",
+          "linalg.solve.calls", "linalg.nullspace.self_s", "linalg.det.self_s",
           "linalg.rank.self_s", "threefold.dimensional_type.self_s",
           "threefold.match_simple_model3.self_s",
           "threefold.pullback_section.self_s", "fields.mul.q",
           "fields.mul.quad", "fields.mul.param", "fields.add.q",
-          "fields.add.quad", "fields.add.param"]
+          "fields.add.quad", "fields.add.param", "fields.inverse.param"]
 
 
 def _side(rec, parent, change):
