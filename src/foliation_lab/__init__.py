@@ -16,7 +16,7 @@ arithmetic, and provides:
 """
 
 from .fields import (FieldDescriptor, FieldElement, FieldError,
-                     FieldExtensionError, WidenRequest)
+                     FieldExtensionError, Inconclusive, WidenRequest)
 from .forms import (CurveJet, DivisorBranch, LocalDivisor, OneForm2,
                     OneForm3, PrecisionError, integrable3, invariant_curve,
                     invariant_surface3, mu0, normalize2, normalize3, nu0)

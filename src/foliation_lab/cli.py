@@ -13,17 +13,16 @@ import json
 import os
 import sys
 
-from .fields import (FieldError, FieldExtensionError, WidenRequest)
-from .forms import (PrecisionError, invariant_hypersurface, mu0, normalize2,
-                    nu0)
+from .fields import FieldError, Inconclusive
+from .forms import invariant_hypersurface, mu0, normalize2, nu0
 from .indices import logarithmic_criterion, sum_theorem_check
-from .parser import InputSyntaxError, parse_form
+from .parser import parse_form
 from .poly import MPoly, OrderIndeterminate
-from .reduce2d import ReductionError, dual_graph, seidenberg_reduce
+from .reduce2d import dual_graph, seidenberg_reduce
 from .separatrix import (DicriticalInputError, multiplicity_identity_check,
                          separatrices2)
-from .threefold import (InconclusiveError, match_simple_model3,
-                        second_type3_via_sections, theorem_main_harness)
+from .threefold import (match_simple_model3, second_type3_via_sections,
+                        theorem_main_harness)
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -415,29 +414,22 @@ def _run_one(opts, path):
         raise UsageError(str(exc))
     report = {"input": os.path.basename(path), "field": None,
               "diagnostics": []}
-    try:
-        parsed = parse_form(text)
-    except FieldExtensionError as exc:
-        # the coefficient field itself could not be decided
-        report["diagnostics"].append(str(exc))
-        _write_report(opts, path, report)
-        return _EXIT_INCONCLUSIVE
-    expected = _FORM_KINDS[opts.command]
-    if parsed.kind != expected:
-        raise UsageError("command %s expects a %s: input, got %s:"
-                         % (opts.command, expected, parsed.kind))
-    report["field"] = parsed.desc.describe()
     dot_path = (_target_path(opts.dot, path, ".dot")
                 if opts.command in _TREE_COMMANDS else None)
     try:
+        # a coefficient field that cannot be decided leaves "field" null
+        parsed = parse_form(text)
+        expected = _FORM_KINDS[opts.command]
+        if parsed.kind != expected:
+            raise UsageError("command %s expects a %s: input, got %s:"
+                             % (opts.command, expected, parsed.kind))
+        report["field"] = parsed.desc.describe()
         if parsed.kind == "omega2" and parsed.divisor is not None:
             # saturate the root once: every later normalize2 sees the flag
             parsed.form = normalize2(parsed.form)
             _check_divisor(parsed.form, parsed.divisor)
         code = _HANDLERS[opts.command](parsed, report, opts, dot_path)
-    except (WidenRequest, FieldExtensionError, PrecisionError,
-            InconclusiveError, ReductionError, OrderIndeterminate,
-            DicriticalInputError) as exc:
+    except Inconclusive as exc:
         report["diagnostics"].append(str(exc))
         code = _EXIT_INCONCLUSIVE
     tree = report.pop("_tree", None)
@@ -471,7 +463,7 @@ def main(argv=None) -> int:
     for path in sorted(opts.inputs, key=os.path.basename):
         try:
             code = max(code, _run_one(opts, path))
-        except (InputSyntaxError, UsageError, FieldError, ValueError) as exc:
+        except (FieldError, ValueError) as exc:
             print("foliation-lab: %s: %s" % (path, exc), file=sys.stderr)
             return _EXIT_USAGE
     return code

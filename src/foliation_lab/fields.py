@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+class Inconclusive(Exception):
+    """A question these exact methods could not settle: the command line
+    exits 2 on exactly the subclasses of this class."""
+
+
 class FieldError(Exception):
     """Base class for coefficient-field failures."""
 
@@ -24,14 +29,14 @@ class MismatchedFieldError(FieldError):
     """Two operands live over different field descriptors."""
 
 
-class FieldExtensionError(FieldError):
+class FieldExtensionError(FieldError, Inconclusive):
     """A computation requires an extension the tower cannot host."""
 
 
-class WidenRequest(FieldError):
+class WidenRequest(FieldError, Inconclusive):
     """Raised internally when a square root of m would solve the problem.
 
-    Callers owning the whole computation may widen the tower and retry.
+    Callers owning the whole computation retry through `widening`.
     """
 
     def __init__(self, m: int):
@@ -656,6 +661,18 @@ def sqrt_or_widen(x: FieldElement):
         raise WidenRequest(s)
     raise FieldExtensionError(
         f"square root of {x.render()} needs a second quadratic extension")
+
+
+def widening(run, desc: FieldDescriptor):
+    """run(desc), and once more over desc widened by sqrt(m) when the first
+    run raises WidenRequest(m).  Only sqrt_or_widen raises one, and only
+    over a tower without a square root, so the second run cannot ask
+    again; a request that it did raise would propagate."""
+    try:
+        return run(desc)
+    except WidenRequest as w:
+        m = w.m
+    return run(desc.widened(m))
 
 
 def sort_key(x: FieldElement):

@@ -34,6 +34,7 @@ from itertools import combinations
 from .fields import (
     FieldDescriptor,
     FieldError,
+    Inconclusive,
     sort_key,
     sqrt_or_widen,
 )
@@ -48,7 +49,7 @@ from .poly import (
 )
 
 
-class PrecisionError(FieldError):
+class PrecisionError(FieldError, Inconclusive):
     """A series-level question could not be settled at the stored precision."""
 
 
@@ -220,6 +221,10 @@ class LocalDivisor:
     def invariant_part(self):
         return [b for b in self.branches if not b.dicritical]
 
+    def coerce_to(self, desc: FieldDescriptor) -> "LocalDivisor":
+        return LocalDivisor([DivisorBranch(b.equation.coerce_to(desc),
+                                           b.dicritical) for b in self])
+
     def __iter__(self):
         return iter(self.branches)
 
@@ -257,10 +262,11 @@ def _content_and_gcd(coeffs, coprime=False):
     """Common factor of a list of nonzero polynomials/series.
 
     Monomial content always comes out; a genuine polynomial gcd is taken
-    only for exact bivariate input, where the subresultant walk applies,
-    and only when the caller does not already know the list is coprime.
-    gcd_bivariate is then the one certificate: a gcd of degree 0 proves
-    the list coprime.
+    only for exact bivariate input, where gcd_bivariate applies, and only
+    when the caller does not already know the list is coprime.
+    gcd_bivariate is then the one certificate: coprimality proved at
+    specialized points, or else a gcd of degree 0, proves the list
+    coprime.
     """
     alive = [p for p in coeffs if not p.is_zero()]
     if not alive:

@@ -19,8 +19,8 @@ saddle-node is CS + 2 GSV over both separatrices.
 
 from __future__ import annotations
 
-from .fields import (FieldDescriptor, FieldElement, RatFunc, WidenRequest,
-                     common_denominator, sort_key)
+from .fields import (FieldDescriptor, FieldElement, RatFunc,
+                     common_denominator, sort_key, widening)
 from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
                     integrable, invariant_hypersurface, normalize2, pullback)
 from .poly import (
@@ -314,12 +314,7 @@ def plane_singularities(fol: ProjFoliation):
     """All singular points over the field tower, with affine local forms."""
     if len(fol.vars) != 3:
         raise ValueError("plane singularities need a 3-variable form")
-    desc = fol.desc
-    while True:
-        try:
-            return _plane_sings(fol.coerce_to(desc))
-        except WidenRequest as w:
-            desc = desc.widened(w.m)
+    return widening(lambda desc: _plane_sings(fol.coerce_to(desc)), fol.desc)
 
 
 def _classified(point, chart, base, a, b):
@@ -380,12 +375,11 @@ def _plane_sings(fol: ProjFoliation):
 class IndexValue:
     """A residue-type index: exact value and kind."""
 
-    __slots__ = ("value", "kind", "nonsingular")
+    __slots__ = ("value", "kind")
 
-    def __init__(self, value: FieldElement, kind: str, nonsingular=False):
+    def __init__(self, value: FieldElement, kind: str):
         self.value = value
         self.kind = kind
-        self.nonsingular = nonsingular
 
     def __repr__(self):
         return "IndexValue(%s, %s)" % (self.kind, self.value)
@@ -483,7 +477,7 @@ def gsv_index(form: OneForm2, branches, g: MPoly = None,
     if not (form.A.constant_coefficient().is_zero()
             and form.B.constant_coefficient().is_zero()):
         # regular point on a smooth invariant branch: conventional value
-        return IndexValue(desc.one(), "GSV", nonsingular=True)
+        return IndexValue(desc.one(), "GSV")
     branches = list(branches)
     if g is None:
         g = MPoly.constant(form.vars, 1, desc)
@@ -680,12 +674,9 @@ def sum_theorem_check(fol: ProjFoliation, C: MPoly, N: int = 12) -> SumReport:
     d0 = _homogeneous_degree(C)
     if d0 is None:
         raise ValueError("the invariant curve must be nonzero")
-    desc = fol.desc
-    while True:
-        try:
-            return _sum_check(fol.coerce_to(desc), C.coerce_to(desc), d0, N)
-        except WidenRequest as w:
-            desc = desc.widened(w.m)
+    return widening(lambda desc: _sum_check(fol.coerce_to(desc),
+                                            C.coerce_to(desc), d0, N),
+                    fol.desc)
 
 
 def _sum_check(fol, C, d0, N):

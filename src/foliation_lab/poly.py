@@ -14,11 +14,11 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .fields import (FieldDescriptor, FieldElement, FieldError,
+from .fields import (FieldDescriptor, FieldElement, FieldError, Inconclusive,
                      MismatchedFieldError, coerce, sort_key)
 
 
-class OrderIndeterminate(FieldError):
+class OrderIndeterminate(FieldError, Inconclusive):
     """The vanishing order cannot be certified at the available precision."""
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from .fields import (
     FieldDescriptor,
-    WidenRequest,
+    Inconclusive,
     ratio_in_positive_rationals,
     sort_key,
+    widening,
 )
 from .forms import (
     DivisorBranch,
@@ -42,12 +43,8 @@ E_SIMPLE = "E-simple"
 UNADAPTED = "unadapted"
 
 
-class ReductionError(Exception):
+class ReductionError(Inconclusive):
     """Engine failure: depth exhausted or degenerate input."""
-
-    def __init__(self, message, tree=None):
-        super().__init__(message)
-        self.tree = tree
 
 
 class ClassCode:
@@ -258,17 +255,15 @@ class _Engine:
             cid = "B%d" % self.next_comp
             self.next_comp += 1
             self.tree.components[cid] = {
-                "dicritical": b.dicritical, "self_int": None, "born": (),
+                "dicritical": b.dicritical, "self_int": None,
             }
             init.append((cid, b))
         self.initial = init
 
-    def new_component(self, dicritical, path):
+    def new_component(self, dicritical):
         cid = "E%d" % self.next_comp
         self.next_comp += 1
-        self.tree.components[cid] = {
-            "dicritical": dicritical, "self_int": -1, "born": path,
-        }
+        self.tree.components[cid] = {"dicritical": dicritical, "self_int": -1}
         return cid
 
     def run(self):
@@ -291,11 +286,11 @@ class _Engine:
                 ))
             return
         if depth >= self.max_depth:
-            raise ReductionError("blow-up depth exhausted", self.tree)
+            raise ReductionError("blow-up depth exhausted")
 
         charts = blowup_point2(form, E, force=True)
         self.tree.blowup_count += 1
-        new_id = self.new_component(charts[0].dicritical, path)
+        new_id = self.new_component(charts[0].dicritical)
         through = sorted(cid for cid, _ in local)
         self.tree.events.append({
             "path": path, "through": through,
@@ -326,7 +321,7 @@ class _Engine:
         if not coeffs:
             raise ReductionError(
                 "strict transform vanishes along the exceptional line; "
-                "input coefficients were not coprime", self.tree)
+                "input coefficients were not coprime")
         if chart.label == "c1":  # the chart that carries the finite points
             roots = u_roots_in_tower(coeffs, desc)
             for _, b in strict_branches:
@@ -361,15 +356,9 @@ def seidenberg_reduce(form: OneForm2, E: LocalDivisor = None,
     if E is None:
         E = LocalDivisor.empty()
     form = normalize2(form)
-    while True:
-        try:
-            return _Engine(form, E, max_depth).run()
-        except WidenRequest as w:
-            desc = form.desc.widened(w.m)
-            # coerce_to keeps `coprime`: a field extension leaves the gcd 1
-            form = form.coerce_to(desc)
-            E = LocalDivisor([DivisorBranch(b.equation.coerce_to(desc),
-                                            b.dicritical) for b in E])
+    # coerce_to keeps `coprime`: a field extension leaves the gcd 1
+    return widening(lambda desc: _Engine(
+        form.coerce_to(desc), E.coerce_to(desc), max_depth).run(), form.desc)
 
 
 class SecondTypeResult:

@@ -18,7 +18,7 @@ curve branches in indices the identity or the swapped frame.
 from __future__ import annotations
 
 from .blowup import PLANE_CHARTS
-from .fields import WidenRequest, sqrt_or_widen
+from .fields import Inconclusive, sqrt_or_widen, widening
 from .forms import (
     CurveJet,
     LocalDivisor,
@@ -29,7 +29,6 @@ from .forms import (
 )
 from .poly import MPoly
 from .reduce2d import (
-    REGULAR,
     SADDLE_NODE,
     ReductionTree,
     _branch_tangent,
@@ -76,12 +75,11 @@ class SeparatrixSet:
         return iter(self.branches)
 
 
-class DicriticalInputError(ValueError):
+class DicriticalInputError(ValueError, Inconclusive):
     def __init__(self, components):
         super().__init__(
             "separatrix extraction needs a non-dicritical reduction; "
             "dicritical components: %s" % ", ".join(components))
-        self.components = components
 
 
 def _leaf_directions(rec):
@@ -197,15 +195,14 @@ def separatrices2(form: OneForm2, tree: ReductionTree, N: int = 12) -> Separatri
         raise ValueError("truncation order too small to separate branches")
     if tree.has_dicritical():
         raise DicriticalInputError(tree.dicritical_components())
-    form = normalize2(form).coerce_to(tree.desc)
-    try:
-        return _collect_branches(tree, N)
-    except WidenRequest as w:
-        # an eigendirection left the tower; widen and redo the reduction
-        desc = tree.desc.widened(w.m)
-        form = form.coerce_to(desc)
-        tree = seidenberg_reduce(form)
-        return _collect_branches(tree, N)
+
+    def run(desc):
+        if desc == tree.desc:
+            return _collect_branches(tree, N)
+        # an eigendirection left the tower: reduce again over the wider one
+        return _collect_branches(
+            seidenberg_reduce(form.coerce_to(desc), tree.divisor), N)
+    return widening(run, tree.desc)
 
 
 def _regular_branches(form: OneForm2, divisor, N: int):
@@ -233,8 +230,6 @@ def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
     branches = ([] if tree.blowup_count or tree.leaves
                 else _regular_branches(tree.form, tree.divisor, N))
     for rec in tree.leaves:
-        if rec.code.kind == REGULAR:
-            continue
         branch_dirs = [_branch_tangent(b.equation) for b in rec.divisor]
         dirs = _leaf_directions(rec)
         for d, role in dirs:

@@ -18,8 +18,7 @@ from math import gcd as _igcd, lcm as _lcm
 from .fields import (
     FieldElement,
     FieldError,
-    FieldExtensionError,
-    WidenRequest,
+    Inconclusive,
     _fraction_sqrt,
 )
 from .forms import (
@@ -43,13 +42,12 @@ from .reduce2d import (
     REGULAR,
     SADDLE_NODE,
     SIMPLE,
-    ReductionError,
     classify_point2,
     is_second_type2,
 )
 
 
-class InconclusiveError(FieldError):
+class InconclusiveError(FieldError, Inconclusive):
     """A three-variable question could not be settled by these methods."""
 
 
@@ -138,18 +136,14 @@ class Model3Match:
     render it.
     """
 
-    __slots__ = ("code", "tau", "residues", "powers", "phi",
-                 "weak_planes", "permutation", "axis")
+    __slots__ = ("code", "tau", "residues", "powers", "weak_planes", "axis")
 
-    def __init__(self, code, tau, residues=(), powers=(), phi=None,
-                 weak_planes=(), permutation=(0, 1, 2)):
+    def __init__(self, code, tau, residues=(), powers=(), weak_planes=()):
         self.code = code
         self.tau = tau
         self.residues = tuple(residues)
         self.powers = tuple(powers)
-        self.phi = phi
         self.weak_planes = tuple(weak_planes)
-        self.permutation = tuple(permutation)
         self.axis = None
 
     def is_simple(self) -> bool:
@@ -201,11 +195,10 @@ def _lead_term(q: MPoly):
     return e, q.coeffs[e]
 
 
-def _phi_from_series(q: MPoly, pvec):
-    """Interpret q as lam * phi(x^p1 y^p2 z^p3) with phi of leading
-    coefficient one; returns (phi_jet, lam) or None when q is not a
-    series in that single monomial."""
-    desc = q.desc
+def _monomial_series_lead(q: MPoly, pvec):
+    """The leading coefficient lam of q = lam * phi(x^p1 y^p2 z^p3), phi of
+    leading coefficient one, or None when q is not a series in that single
+    monomial."""
     terms = {}
     axis = next(i for i, p in enumerate(pvec) if p)
     for e, c in q.coeffs.items():
@@ -215,13 +208,7 @@ def _phi_from_series(q: MPoly, pvec):
         terms[k] = c
     if not terms:
         return None
-    kmin = min(terms)
-    lam = terms[kmin]
-    inv = lam.inverse()
-    phi = MPoly(("s",), {(k,): c * inv for k, c in terms.items()}, desc,
-                prec=None if q.prec is None else max(
-                    1, q.prec // max(1, sum(pvec))))
-    return phi, lam
+    return terms[min(terms)]
 
 
 def _positive_rational(r: FieldElement):
@@ -315,8 +302,7 @@ def _match_tau3(form: OneForm3, jet_order: int, resonance_bound: int):
             # formally linearizable, so unit factors picked up along the
             # way do not change the model.
             if c0 and _fully_nonresonant((a0, b0, c0), resonance_bound):
-                return Model3Match("A", 3, residues=(a0, b0, c0),
-                                   permutation=perm)
+                return Model3Match("A", 3, residues=(a0, b0, c0))
             continue
         # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
         qb, qc = (_series_quot(p, a, jet_order) for p in (b, c))
@@ -346,27 +332,26 @@ def _model_b(qb: MPoly, qc: MPoly, powers, perm):
                         qc.scale(p1) - desc.rational(pvec[2]), pvec)
     if got is None:
         return None
-    phi, l2, l3 = got
+    l2, l3 = got
     if (any(not l for l, p in zip((l2, l3), pvec[1:]) if not p)
             or not _pair_nonresonant(l2, l3)):
         return None
     k = len(powers)
     planes = [MPoly.variable(vars3, vars3[perm[i]], desc) for i in range(k, 3)]
     return Model3Match("B%d" % k, 3, residues=(p1, l2, l3), powers=powers,
-                       phi=phi, weak_planes=planes, permutation=perm)
+                       weak_planes=planes)
 
 
 def _extract_pair(qb: MPoly, qc: MPoly, pvec):
     """Both series must be multiples of one phi(x^p1 y^p2 z^p3); returns
-    (phi, lam_b, lam_c) or None.  One of the two may vanish."""
+    (lam_b, lam_c) or None.  One of the two may vanish."""
     desc = qb.desc
     ref = qc if not qc.is_zero() else qb
     if ref.is_zero():
         return None
-    got = _phi_from_series(ref, pvec)
-    if got is None:
+    lam_ref = _monomial_series_lead(ref, pvec)
+    if lam_ref is None:
         return None
-    phi, lam_ref = got
     out = []
     for q in (qb, qc):
         if q.is_zero():
@@ -380,7 +365,7 @@ def _extract_pair(qb: MPoly, qc: MPoly, pvec):
         if not (q.scale(lam_ref) - ref.scale(lam_q)).is_zero():
             return None
         out.append(lam_q)
-    return phi, out[0], out[1]
+    return out[0], out[1]
 
 
 def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
@@ -648,8 +633,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
                 witnesses.append(("axis", kept, st.witnesses))
             else:
                 evidence.append("axis %s: transversal reduction clean" % kept)
-        except (FieldExtensionError, WidenRequest, PrecisionError,
-                ReductionError) as exc:
+        except Inconclusive as exc:
             notes.append("axis %s: %s" % (kept, exc))
 
     # the origin itself
@@ -672,8 +656,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
         else:
             origin_ok = _logarithmic_certificate(form, evidence, notes,
                                                  jet_order)
-    except (FieldExtensionError, WidenRequest, PrecisionError,
-            ReductionError, InconclusiveError) as exc:
+    except Inconclusive as exc:
         notes.append("origin: %s" % exc)
 
     # sampled plane sections
@@ -709,8 +692,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
             continue
         try:
             st = is_second_type2(G, LocalDivisor(branches), max_depth)
-        except (FieldExtensionError, WidenRequest, PrecisionError,
-                ReductionError) as exc:
+        except Inconclusive as exc:
             notes.append("trial %d: %s" % (trial, exc))
             continue
         if not st:
@@ -861,8 +843,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                                            simple, well))
                 if not simple or well is False:
                     all_simple = False
-            except (InconclusiveError, FieldExtensionError, WidenRequest,
-                    ValueError) as exc:
+            except (Inconclusive, ValueError) as exc:
                 diagnostics.append("origin of %r: %s" % (path, exc))
                 records.append(PointRecord(path, "origin", "Unresolved",
                                            False))
@@ -877,7 +858,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
                                            simple, well))
                 if not simple or (code.kind == SADDLE_NODE and not well):
                     all_simple = False
-            except (FieldExtensionError, WidenRequest, PrecisionError) as exc:
+            except Inconclusive as exc:
                 diagnostics.append("axis %s of %r: %s" % (kept, path, exc))
                 all_simple = False
         for s in seqs:

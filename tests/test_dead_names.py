@@ -274,3 +274,51 @@ def test_unset_default_guard_sees_planted_parameters():
     assert unset_defaults({"m.py": source}, callers) == [
         ("m.py", "f", "unset", 1), ("m.py", "f", "kw_only", 1),
         ("m.py", "m", "z", 10)]
+
+
+def unread_slots(sources, readers):
+    """(module, class, slot, line) of every `__slots__` name that no
+    source in `readers` reads as an attribute.  `sources` maps module
+    names to the source whose classes are checked."""
+    read = set()
+    for source in readers:
+        read.update(n.attr for n in ast.walk(ast.parse(source))
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load))
+    found = []
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__"
+                                for t in node.targets)):
+                    found += [(module, cls.name, e.value, e.lineno)
+                              for e in ast.walk(node.value)
+                              if isinstance(e, ast.Constant)
+                              and e.value not in read]
+    return found
+
+
+def test_no_unread_slots_in_the_package():
+    tests = Path(__file__).resolve().parent
+    readers = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))
+               + sorted(tests.glob("*.py"))]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_slots(sources, readers) == []
+
+
+def test_unread_slot_guard_sees_planted_slots():
+    source = ("class A:\n"
+              "    __slots__ = ('kept', 'stored')\n"
+              "    def __init__(self):\n"
+              "        self.kept = 1\n"
+              "        self.stored = 2\n"
+              "class B:\n"
+              "    __slots__ = ('alone',)\n")
+    reader = "def f(a):\n    return a.kept\n"
+    assert unread_slots({"m.py": source}, [source, reader]) == [
+        ("m.py", "A", "stored", 2), ("m.py", "B", "alone", 7)]

@@ -52,6 +52,43 @@ def test_index_sums_along_one_line():
     assert rep.cs_ok and rep.gsv_ok and rep.bb_ok
 
 
+def _xyz():
+    return tuple(MPoly.variable(PROJ3, w, Q) for w in PROJ3)
+
+
+def test_singular_points_widen_the_tower():
+    """The linear field (5X, 2Z, Y) has eigenvalues 5 and +-sqrt 2, so two
+    of its singular points lie over Q(sqrt 2)."""
+    X, Y, Z = _xyz()
+    k = Q.rational
+    fol = ProjFoliation((Y * Y - (Z * Z).scale(k(2)),
+                         (X * Z).scale(k(5)) - X * Y,
+                         (X * Z).scale(k(2)) - (X * Y).scale(k(5))), PROJ3)
+    sings = plane_singularities(fol)
+    assert [[c.render() for c in s.point] for s in sings] == [
+        ["0", "-rt(2)", "1"], ["0", "rt(2)", "1"], ["1", "0", "0"]]
+    assert sum_theorem_check(fol, X).ok
+
+
+def test_sum_check_widens_for_the_tangents_of_a_node():
+    """The pencil C/L^3 with C = Y^2 Z - 6X^2 Z + 2X^3 + XY^2 and
+    L = 9X + 5Z: its seven singular points are rational, but C has a node
+    at (0 : 0 : 1) with tangents v = +-rt(6) u, so only the branches of C
+    need the wider tower."""
+    X, Y, Z = _xyz()
+    k = Q.rational
+    C = Y * Y * Z - (X * X * Z).scale(k(6)) + (X * X * X).scale(k(2)) \
+        + X * Y * Y
+    L = X.scale(k(9)) + Z.scale(k(5))
+    fol = ProjFoliation(tuple(L * C.partial(w) - (C * L.partial(w)).scale(k(3))
+                              for w in PROJ3), PROJ3)
+    sings = plane_singularities(fol)
+    assert len(sings) == 7 and all(s.desc == Q for s in sings)
+    rep = sum_theorem_check(fol, C)
+    assert rep.ok
+    assert rep.bb_sum.desc.quadratic_extension == 6
+
+
 def test_sum_check_certifies_each_point_once(monkeypatch):
     fol, (X, Y, Z) = log_plane_foliation()
     points = len(plane_singularities(fol))

@@ -141,6 +141,22 @@ def test_cli_regular_point_reports_its_leaf(tmp_form_file, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["analyze2", "separatrices"])
+def test_cli_separatrices_widen_past_a_reduction_over_q(tmp_form_file,
+                                                        tmp_path, command):
+    """A reduced node with eigenvalues (1 +- sqrt 5)/2: the reduction
+    ends over Q, and the separatrices reduce again over Q(sqrt 5)."""
+    out = tmp_path / "w.json"
+    assert cli.main([command, tmp_form_file("omega2: -u du + (u + v) dv\n"),
+                     "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["field"] == "Q"
+    assert [s["jet"] for s in rep["separatrices"]] == [
+        "v + (1/2 + (-1/2)*rt(5))*u + O(deg 13)",
+        "v + (1/2 + (1/2)*rt(5))*u + O(deg 13)"]
+    assert rep["identity_check"] == {"nu_form": 1, "nu_dg": 1, "equal": True}
+
+
+@pytest.mark.parametrize("command", ["analyze2", "separatrices"])
 @pytest.mark.parametrize("text, nu", [
     ("omega2: v du + 2*u dv\ndivisor:{ u, v }\n", 1),
     ("omega2: du\ndivisor:{ u }\n", 0),
