@@ -31,15 +31,15 @@ from .separatrix import (BranchJet, DicriticalInputError, IdentityReport,
                          separatrices2, weak_graph_coefficients,
                          weak_separatrix_jet)
 from .threefold import (InconclusiveError, Model3Match, SectionMap,
-                        TheoremReport, Verdict3, cylinder_direction,
-                        dimensional_type, match_simple_model3,
-                        pullback_section, second_type3_via_sections,
-                        theorem_main_harness, well_oriented3)
-from .indices import (IndexValue, LogarithmicData, LogCriterionReport,
-                      PlaneSingularity, ProjFoliation, SumReport, bb_index,
-                      cs_index, gsv_index, localize_at, logarithmic_build,
-                      logarithmic_criterion, plane_singularities,
-                      sum_theorem_check)
+                        TheoremReport, Verdict3, dimensional_type,
+                        match_simple_model3, pullback_section,
+                        second_type3_via_sections, theorem_main_harness,
+                        well_oriented3)
+from .indices import (DegeneratePointError, IndexValue, LogarithmicData,
+                      LogCriterionReport, PlaneSingularity, ProjFoliation,
+                      SumReport, bb_index, cs_index, gsv_index, localize_at,
+                      logarithmic_build, logarithmic_criterion,
+                      plane_singularities, sum_theorem_check)
 from .parser import InputSyntaxError, ParsedInput, parse_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

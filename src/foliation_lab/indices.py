@@ -19,7 +19,7 @@ saddle-node is CS + 2 GSV over both separatrices.
 
 from __future__ import annotations
 
-from .fields import (FieldDescriptor, FieldElement, RatFunc,
+from .fields import (FieldDescriptor, FieldElement, Inconclusive, RatFunc,
                      common_denominator, sort_key, widening)
 from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
                     integrable, invariant_hypersurface, normalize2, pullback)
@@ -39,6 +39,10 @@ from .reduce2d import SADDLE_NODE, classify_point2
 from .separatrix import _graph_branch, _trace_graph
 
 _UV = ("u", "v")
+
+
+class DegeneratePointError(ValueError, Inconclusive):
+    """An index at a degenerate singular point is out of reach here."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +171,10 @@ class PlaneSingularity:
     `point` is a normalized homogeneous coordinate triple, `chart` the
     variable set to one, and `form` the translated affine local 1-form in
     (u, v); `code` and `linear` come from the plane classification.
-    `form` is normalized once, when the point is found, and carries the
-    `coprime` flag (proved in _plane_sings, not certified), so the
-    classification and every index taken at the point only strip its
-    monomial content.
+    `form` is built normalized when the point is found, with no
+    normalize2 call: its coefficients are coprime (proved in
+    _plane_sings, not certified), so they share no monomial either, and
+    it carries the `coprime` flag.
     """
 
     __slots__ = ("point", "chart", "base", "form", "code", "well_oriented",
@@ -318,10 +322,10 @@ def plane_singularities(fol: ProjFoliation):
 
 
 def _classified(point, chart, base, a, b):
-    # a and b are coprime (see _plane_sings), and translation keeps it
-    form = normalize2(OneForm2(a.translate({"u": base[0], "v": base[1]}),
-                               b.translate({"u": base[0], "v": base[1]}),
-                               _UV, coprime=True))
+    # a and b are coprime (see _plane_sings) and translation keeps it, so
+    # the form is normalized as built: normalize2 would return it unchanged
+    form = OneForm2(a.translate({"u": base[0], "v": base[1]}),
+                    b.translate({"u": base[0], "v": base[1]}), _UV, True)
     code, well, M = classify_point2(form, LocalDivisor.empty())
     return PlaneSingularity(point, chart, base, form, code, well, M)
 
@@ -331,15 +335,15 @@ def _plane_sings(fol: ProjFoliation):
     (1 : 0 : 0).
 
     The two chart coefficients of every local form share no nonconstant
-    factor, so the forms are built with `coprime` and normalize2 only
-    strips monomial content.  In chart Z, _affine_common_roots has
-    proved gcd(a, b) = 1.  In charts Y and X, a common factor would be a
-    curve of singular points (the Euler relation makes the third
-    coefficient vanish there too).  Off Z = 0 such a curve lies in chart
-    Z, where coprime a and b have only finitely many common zeros; so it
-    would be the line Z = 0, whose two restrictions in chart Y would then
-    both vanish, and that is refused before any point of chart Y or X is
-    built.
+    factor, so the forms are built with `coprime` and need no normalize2:
+    a common monomial would be a common factor.  In chart Z,
+    _affine_common_roots has proved gcd(a, b) = 1.  In charts Y and X, a
+    common factor would be a curve of singular points (the Euler relation
+    makes the third coefficient vanish there too).  Off Z = 0 such a
+    curve lies in chart Z, where coprime a and b have only finitely many
+    common zeros; so it would be the line Z = 0, whose two restrictions
+    in chart Y would then both vanish, and that is refused before any
+    point of chart Y or X is built.
     """
     desc = fol.desc
     zero, one = desc.zero(), desc.one()
@@ -435,7 +439,7 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     n-coefficient of omega along gamma.  The pull-back of omega along
     gamma must vanish below order N - 1.
     """
-    form = normalize2(form)
+    form = normalize2(form)  # public entry: any form may come in
     if isinstance(branch, MPoly):
         if (branch.coefficient((1, 0)).is_zero()
                 and branch.coefficient((0, 1)).is_zero()):
@@ -471,7 +475,7 @@ def gsv_index(form: OneForm2, branches, g: MPoly = None,
     total vanishing order of the proportionality factor, which realizes
     the decomposition route omega = h dg + g eta branch by branch.
     """
-    form = normalize2(form)
+    form = normalize2(form)  # public entry: any form may come in
     desc = form.desc
     u, v = form.vars
     if not (form.A.constant_coefficient().is_zero()
@@ -520,8 +524,8 @@ def bb_index(sing: PlaneSingularity, N: int = 12) -> IndexValue:
     if not det.is_zero():
         return IndexValue(tr * tr / det, "BB")
     if sing.code.kind != SADDLE_NODE:
-        raise ValueError("Baum-Bott needs a non-degenerate point or a "
-                         "saddle-node")
+        raise DegeneratePointError("Baum-Bott needs a non-degenerate point "
+                                   "or a saddle-node")
     branches = _germ_branches(sing.form, sing.code, N)
     cs = _cs_over_branches(sing.form, branches, N)
     gsv = gsv_index(sing.form, branches, N=N).value
@@ -537,8 +541,8 @@ class _CurveBranch:
 
 
 def _germ_branches(form: OneForm2, code, N: int):
-    """Both separatrix branches of a reduced germ, as jets."""
-    form = normalize2(form)
+    """Both separatrix branches of a reduced germ, as jets; `form` is a
+    PlaneSingularity form, normalized as built."""
     d1, d2 = code.strong, code.weak
     return [_CurveBranch(*_trace_graph(form, d, other, N))
             for d, other in ((d1, d2), (d2, d1))]

@@ -190,6 +190,7 @@ def classify_point2(form: OneForm2, E: LocalDivisor):
     the divisor branches only: a saddle-node is well oriented when no
     branch is tangent to its weak direction.
     """
+    # public, and _axis_trace_form hands it forms without the flag
     form = normalize2(form)
     desc = form.desc
     local = [b for b in E if b.equation.constant_coefficient().is_zero()]
@@ -355,6 +356,7 @@ def seidenberg_reduce(form: OneForm2, E: LocalDivisor = None,
     """Reduce the singularity at the origin; widen the tower on demand."""
     if E is None:
         E = LocalDivisor.empty()
+    # public entry: the root may carry a common factor
     form = normalize2(form)
     # coerce_to keeps `coprime`: a field extension leaves the gcd 1
     return widening(lambda desc: _Engine(

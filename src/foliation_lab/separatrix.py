@@ -136,6 +136,7 @@ def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     of omega, so the graph is the same, and u' * omega has a singular
     point at the origin, where invariant_graph_jet applies.
     """
+    # callers' forms may lack the flag; a flagged one only loses content
     rotated = normalize2(_rotate_form(form, d_target, d_other))
     if rotated.B.constant_coefficient():
         u = MPoly.variable(rotated.vars, rotated.vars[0], form.desc)
@@ -260,7 +261,7 @@ def weak_separatrix_jet(form: OneForm2, N: int = 10) -> BranchJet:
     """Formal jet of the weak separatrix of a saddle-node, solved in the
     frame (weak, strong); the implicit jet is normalized as in
     separatrices2."""
-    form = normalize2(form)
+    form = normalize2(form)  # public entry: any form may come in
     weak, strong = _saddle_node_frame(form)
     param, implicit = _trace_graph(form, weak, strong, N)
     return BranchJet(param, _normalize_implicit(implicit), False, "weak", ())
@@ -269,7 +270,7 @@ def weak_separatrix_jet(form: OneForm2, N: int = 10) -> BranchJet:
 def weak_graph_coefficients(form: OneForm2, N: int = 10):
     """Coefficients c_1..c_N of the weak separatrix graph v = sum c_k u^k;
     ValueError when the weak direction is vertical."""
-    form = normalize2(form)
+    form = normalize2(form)  # public entry: any form may come in
     weak, _ = _saddle_node_frame(form)
     if weak[0].is_zero():
         raise ValueError("the weak direction is vertical")
@@ -301,7 +302,7 @@ def multiplicity_identity_check(form: OneForm2, N: int = 12,
     `tree`, when given, must be a reduction of the same form without a
     divisor; it is used instead of reducing again.
     """
-    form = normalize2(form)
+    form = normalize2(form)  # public entry: any form may come in
     if tree is None:
         tree = seidenberg_reduce(form, None, max_depth)
     seps = separatrices2(form.coerce_to(tree.desc), tree, N)

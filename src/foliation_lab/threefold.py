@@ -71,54 +71,25 @@ def _cylinder_candidate(form: OneForm3, order: int):
     return None
 
 
-def _formal_cylinder_direction(form: OneForm3, jet_order: int = 8):
-    """Constant part X(0) of a formal vector field X with X(0) != 0 and
-    i_X(form) = 0, decided on jets, or None.
+def dimensional_type(form: OneForm3):
+    """(tau, direction): the smallest number of variables needed to
+    define the germ, 1 (regular), 2 or 3, and for tau = 2 the constant
+    part X(0) != 0 of a formal vector field X with i_X(form) = 0 on
+    6-jets; direction is None otherwise.
 
     By integrability such a field is an infinitesimal symmetry tangent to
     the foliation, so the germ is a cylinder along X(0) even when the
-    straightening change of coordinates is only formal.  A cheap
-    low-order pass filters out most points before the confirming solve.
-    """
-    if _cylinder_candidate(form, 4) is None:
-        return None
-    return _cylinder_candidate(form, min(6, max(4, jet_order)))
-
-
-def dimensional_type(form: OneForm3, jet_order: int = 8) -> int:
-    """Smallest number of variables needed to define the germ: 1, 2 or 3.
-
-    1 means the point is regular.  2 is detected through a formal vector
-    field with nonzero constant part annihilating the form on jets; by
-    integrability the germ is then a cylinder along that direction.
+    straightening change of coordinates is only formal.  A cheap order-4
+    pass filters out most points first; it cannot change the answer, as
+    an order-6 solution truncates to an order-4 one with the same X(0).
     """
     form = normalize3(form)
     if any(not p.constant_coefficient().is_zero() for p in form.coeffs()):
-        return 1
-    return 2 if _formal_cylinder_direction(form, jet_order) is not None else 3
-
-
-def cylinder_direction(form: OneForm3):
-    """The coordinate along which the germ is a cylinder, or None.
-
-    Only coordinate-axis directions are recognized (the cylinder itself
-    may be dressed by a formal straightening); a cylinder along a skew
-    direction raises InconclusiveError.
-    """
-    form = normalize3(form)
-    for i, w in enumerate(form.vars):
-        coeff = form.coeffs()[i]
-        others = [p for j, p in enumerate(form.coeffs()) if j != i]
-        if coeff.is_zero() and all(p.degree_in(w) == 0 for p in others):
-            return w
-    v = _formal_cylinder_direction(form)
-    if v is None:
-        return None
-    axes = [i for i, c in enumerate(v) if not c.is_zero()]
-    if len(axes) == 1:
-        return form.vars[axes[0]]
-    raise InconclusiveError(
-        "cylinder direction is not a coordinate axis in these coordinates")
+        return 1, None
+    if _cylinder_candidate(form, 4) is None:
+        return 3, None
+    direction = _cylinder_candidate(form, 6)
+    return (3, None) if direction is None else (2, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +348,15 @@ def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
     return OneForm2(*pullback(form.coeffs(), form.vars, mapping), others)
 
 
-def _match_tau2(form: OneForm3, jet_order: int):
-    w = cylinder_direction(form)
-    if w is None:
-        raise InconclusiveError("dimensional type changed under normalization")
+def _match_tau2(form: OneForm3, direction, jet_order: int):
+    # only a coordinate axis is read; the cylinder itself may be dressed
+    # by a formal straightening
+    axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
+    if len(axes) != 1:
+        raise InconclusiveError(
+            "cylinder direction is not a coordinate axis in these coordinates")
+    w = axes[0]
+    # the trace on a plane can carry a common factor
     form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty())
     if code.kind == NON_SIMPLE:
@@ -433,7 +409,7 @@ def match_simple_model3(form: OneForm3, D: LocalDivisor = None,
     form = normalize3(form)
     if not integrable3(form):
         raise ValueError("the form is not integrable")
-    tau = dimensional_type(form, jet_order)
+    tau, direction = dimensional_type(form)
     if tau == 1:
         raise ValueError("model matching needs a singular point")
     if D is not None:
@@ -441,7 +417,7 @@ def match_simple_model3(form: OneForm3, D: LocalDivisor = None,
         if not tau - 1 <= e <= tau:
             raise ValueError("divisor is not adapted to the point")
     if tau == 2:
-        return _match_tau2(form, jet_order)
+        return _match_tau2(form, direction, jet_order)
     return _match_tau3(form, jet_order, resonance_bound)
 
 
@@ -509,7 +485,7 @@ def pullback_section(form: OneForm3, phi: SectionMap) -> OneForm2:
                            dict(zip(form.vars, phi.components))), phi.vars)
     if G.is_zero():
         raise ValueError("the section is invariant; pull-back vanishes")
-    return normalize2(G)
+    return normalize2(G)  # a pull-back can carry a common factor
 
 
 # ---------------------------------------------------------------------------

@@ -90,33 +90,49 @@ def unread_parameters(source):
     return found
 
 
-def _named(node):
-    """Every name, attribute and imported name that a node mentions."""
+def _private_targets(module, node):
+    """The (module, name) keys that a top-level node of `module` names: a
+    bare name resolves in its own module, a relative import in the module
+    it imports from, an attribute in any module ("*")."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out.add((module, n.id))
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.name)
+            out.add(("*", n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.level and n.module:
+            out.update((n.module + ".py", a.name) for a in n.names)
     return out
 
 
 def orphans(sources):
     """(module, name, line) of every private top-level function or class
-    that no top-level statement but its own definition names; `sources`
-    maps module names to their source text."""
-    defs, named = [], []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            named.append((node, _named(node)))
-            if (isinstance(node, _SCOPES + (ast.ClassDef,))
-                    and node.name.startswith("_")):
-                defs.append((module, node))
-    return [(module, node.name, node.lineno) for module, node in defs
-            if not any(node.name in names
-                       for other, names in named if other is not node)]
+    that the rest of the package does not reach; `sources` maps module
+    names (file names) to their source text.  Every other top-level
+    statement is reached, and a private definition is reached when a
+    reached statement names it: a helper that only dead helpers call, or
+    whose name only another module's helper of the same name explains,
+    is an orphan too."""
+    bodies = {m: ast.parse(s).body for m, s in sources.items()}
+    private = {(m, n.name): n for m, body in bodies.items() for n in body
+               if isinstance(n, _SCOPES + (ast.ClassDef,))
+               and n.name.startswith("_")}
+    by_name = {}
+    for m, name in private:
+        by_name.setdefault(name, []).append((m, name))
+    todo = [(m, n) for m, body in bodies.items() for n in body
+            if private.get((m, getattr(n, "name", None))) is not n]
+    reached = set()
+    while todo:
+        m, node = todo.pop()
+        for target in _private_targets(m, node):
+            keys = by_name.get(target[1], []) if target[0] == "*" else [target]
+            for key in keys:
+                if key in private and key not in reached:
+                    reached.add(key)
+                    todo.append((key[0], private[key]))
+    return [(m, name, node.lineno) for (m, name), node in private.items()
+            if (m, name) not in reached]
 
 
 def test_no_dead_names_in_the_package():
@@ -158,6 +174,31 @@ def test_orphan_guard_sees_planted_helpers():
                         "def f():\n"
                         "    return _used()\n")}
     assert orphans(sources) == [("a.py", "_orphan", 3), ("a.py", "_Lonely", 5)]
+
+
+def test_orphan_guard_follows_chains_and_modules():
+    """A helper that only a dead helper calls, and a dead helper whose
+    name only another module's own helper of that name explains, are
+    orphans; a relative import, also inside a function, and an attribute
+    reach a helper."""
+    sources = {"a.py": ("def _step():\n"
+                        "    return 1\n"
+                        "def _dead():\n"
+                        "    return _step()\n"
+                        "def _shared():\n"
+                        "    return 2\n"
+                        "def _by_attr():\n"
+                        "    return 3\n"
+                        "def _lazy():\n"
+                        "    return 4\n"),
+               "b.py": ("from . import a\n"
+                        "def _shared():\n"
+                        "    return 5\n"
+                        "def f():\n"
+                        "    from .a import _lazy\n"
+                        "    return _shared() + a._by_attr() + _lazy()\n")}
+    assert orphans(sources) == [("a.py", "_step", 1), ("a.py", "_dead", 3),
+                                ("a.py", "_shared", 5)]
 
 
 def test_no_unread_parameters_in_the_package():

@@ -17,6 +17,7 @@ from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, forms,
 from foliation_lab.indices import (_branch_coeffs, _cs_over_branches,
                                    _local_branches, _resultant_eliminating,
                                    _swapped)
+from foliation_lab.forms import normalize2
 from foliation_lab.poly import MPoly, gcd_bivariate, u_roots_in_tower
 from foliation_lab.reduce2d import SADDLE_NODE
 
@@ -103,20 +104,42 @@ def test_sum_check_certifies_each_point_once(monkeypatch):
 
 def _check_local_forms_coprime(monkeypatch):
     """Run the gcd certificate on every local form that the index code
-    normalizes with the `coprime` flag set; returns the forms checked."""
+    builds or normalizes with the `coprime` flag set (the forms of
+    plane_singularities reach classify_point2 as built); returns the
+    forms checked."""
     checked = []
-    normalize = indices.normalize2
 
-    def certifying(form):
+    def certify(form):
         if form.coprime:
             A, B = forms._content_and_gcd([form.A, form.B], coprime=True)
             assert not A.is_zero() and not B.is_zero(), form.render()
             assert gcd_bivariate(A, B).degree() == 0, form.render()
             checked.append(form)
-        return normalize(form)
+        return form
 
-    monkeypatch.setattr(indices, "normalize2", certifying)
+    for name in ("normalize2", "classify_point2"):
+        original = getattr(indices, name)
+        monkeypatch.setattr(indices, name,
+                            lambda form, *rest, original=original:
+                            original(certify(form), *rest))
     return checked
+
+
+def test_plane_singularities_build_normalized_forms(monkeypatch):
+    """Coprime exact coefficients share no monomial either, so each local
+    form is normalized as built: the index code makes no normalize2 call
+    for it (classify_point2, a public entry, keeps its own), and
+    normalize2 would return it unchanged."""
+    calls = []
+    monkeypatch.setattr(indices, "normalize2",
+                        lambda form: calls.append(form) or normalize2(form))
+    fol, _ = log_plane_foliation()
+    sings = plane_singularities(fol)
+    sings += plane_singularities(saddle_node_plane_foliation()[0])
+    assert len(sings) > 3 and calls == []
+    for s in sings:
+        n = normalize2(s.form)
+        assert s.form.coprime and (n.A, n.B) == (s.form.A, s.form.B)
 
 
 def test_local_forms_of_conftest_foliations_are_coprime(monkeypatch):

@@ -335,6 +335,20 @@ def test_cli_indices_low_truncation_is_inconclusive(tmp_form_file, tmp_path):
     assert run(2)[0] == 2  # a pole of order 2 needs the jet through t^3
 
 
+def test_cli_indices_degenerate_point_is_inconclusive(tmp_form_file,
+                                                     tmp_path):
+    """The pencil C/Z^3 of the nodal cubic C = Y^2 Z - 2 X^2 Z - X^3 has a
+    degenerate base point (0 : 1 : 0), where no Baum-Bott index is read:
+    exit 2 with the diagnostic, not a usage error."""
+    out = tmp_path / "d.json"
+    text = ("proj2: (-4*X*Z^2 - 3*X^2*Z) dX + 2*Y*Z^2 dY"
+            " + (-2*Y^2*Z + 4*X^2*Z + 3*X^3) dZ\n"
+            "separatrix:{ Y^2*Z - 2*X^2*Z - X^3 }\n")
+    assert cli.main(["indices", tmp_form_file(text), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "Baum-Bott needs a non-degenerate point or a saddle-node"]
+
+
 def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
     """A branch through the origin that is neither invariant nor tagged
     dicritical would keep the reduction blowing up; it is a usage error."""
@@ -398,3 +412,20 @@ def test_jet_order_changes_no_plane_or_index_report(tmp_form_file, tmp_path):
             code = cli.main([command, path, "--out", str(out)] + flags)
             outs.append((code, out.read_bytes()))
         assert outs[0] == outs[1], (command, text)
+
+
+def test_model_match3_decides_the_dimensional_type_at_every_jet_order(
+        tmp_form_file, tmp_path):
+    """The dimensional type is decided on 6-jets whatever --jet-order
+    says: at order 4 this B2 germ gives its default-order report."""
+    path = tmp_form_file("omega3: (y*z) dx + (2*x*z) dy"
+                         " + ((-1 - 1*rt(2))*x^2*y^3) dz\n")
+    outs = []
+    for flags in ([], ["--jet-order", "4"]):
+        out = tmp_path / ("%d.json" % len(flags))
+        code = cli.main(["model-match3", path, "--out", str(out)] + flags)
+        outs.append((code, out.read_bytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    v = json.loads(outs[0][1])["verdict3"]
+    assert (v["model"], v["tau"], v["weak_planes"]) == ("B2", 3, ["z"])

@@ -1,7 +1,9 @@
 """Three-variable germs: model matching, section tests, main harness."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from conftest import (CUSP_LINE_SCRIPT, Q, Q2, XYZ, cusp_line_form,
                       dressed_cusp_cylinder, f3)
 
 _R2 = Q2.sqrt_gen()
+SRC = Path(__file__).resolve().parent.parent / "src" / "foliation_lab"
 
 
 def _m3(e, c, desc=Q2):
@@ -31,8 +34,27 @@ def _fibered_tangent():
 
 
 def test_dimensional_type():
-    assert dimensional_type(_dxyz()) == 3
-    assert dimensional_type(_fibered_tangent()) == 2
+    assert dimensional_type(_dxyz()) == (3, None)
+    tau, direction = dimensional_type(_fibered_tangent())
+    assert tau == 2
+    # the germ is constant along z, and the solve returns that axis
+    assert [not c.is_zero() for c in direction] == [False, False, True]
+
+
+def test_only_dimensional_type_solves_the_cylinder_system():
+    """_cylinder_candidate has one caller, dimensional_type, at orders 4
+    and 6: the model match reads the axis from that solve."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.name, fn.name, ast.literal_eval(c.args[1]))
+                          for c in ast.walk(fn) if isinstance(c, ast.Call)
+                          and getattr(c.func, "id", None)
+                          == "_cylinder_candidate"]
+    assert sorted(calls) == [("threefold.py", "dimensional_type", 4),
+                             ("threefold.py", "dimensional_type", 6)]
 
 
 def test_match_model_a():
@@ -106,10 +128,10 @@ def test_b_models_divide_without_a_linear_solve(monkeypatch):
 
 
 def test_section_test_reads_the_cylinder_axis_from_the_match(monkeypatch):
-    """dimensional_type and _match_tau2 each solve the cylinder system
-    (two null spaces each, at orders 4 and 6); the origin check of the
-    section test reads the axis from the match instead of a third
-    solve."""
+    """dimensional_type solves the cylinder system once (two null
+    spaces, at orders 4 and 6) and hands its direction to _match_tau2;
+    the origin check of the section test reads the axis from the match
+    instead of a second solve."""
     orders = []
     original = threefold._cylinder_candidate
     monkeypatch.setattr(threefold, "_cylinder_candidate",
@@ -122,7 +144,7 @@ def test_section_test_reads_the_cylinder_axis_from_the_match(monkeypatch):
     v = second_type3_via_sections(form, trials=0, seed=0)
     assert v.kind == "SecondType"
     assert "origin: cylinder reduction clean" in v.evidence
-    assert orders == [4, 6, 4, 6]
+    assert orders == [4, 6]
 
 
 def test_match_cylinder_over_tangent_germ_is_not_simple():

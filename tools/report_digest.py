@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the exit codes and report bytes of fixed input sets.
 
-    python3 tools/report_digest.py [--list] SET [SET ...]
+    python3 tools/report_digest.py [--list] [--flags "..."] SET [SET ...]
 
 A SET is either
 
@@ -18,7 +18,11 @@ per set: its name, its item count and the digest.  Two checkouts that
 print the same lines wrote byte-identical reports with the same exit
 codes.  ``--list`` also prints one line per item (name, exit code, the
 first 16 hex digits of its report's SHA-256), to find an item that moved.
-Nothing is written outside a temporary directory.
+``--flags "--jet-order 4"`` appends the given options to every item's
+command line, after the item's own flags, so one command digests (and
+lists) a set under a non-default option set; the later option wins where
+both name the same one.  Nothing is written outside a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -70,7 +75,7 @@ def _items(spec):
     return out
 
 
-def _run(cli, item, workdir):
+def _run(cli, item, workdir, extra):
     name, command, file_name, text, flags = item
     path = os.path.join(workdir, file_name)
     with open(path, "w", encoding="utf-8") as fh:
@@ -78,7 +83,8 @@ def _run(cli, item, workdir):
     out = os.path.join(workdir, "report.json")
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([command, path, "--out", out] + list(flags))
+            code = cli.main([command, path, "--out", out] + list(flags)
+                            + extra)
     except Exception as exc:  # a crash is an outcome too
         code = "crash: %s: %s" % (type(exc).__name__, exc)
     blob = b""
@@ -95,14 +101,17 @@ def main(argv=None):
     ap.add_argument("sets", nargs="+", metavar="SET")
     ap.add_argument("--list", action="store_true",
                     help="also print one line per item")
+    ap.add_argument("--flags", default="", metavar='"..."',
+                    help="options appended to every item's command line")
     opts = ap.parse_args(argv)
+    extra = shlex.split(opts.flags)
     cli = _import_program()
     with tempfile.TemporaryDirectory() as workdir:
         for spec in opts.sets:
             items = _items(spec)
             digest = hashlib.sha256()
             for item in items:
-                code, blob = _run(cli, item, workdir)
+                code, blob = _run(cli, item, workdir, extra)
                 digest.update(("%s\0%s\0" % (item[0], code)).encode())
                 digest.update(blob + b"\0")
                 if opts.list:
