@@ -349,16 +349,30 @@ def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
 
 
 def _match_tau2(form: OneForm3, direction, jet_order: int):
-    # only a coordinate axis is read; the cylinder itself may be dressed
-    # by a formal straightening
-    axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
-    if len(axes) != 1:
-        raise InconclusiveError(
-            "cylinder direction is not a coordinate axis in these coordinates")
-    w = axes[0]
+    # a coordinate the form visibly does not involve is the axis: when all
+    # coefficients have order > 6 the 6-jet solve leaves X(0) free and
+    # its direction is arbitrary
+    coeffs = form.coeffs()
+    exact = [w for i, w in enumerate(form.vars) if coeffs[i].is_zero()
+             and all(p.degree_in(w) == 0
+                     for j, p in enumerate(coeffs) if j != i)]
+    if exact:
+        w = exact[0]
+    else:
+        # only a coordinate axis is read; the cylinder itself may be
+        # dressed by a formal straightening
+        axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
+        if len(axes) != 1:
+            raise InconclusiveError("cylinder direction is not a coordinate"
+                                    " axis in these coordinates")
+        w = axes[0]
     # the trace on a plane can carry a common factor
     form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty())
+    if code.kind == REGULAR:
+        # a cylinder over a regular plane germ would be regular itself
+        raise InconclusiveError(
+            "6-jets do not fix the cylinder direction of this germ")
     if code.kind == NON_SIMPLE:
         match = Model3Match("NotSimple", 2)
     elif code.kind == SADDLE_NODE:

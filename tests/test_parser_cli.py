@@ -429,3 +429,26 @@ def test_model_match3_decides_the_dimensional_type_at_every_jet_order(
     assert outs[0][0] == 0
     v = json.loads(outs[0][1])["verdict3"]
     assert (v["model"], v["tau"], v["weak_planes"]) == ("B2", 3, ["z"])
+
+
+def test_model_match3_reads_a_cylinder_axis_the_form_does_not_involve(
+        tmp_form_file, tmp_path):
+    """All coefficients have order 7, so the 6-jet solve leaves the
+    direction free; the form does not involve z, which is the axis.  The
+    trace on the (x, y) plane has a zero linear part: NotSimple, tau 2."""
+    out = tmp_path / "c.json"
+    path = tmp_form_file("omega3: x^7 dx + y^7 dy\n")
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    assert (v["model"], v["tau"]) == ("NotSimple", 2)
+
+
+def test_model_match3_regular_trace_is_inconclusive(tmp_form_file, tmp_path):
+    """The exact form d(x^8/8 + y^8/8 + x^7 z) has all coefficients of
+    order 7, so its 6-jets fix no cylinder direction; the trace on x = 0
+    is regular, which no cylinder's is: exit 2, not a traceback."""
+    out = tmp_path / "r.json"
+    path = tmp_form_file("omega3: (x^7 + 7*x^6*z) dx + y^7 dy + x^7 dz\n")
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "6-jets do not fix the cylinder direction of this germ"]
