@@ -37,9 +37,10 @@ from .threefold import (InconclusiveError, Model3Match, SectionMap,
                         well_oriented3)
 from .indices import (DegeneratePointError, IndexValue, LogarithmicData,
                       LogCriterionReport, PlaneSingularity, ProjFoliation,
-                      SumReport, bb_index, cs_index, gsv_index, localize_at,
-                      logarithmic_build, logarithmic_criterion,
-                      plane_singularities, sum_theorem_check)
+                      SingularBranchError, SumReport, bb_index, cs_index,
+                      gsv_index, localize_at, logarithmic_build,
+                      logarithmic_criterion, plane_singularities,
+                      sum_theorem_check)
 from .parser import InputSyntaxError, ParsedInput, parse_form
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,12 +2,15 @@
 
 Point blow-ups in dimension two use the two standard monomial charts
 (u, v) -> (u, u v) and (u, v) -> (u v, v); dimension three adds the three
-point charts and blow-ups along coordinate axes.  Each chart carries its
-map, the strict transform of the form (exceptional factor divided out),
-the transformed divisor with the new exceptional branch appended, and the
-extracted exceptional multiplicity.  The transform of the form is the
-pull-back by the chart map, forms.pullback, with the exceptional power
-divided out.
+point charts and blow-ups along coordinate axes.  One routine, _charts,
+builds every chart in two and three variables: it pulls the form back by
+the chart map (forms.pullback), takes the exceptional multiplicity m as
+the exceptional content of the pull-back (the least power of the
+exceptional variable e over its coefficients), divides e^m out, and tags
+the chart dicritical when {e = 0} is not invariant by the strict
+transform.  Each chart carries its map, the strict transform of the
+form, the transformed divisor with the new exceptional branch appended,
+m and the tag.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .forms import (
     LocalDivisor,
     OneForm2,
     OneForm3,
-    nu0,
     pullback,
 )
 from .poly import MPoly
@@ -43,7 +45,11 @@ class BlowupChart:
 
     `mapping` is the exact chart map (variable -> image), by which
     forms.pullback transforms the form and `strict` the branch
-    equations, and `exc_var` is e.
+    equations, and `exc_var` is e.  Every chart comes from _charts:
+    `mult` is the exceptional content m of the pull-back, the least
+    power of e over its coefficients, and `form` is the pull-back with
+    e^m divided out; `dicritical` means {e = 0} is not invariant by
+    `form`, i.e. some coefficient other than that of de is nonzero there.
     `divisor` holds the strict transforms of the input branches that meet
     the exceptional divisor in this chart, at its origin or elsewhere,
     followed by the exceptional branch; `survivors` are the indices of
@@ -112,15 +118,29 @@ def _divide(coeffs, exc_var, m):
             for p in coeffs]
 
 
-def dicritical_test2(form: OneForm2) -> bool:
-    """Whether a point blow-up leaves the exceptional line non-invariant."""
-    nu = nu0(form)
-    u, v = form.vars
-    An = form.A.homogeneous_part(nu)
-    Bn = form.B.homogeneous_part(nu)
-    uu = MPoly.variable(form.vars, u, form.desc)
-    vv = MPoly.variable(form.vars, v, form.desc)
-    return (uu * An + vv * Bn).is_zero()
+def _charts(form, divisor: LocalDivisor, layout):
+    """The charts (label, exc_var, scaled) of a blow-up of a form in two or
+    three variables; see the module docstring.  On a truncated series, m
+    and the tag are read from the terms the pull-back keeps, which hold
+    the whole nu-jet of a plane germ only at precision >= 2 nu + 2."""
+    charts = []
+    for label, exc_var, scaled in layout:
+        mapping, coeffs = _chart_transform(form, exc_var, scaled)
+        m = min((p.min_exponent_in(exc_var) for p in coeffs
+                 if not p.is_zero()), default=0)
+        coeffs = _divide(coeffs, exc_var, m)
+        if isinstance(form, OneForm2):
+            # A chart is an isomorphism off the exceptional line, so a common
+            # factor of coprime A, B pulls back to powers of exc_var, now gone.
+            strict = OneForm2(*coeffs, form.vars, form.coprime)
+        else:
+            strict = OneForm3(*coeffs, variables=form.vars)
+        on_exc = {exc_var: form.desc.zero()}
+        dicr = any(not p.restrict(on_exc).is_zero()
+                   for w, p in zip(form.vars, coeffs) if w != exc_var)
+        charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
+                                  divisor))
+    return charts
 
 
 def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
@@ -133,59 +153,16 @@ def blowup_point2(form: OneForm2, divisor: LocalDivisor, force: bool = False):
                 and form.B.constant_coefficient().is_zero())
     if not singular and not force:
         raise ValueError("blow-up refused at a regular point")
-    nu = nu0(form)
-    dicr = dicritical_test2(form)
-    m = nu + 1 if dicr else nu
-    charts = []
-    for label, i in PLANE_CHARTS:
-        exc_var = form.vars[i]
-        mapping, coeffs = _chart_transform(form, exc_var, (form.vars[1 - i],))
-        # A chart is an isomorphism off the exceptional line, so a common
-        # factor of coprime A, B pulls back to powers of exc_var, now gone.
-        strict = OneForm2(*_divide(coeffs, exc_var, m), form.vars,
-                          form.coprime)
-        charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
-                                  divisor))
-    return charts
-
-
-def _exc_content3(coeffs, exc_var):
-    k = None
-    for p in coeffs:
-        if p.is_zero():
-            continue
-        e = p.min_exponent_in(exc_var)
-        k = e if k is None else min(k, e)
-    return k or 0
-
-
-def _plane_invariant(form: OneForm3, exc_var: str) -> bool:
-    """Whether the coordinate plane {exc_var = 0} is invariant."""
-    idx = form.vars.index(exc_var)
-    others = [p for i, p in enumerate(form.coeffs()) if i != idx]
-    fixed = {exc_var: form.desc.zero()}
-    return all(p.restrict(fixed).is_zero() for p in others)
-
-
-def _charts3(form: OneForm3, divisor: LocalDivisor, layout):
-    """The charts (label, exc_var, scaled) of a blow-up in 3-space; m is
-    the exceptional content of the pull-back."""
-    charts = []
-    for label, exc_var, scaled in layout:
-        mapping, coeffs = _chart_transform(form, exc_var, scaled)
-        m = _exc_content3(coeffs, exc_var)
-        strict = OneForm3(*_divide(coeffs, exc_var, m), variables=form.vars)
-        dicr = not _plane_invariant(strict, exc_var)
-        charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
-                                  divisor))
-    return charts
+    return _charts(form, divisor, [
+        (label, form.vars[i], (form.vars[1 - i],))
+        for label, i in PLANE_CHARTS])
 
 
 def blowup_point3(form: OneForm3, divisor: LocalDivisor):
     """Blow up the origin of 3-space; returns the three charts."""
     if not all(p.constant_coefficient().is_zero() for p in form.coeffs()):
         raise ValueError("blow-up refused at a regular point")
-    return _charts3(form, divisor, [
+    return _charts(form, divisor, [
         ("c" + e, e, tuple(w for w in form.vars if w != e))
         for e in form.vars])
 
@@ -207,4 +184,4 @@ def blowup_curve3(form: OneForm3, axis: str, divisor: LocalDivisor):
         restr = br.equation.substitute(axis_curve)
         if not restr.is_zero() and restr.order() > 1:
             raise ValueError("center is not normal crossings with the divisor")
-    return _charts3(form, divisor, (("a" + a, a, (b,)), ("a" + b, b, (a,))))
+    return _charts(form, divisor, (("a" + a, a, (b,)), ("a" + b, b, (a,))))

@@ -45,6 +45,11 @@ class DegeneratePointError(ValueError, Inconclusive):
     """An index at a degenerate singular point is out of reach here."""
 
 
+class SingularBranchError(ValueError, Inconclusive):
+    """A singular curve branch, or two branches with one tangent, are out
+    of reach of the smooth-branch index formulas here."""
+
+
 # ---------------------------------------------------------------------------
 # projective 1-forms
 
@@ -443,7 +448,7 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     if isinstance(branch, MPoly):
         if (branch.coefficient((1, 0)).is_zero()
                 and branch.coefficient((0, 1)).is_zero()):
-            raise ValueError("the Camacho-Sad branch must be smooth")
+            raise SingularBranchError("the Camacho-Sad branch must be smooth")
         if not branch.constant_coefficient().is_zero():
             raise ValueError("the Camacho-Sad branch misses the origin")
         branch = _local_branches(branch, branch.desc, N)[0]
@@ -594,14 +599,15 @@ def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
     plam = _utrim(lam)
     vertical = m - (len(plam) - 1)
     if vertical > 1:
-        raise ValueError("the curve has a multiple vertical tangent")
+        raise SingularBranchError("the curve has a multiple vertical tangent")
     identity = (desc.one(), desc.zero())
     swapped = identity[::-1]
     branches = []
     if len(plam) > 1:
         roots = u_roots_in_tower(plam, desc)
         if len(roots) < len(plam) - 1:
-            raise ValueError("the curve has coincident tangent directions")
+            raise SingularBranchError(
+                "the curve has coincident tangent directions")
         for slope in roots:
             cs = _branch_coeffs(c, slope, m, N)
             branches.append(_CurveBranch(*_graph_branch(

@@ -275,9 +275,6 @@ class _Engine:
         local = [(cid, b) for cid, b in tagged_branches
                  if b.equation.constant_coefficient().is_zero()]
         E = LocalDivisor([b for _, b in local])
-        # every form reaching here descends from the normalized root through
-        # translations and strict transforms, so it carries `coprime`
-        form = normalize2(form)
         code, well, M = classify_point2(form, E)
         if code.adapted != UNADAPTED:
             if code.kind != REGULAR:

@@ -82,10 +82,22 @@ def dimensional_type(form: OneForm3):
     straightening change of coordinates is only formal.  A cheap order-4
     pass filters out most points first; it cannot change the answer, as
     an order-6 solution truncates to an order-4 one with the same X(0).
+    A coordinate w whose coefficient is zero and which no coefficient
+    involves is read first, as direction e_w, with no solve.  Otherwise
+    a germ whose coefficients all have order >= 7 raises
+    InconclusiveError: its 6-jets are zero and fix no direction.
     """
     form = normalize3(form)
-    if any(not p.constant_coefficient().is_zero() for p in form.coeffs()):
+    coeffs = form.coeffs()
+    if any(not p.constant_coefficient().is_zero() for p in coeffs):
         return 1, None
+    for w, c in zip(form.vars, coeffs):
+        if c.is_zero() and all(p.degree_in(w) < 1 for p in coeffs):
+            return 2, tuple(form.desc.one() if v == w else form.desc.zero()
+                            for v in form.vars)
+    if nu0(form) >= 7:
+        raise InconclusiveError(
+            "6-jets do not fix the cylinder direction of this germ")
     if _cylinder_candidate(form, 4) is None:
         return 3, None
     direction = _cylinder_candidate(form, 6)
@@ -349,23 +361,13 @@ def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
 
 
 def _match_tau2(form: OneForm3, direction, jet_order: int):
-    # a coordinate the form visibly does not involve is the axis: when all
-    # coefficients have order > 6 the 6-jet solve leaves X(0) free and
-    # its direction is arbitrary
-    coeffs = form.coeffs()
-    exact = [w for i, w in enumerate(form.vars) if coeffs[i].is_zero()
-             and all(p.degree_in(w) == 0
-                     for j, p in enumerate(coeffs) if j != i)]
-    if exact:
-        w = exact[0]
-    else:
-        # only a coordinate axis is read; the cylinder itself may be
-        # dressed by a formal straightening
-        axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
-        if len(axes) != 1:
-            raise InconclusiveError("cylinder direction is not a coordinate"
-                                    " axis in these coordinates")
-        w = axes[0]
+    # only a coordinate axis is read; the cylinder itself may be dressed
+    # by a formal straightening
+    axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
+    if len(axes) != 1:
+        raise InconclusiveError("cylinder direction is not a coordinate"
+                                " axis in these coordinates")
+    w = axes[0]
     # the trace on a plane can carry a common factor
     form2 = normalize2(_plane_trace(form, w))
     code, _, M = classify_point2(form2, LocalDivisor.empty())

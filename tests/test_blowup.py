@@ -7,7 +7,6 @@ import pytest
 
 from foliation_lab import (LocalDivisor, blowup_curve3, blowup_point2,
                            blowup_point3)
-from foliation_lab.blowup import dicritical_test2
 from foliation_lab.forms import DivisorBranch
 from foliation_lab.poly import MPoly
 
@@ -16,8 +15,10 @@ from conftest import Q, UV, XYZ, corpus2, f2, f3, mk
 
 def test_dicritical_test_on_radial_and_node():
     c = corpus2()
-    assert dicritical_test2(c["radial"][0])
-    assert not dicritical_test2(c["node"][0])
+    empty = LocalDivisor.empty()
+    assert all(ch.dicritical for ch in blowup_point2(c["radial"][0], empty))
+    assert not any(ch.dicritical
+                   for ch in blowup_point2(c["node"][0], empty))
 
 
 def test_blowup_point2_radial_is_dicritical():
@@ -147,3 +148,19 @@ def test_chart_labels_are_read_only_in_blowup():
             if isinstance(node, ast.Constant) and node.value in ("c1", "c2"):
                 seen.append((path.name, node.value))
     assert seen == [("reduce2d.py", "c1")]
+
+
+def test_one_routine_builds_every_chart():
+    """Plane, point and curve blow-ups share blowup._charts: it is the one
+    caller of _chart_transform in the package."""
+    src = Path(blowup_point2.__code__.co_filename).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.name, fn.name) for c in ast.walk(fn)
+                            if isinstance(c, ast.Call)
+                            and getattr(c.func, "id", None)
+                            == "_chart_transform"]
+    assert callers == [("blowup.py", "_charts")]

@@ -20,7 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "foliation_lab"
 
 INCONCLUSIVE = ["FieldExtensionError", "WidenRequest", "PrecisionError",
                 "OrderIndeterminate", "InconclusiveError", "ReductionError",
-                "DicriticalInputError", "DegeneratePointError"]
+                "DicriticalInputError", "DegeneratePointError",
+                "SingularBranchError"]
 
 
 def test_the_inconclusive_causes_share_one_base():

@@ -349,6 +349,20 @@ def test_cli_indices_degenerate_point_is_inconclusive(tmp_form_file,
         "Baum-Bott needs a non-degenerate point or a saddle-node"]
 
 
+def test_cli_indices_singular_branch_is_inconclusive(tmp_form_file,
+                                                    tmp_path):
+    """The form is a multiple of d(Y^2 Z / X^3), so the cuspidal cubic
+    Y^2 Z = X^3 is invariant; its branch at (0 : 0 : 1) is a cusp, out of
+    reach of the smooth-branch index formulas.  The input is valid, so
+    the run exits 2 with the diagnostic, not 1."""
+    out = tmp_path / "c.json"
+    text = ("proj2: (3*Y*Z) dX + (-2*X*Z) dY + (-1*X*Y) dZ\n"
+            "separatrix:{ Y^2*Z - X^3 }\n")
+    assert cli.main(["indices", tmp_form_file(text), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "the curve has coincident tangent directions"]
+
+
 def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
     """A branch through the origin that is neither invariant nor tagged
     dicritical would keep the reduction blowing up; it is a usage error."""
@@ -441,6 +455,19 @@ def test_model_match3_reads_a_cylinder_axis_the_form_does_not_involve(
     assert cli.main(["model-match3", path, "--out", str(out)]) == 0
     v = json.loads(out.read_text())["verdict3"]
     assert (v["model"], v["tau"]) == ("NotSimple", 2)
+
+
+def test_model_match3_vacuous_six_jets_are_inconclusive(tmp_form_file,
+                                                       tmp_path):
+    """x^7 dx + y^7 dy + z^7 dz involves every coordinate and has all
+    coefficients of order 7: its 6-jets are zero and fix no cylinder
+    direction (the germ has tau 3), so the run exits 2 and reports no
+    model."""
+    out = tmp_path / "v.json"
+    path = tmp_form_file("omega3: x^7 dx + y^7 dy + z^7 dz\n")
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "6-jets do not fix the cylinder direction of this germ"]
 
 
 def test_model_match3_regular_trace_is_inconclusive(tmp_form_file, tmp_path):

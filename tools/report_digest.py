@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Digest the exit codes and report bytes of fixed input sets.
 
-    python3 tools/report_digest.py [--list] [--flags "..."] SET [SET ...]
+    python3 tools/report_digest.py [--list] [--flags "..."]
+                                   [--count LAYER.FUNC ...] SET [SET ...]
 
 A SET is either
 
@@ -21,13 +22,19 @@ first 16 hex digits of its report's SHA-256), to find an item that moved.
 ``--flags "--jet-order 4"`` appends the given options to every item's
 command line, after the item's own flags, so one command digests (and
 lists) a set under a non-default option set; the later option wins where
-both name the same one.  Nothing is written outside a temporary
-directory.
+both name the same one.  ``--count forms.normalize2`` (repeatable; a
+method is ``poly.MPoly.substitute``) rebinds every binding of that
+function in the package to a wrapper that counts its calls, with
+bench/tracer.py's rebinding, and after each set's line prints one line
+per calling ``module:function`` with its calls, then the total; the
+bindings are restored at exit, and the digests do not change.  Nothing
+is written outside a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -75,6 +82,33 @@ def _items(spec):
     return out
 
 
+def _install_counters(keys):
+    """Rebind each LAYER.FUNC to a counting wrapper; returns the tracer
+    that restores the bindings and one Counter of callers per key."""
+    import tracer
+    rebinder = tracer.Tracer()
+    counters = {}
+    for key in dict.fromkeys(keys):
+        layer, _, qualname = key.partition(".")
+        try:
+            orig = tracer._resolve(layer, qualname)
+        except KeyError:
+            rebinder.uninstall()
+            sys.exit("report_digest: no function %r in the package" % key)
+        counters[key] = collections.Counter()
+        rebinder._rebind(key, orig, _counting(orig, counters[key]))
+    return rebinder, counters
+
+
+def _counting(fn, counts):
+    def wrapper(*args, **kwargs):
+        caller = sys._getframe(1)
+        module = caller.f_globals.get("__name__", "?").rpartition(".")[2]
+        counts["%s:%s" % (module, caller.f_code.co_name)] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def _run(cli, item, workdir, extra):
     name, command, file_name, text, flags = item
     path = os.path.join(workdir, file_name)
@@ -103,21 +137,34 @@ def main(argv=None):
                     help="also print one line per item")
     ap.add_argument("--flags", default="", metavar='"..."',
                     help="options appended to every item's command line")
+    ap.add_argument("--count", action="append", default=[],
+                    metavar="LAYER.FUNC",
+                    help="count the calls of a package function per caller")
     opts = ap.parse_args(argv)
     extra = shlex.split(opts.flags)
     cli = _import_program()
-    with tempfile.TemporaryDirectory() as workdir:
-        for spec in opts.sets:
-            items = _items(spec)
-            digest = hashlib.sha256()
-            for item in items:
-                code, blob = _run(cli, item, workdir, extra)
-                digest.update(("%s\0%s\0" % (item[0], code)).encode())
-                digest.update(blob + b"\0")
-                if opts.list:
-                    print("  %s %s %s" % (item[0], code,
-                                          hashlib.sha256(blob).hexdigest()[:16]))
-            print("%s %d %s" % (spec, len(items), digest.hexdigest()))
+    rebinder, counters = _install_counters(opts.count)
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            for spec in opts.sets:
+                items = _items(spec)
+                digest = hashlib.sha256()
+                for item in items:
+                    code, blob = _run(cli, item, workdir, extra)
+                    digest.update(("%s\0%s\0" % (item[0], code)).encode())
+                    digest.update(blob + b"\0")
+                    if opts.list:
+                        print("  %s %s %s" % (
+                            item[0], code,
+                            hashlib.sha256(blob).hexdigest()[:16]))
+                print("%s %d %s" % (spec, len(items), digest.hexdigest()))
+                for key, counts in counters.items():
+                    for caller, n in sorted(counts.items()):
+                        print("  %s %s %d" % (key, caller, n))
+                    print("  %s total %d" % (key, sum(counts.values())))
+                    counts.clear()
+    finally:
+        rebinder.uninstall()
 
 
 if __name__ == "__main__":
