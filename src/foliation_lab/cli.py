@@ -47,6 +47,13 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors are usage errors: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _render(value):
     """JSON-safe rendering of exact values, recursively."""
     if value is None or isinstance(value, (bool, int, str)):
@@ -216,8 +223,7 @@ def _witness3(w):
 def _cmd_second_type3(parsed, report, opts, dot_ref):
     verdict = second_type3_via_sections(
         parsed.form, trials=opts.trials, seed=opts.seed,
-        jet_order=opts.jet_order, max_depth=opts.max_depth,
-        resonance_bound=opts.resonance_bound)
+        jet_order=opts.jet_order, max_depth=opts.max_depth)
     report["second_type"] = {
         "verdict": verdict.kind == "SecondType",
         "witnesses": [_witness3(w) for w in verdict.witnesses],
@@ -231,8 +237,7 @@ def _cmd_second_type3(parsed, report, opts, dot_ref):
 
 
 def _cmd_model_match3(parsed, report, opts, dot_ref):
-    match = match_simple_model3(parsed.form, parsed.divisor, opts.jet_order,
-                                opts.resonance_bound)
+    match = match_simple_model3(parsed.form, parsed.divisor, opts.jet_order)
     report["verdict3"] = {
         "model": match.code,
         "tau": match.tau,
@@ -248,8 +253,7 @@ def _cmd_theorem_main(parsed, report, opts, dot_ref):
         raise UsageError("theorem-main needs a separatrix:{...} block "
                          "declaring the invariant surfaces")
     rep = theorem_main_harness(parsed.form, parsed.separatrices,
-                               parsed.script or [], opts.jet_order,
-                               opts.resonance_bound)
+                               parsed.script or [], opts.jet_order)
     report["verdict3"] = {
         "ok": rep.ok,
         "records": [{
@@ -343,7 +347,7 @@ _HANDLERS = {
 
 
 def _build_argparser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="foliation-lab",
         description="Exact local analysis of singular holomorphic "
                     "foliations given by 1-forms.")
@@ -354,7 +358,6 @@ def _build_argparser():
     ap.add_argument("--trials", type=int, default=8)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--truncation", type=int, default=12, metavar="N")
-    ap.add_argument("--resonance-bound", type=int, default=25)
     ap.add_argument("--section", default=None,
                     help="plane section a,b,c for log-criterion")
     ap.add_argument("--out", default=None,
@@ -377,7 +380,7 @@ def _target_path(base, path, suffix):
 def _validate(opts):
     if opts.jet_order < 1 or opts.max_depth < 1 or opts.truncation < 1:
         raise UsageError("options must be positive")
-    if opts.trials < 0 or opts.resonance_bound < 1:
+    if opts.trials < 0:
         raise UsageError("options must be positive")
     if opts.command in ("analyze2", "separatrices") and opts.truncation < 2:
         raise UsageError("separatrix jets need --truncation N >= 2")
@@ -434,10 +437,17 @@ def _run_one(opts, path):
         code = _EXIT_INCONCLUSIVE
     tree = report.pop("_tree", None)
     if dot_path is not None and tree is not None:
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(_dot_text(tree))
+        _write_text(dot_path, _dot_text(tree))
     _write_report(opts, path, report)
     return code
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc))
 
 
 def _write_report(opts, path, report):
@@ -448,13 +458,12 @@ def _write_report(opts, path, report):
     if out_path is None:
         sys.stdout.write(text_out)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text_out)
+        _write_text(out_path, text_out)
 
 
 def main(argv=None) -> int:
-    opts = _build_argparser().parse_args(argv)
     try:
+        opts = _build_argparser().parse_args(argv)
         _validate(opts)
     except UsageError as exc:
         print("foliation-lab: %s" % exc, file=sys.stderr)

@@ -680,21 +680,22 @@ def sort_key(x: FieldElement):
     return _key(x.a) + _key(x.b)
 
 
-def ratio_in_positive_rationals(tr: FieldElement, det: FieldElement) -> str:
-    """Classify the eigenvalue quotient of a 2x2 linear part from trace and
-    determinant of its characteristic polynomial T^2 - tr*T + det.
+def eigenvalue_ratio(tr: FieldElement, det: FieldElement) -> str:
+    """Classify the eigenvalue quotient q of a 2x2 linear part from trace
+    and determinant of its characteristic polynomial T^2 - tr*T + det.
 
-    Returns one of 'yes', 'no', 'zero-eigenvalue', 'nilpotent'.  'yes' means
-    the quotient of the two eigenvalues is a positive rational number,
-    decided exactly: with t = tr^2/det, the quotient is in Q_{>0} iff t is
-    rational, t >= 4 and (t-2)^2 - 4 is the square of a rational.
+    Returns 'positive' or 'negative' when q is a rational of that sign,
+    'neither' otherwise, and 'zero-eigenvalue' or 'nilpotent' when
+    det = 0.  Decided exactly: t = tr^2/det = q + 2 + 1/q, so q is
+    rational iff t is rational and (t-2)^2 - 4 is the square of a
+    rational, and then t >= 4 or t <= 0 by the sign of q.
     """
     if det.is_zero():
         return "nilpotent" if tr.is_zero() else "zero-eigenvalue"
     t = tr * tr / det
     if not t.is_rational():
-        return "no"
+        return "neither"
     tq = t.as_fraction()
-    if tq < 4:
-        return "no"
-    return "yes" if _fraction_sqrt((tq - 2) ** 2 - 4) is not None else "no"
+    if _fraction_sqrt((tq - 2) ** 2 - 4) is None:
+        return "neither"
+    return "positive" if tq > 0 else "negative"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .fields import (
     FieldDescriptor,
     Inconclusive,
-    ratio_in_positive_rationals,
+    eigenvalue_ratio,
     sort_key,
     widening,
 )
@@ -160,8 +160,8 @@ def classify_linear2(M, desc: FieldDescriptor) -> str:
     """Preliminary code from the linear part of the dual vector field."""
     tr = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    verdict = ratio_in_positive_rationals(tr, det)
-    if verdict in ("nilpotent", "yes"):
+    verdict = eigenvalue_ratio(tr, det)
+    if verdict in ("nilpotent", "positive"):
         return NON_SIMPLE
     if verdict == "zero-eigenvalue":
         return "SaddleNodeCandidate"

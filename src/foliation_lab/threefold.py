@@ -19,7 +19,8 @@ from .fields import (
     FieldElement,
     FieldError,
     Inconclusive,
-    _fraction_sqrt,
+    common_denominator,
+    eigenvalue_ratio,
 )
 from .forms import (
     DivisorBranch,
@@ -212,37 +213,37 @@ def _pair_nonresonant(l2: FieldElement, l3: FieldElement) -> bool:
     return not (r.is_rational() and r.as_fraction() < 0)
 
 
-def _fully_nonresonant(lams, bound: int) -> bool:
-    """No relation m . lam = 0 with m in Z_{>=0}^3 \\ 0, |m| <= bound.
+def _fully_nonresonant(lams) -> bool:
+    """No relation m . lam = 0 with m in Z_{>=0}^3 \\ 0.
 
-    A vanishing residue lam_i is the relation e_i.  Otherwise m3 is
-    determined by (m1, m2): m3 = m1 r1 + m2 r2 with r_i = -lam_i/lam3,
-    and m is a relation exactly when that value is an integer in
-    [0, bound - m1 - m2].  The multiples k*r_i for k = 0..bound are
-    built once by repeated addition, so each of the (bound+1)(bound+2)/2
-    pairs costs one addition and a rationality test.
+    The relations are the integer points of the kernel of the rational
+    matrix whose columns are the coordinates of the lam_i: the rational
+    and sqrt(m) parts, over Q(s) the numerator coefficients of both over
+    one common denominator.  The kernel is rational, so a relation exists
+    exactly when it meets the closed positive octant outside 0: at rank
+    2 when its generator r1 x r2 has one sign, at rank 1 unless the
+    normal r1 is strictly of one sign, never at rank 3.
     """
-    if not all(lams):
+    d = common_denominator(lams) if lams[0].desc.parameter else None
+    rows = {}
+    for i, lam in enumerate(lams):
+        for part, c in enumerate((lam.a, lam.b)):
+            for k, q in enumerate((c,) if d is None else (c * d).num):
+                rows.setdefault((part, k), [0, 0, 0])[i] = q
+    rows = [r for r in rows.values() if any(r)]
+    if not rows:
         return False
-    l1, l2, l3 = lams
-    inv = -l3.inverse()
-    rows = []
-    for r in (l1 * inv, l2 * inv):
-        row = [r.desc.zero()]
-        for _ in range(bound):
-            row.append(row[-1] + r)
-        rows.append(row)
-    k1, k2 = rows
-    for m1 in range(bound + 1):
-        s1 = k1[m1]
-        for m2 in range(bound - m1 + 1):
-            m3 = s1 + k2[m2]
-            if m3.is_rational():
-                f = m3.as_fraction()
-                if (f.denominator == 1 and 0 <= f <= bound - m1 - m2
-                        and m1 + m2 + f):
-                    return False
-    return True
+    r1 = rows[0]
+    for r2 in rows[1:]:
+        w = (r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
+             r1[0] * r2[1] - r1[1] * r2[0])
+        if any(w):
+            break
+    else:
+        return all(c > 0 for c in r1) or all(c < 0 for c in r1)
+    if any(sum(a * b for a, b in zip(w, r)) for r in rows):
+        return True
+    return not (all(c >= 0 for c in w) or all(c <= 0 for c in w))
 
 
 def _integer_powers(a0: FieldElement, others):
@@ -257,7 +258,7 @@ def _integer_powers(a0: FieldElement, others):
     return tuple(p // g for p in powers)
 
 
-def _match_tau3(form: OneForm3, jet_order: int, resonance_bound: int):
+def _match_tau3(form: OneForm3, jet_order: int):
     x, y, z = form.vars
     for perm in itertools.permutations(range(3)):
         A, B, C = (_perm_poly(form.coeffs()[i], perm) for i in perm)
@@ -284,7 +285,7 @@ def _match_tau3(form: OneForm3, jet_order: int, resonance_bound: int):
             # residue series need not be constant: a non-resonant germ is
             # formally linearizable, so unit factors picked up along the
             # way do not change the model.
-            if c0 and _fully_nonresonant((a0, b0, c0), resonance_bound):
+            if c0 and _fully_nonresonant((a0, b0, c0)):
                 return Model3Match("A", 3, residues=(a0, b0, c0))
             continue
         # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
@@ -389,12 +390,7 @@ def _match_tau2(form: OneForm3, direction, jet_order: int):
         # nondegenerate: resonant (negative rational quotient) or not
         tr = M[0][0] + M[1][1]
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        t = tr * tr / det
-        resonant = False
-        if t.is_rational():
-            tq = t.as_fraction()
-            if tq <= 0 and _fraction_sqrt((tq - 2) ** 2 - 4) is not None:
-                resonant = True
+        resonant = eigenvalue_ratio(tr, det) == "negative"
         residues = ()
         u2, v2 = form2.vars
         ra = _residue_series(form2.A, (v2,), jet_order)
@@ -419,8 +415,7 @@ def _lift_to3(eq2: MPoly, vars3):
 
 
 def match_simple_model3(form: OneForm3, D: LocalDivisor = None,
-                        jet_order: int = 8,
-                        resonance_bound: int = 25) -> Model3Match:
+                        jet_order: int = 8) -> Model3Match:
     """Match a singular germ against the simple models in three variables."""
     form = normalize3(form)
     if not integrable3(form):
@@ -434,7 +429,7 @@ def match_simple_model3(form: OneForm3, D: LocalDivisor = None,
             raise ValueError("divisor is not adapted to the point")
     if tau == 2:
         return _match_tau2(form, direction, jet_order)
-    return _match_tau3(form, jet_order, resonance_bound)
+    return _match_tau3(form, jet_order)
 
 
 def _same_surface(p: MPoly, q: MPoly) -> bool:
@@ -590,8 +585,8 @@ def _random_section(rng, vars2, desc):
 
 
 def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
-                              jet_order: int = 8, max_depth: int = 64,
-                              resonance_bound: int = 25) -> Verdict3:
+                              jet_order: int = 8,
+                              max_depth: int = 64) -> Verdict3:
     """Decide second type through plane sections and transversal types.
 
     A tangent saddle-node found in any pulled-back reduction, or in the
@@ -631,7 +626,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     # the origin itself
     origin_ok = False
     try:
-        match = match_simple_model3(form, None, jet_order, resonance_bound)
+        match = match_simple_model3(form, None, jet_order)
         if match.is_simple():
             origin_ok = True
             evidence.append("origin matches model %s" % match.code)
@@ -768,8 +763,7 @@ class TheoremReport:
 
 
 def theorem_main_harness(form: OneForm3, surfaces, script,
-                         jet_order: int = 8,
-                         resonance_bound: int = 25) -> TheoremReport:
+                         jet_order: int = 8) -> TheoremReport:
     """Run a prescribed sequence of point and axis blow-ups and verify
     that every final checkpoint is a simple, well-oriented singularity
     and that the strict transforms of the declared separatrix surfaces
@@ -826,8 +820,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
             records.append(PointRecord(path, "origin", REGULAR, True))
         else:
             try:
-                match = match_simple_model3(f, None, jet_order,
-                                            resonance_bound)
+                match = match_simple_model3(f, None, jet_order)
                 simple = match.is_simple()
                 well = well_oriented3(match, LocalDivisor(local)) \
                     if simple else None

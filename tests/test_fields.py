@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from foliation_lab import (FieldDescriptor, FieldError, FieldExtensionError,
                            LocalDivisor, OneForm2, WidenRequest)
 from foliation_lab.fields import (_int_sqrt_exact, _squarefree_part, coerce,
-                                  ratio_in_positive_rationals, sort_key,
-                                  sqrt_in_tower, sqrt_or_widen)
+                                  eigenvalue_ratio, sort_key, sqrt_in_tower,
+                                  sqrt_or_widen)
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import NON_SIMPLE, classify_point2
 
@@ -100,15 +100,31 @@ def test_sort_key_is_deterministic_total_order():
 
 def test_ratio_in_positive_rationals():
     # diag(1, 2): tr = 3, det = 2, quotient 2 in Q_{>0}
-    assert ratio_in_positive_rationals(Q.rational(3), Q.rational(2)) == "yes"
+    assert eigenvalue_ratio(Q.rational(3), Q.rational(2)) == "positive"
     # diag(1, -2): quotient -2
-    assert ratio_in_positive_rationals(Q.rational(-1), Q.rational(-2)) == "no"
-    # diag(1, rt(2)): irrational quotient
+    assert eigenvalue_ratio(Q.rational(-1), Q.rational(-2)) == "negative"
+    # diag(1, -1): tr = 0, quotient -1
+    assert eigenvalue_ratio(Q.zero(), Q.rational(-1)) == "negative"
+    # diag(l, -3 l), l = 1 + rt(2): tr and det leave Q, the quotient does not
     r2 = Q2.sqrt_gen()
-    assert ratio_in_positive_rationals(Q2.one() + r2, r2) == "no"
+    lam = Q2.one() + r2
+    assert eigenvalue_ratio(lam * Q2.rational(-2),
+                            lam * lam * Q2.rational(-3)) == "negative"
+    # diag(1, rt(2)): irrational quotient; diag(1, i): complex quotient
+    assert eigenvalue_ratio(Q2.one() + r2, r2) == "neither"
+    assert eigenvalue_ratio(Q.one(), Q.one()) == "neither"
     # degenerate linear parts
-    assert ratio_in_positive_rationals(Q.one(), Q.zero()) == "zero-eigenvalue"
-    assert ratio_in_positive_rationals(Q.zero(), Q.zero()) == "nilpotent"
+    assert eigenvalue_ratio(Q.one(), Q.zero()) == "zero-eigenvalue"
+    assert eigenvalue_ratio(Q.zero(), Q.zero()) == "nilpotent"
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=20)
+       .filter(lambda q: q != 0), st.sampled_from([1, 3, -7]))
+def test_eigenvalue_ratio_reads_the_sign_of_a_rational_quotient(q, lam):
+    # diag(lam, q*lam): tr = (1 + q) lam, det = q lam^2
+    tr, det = Q.rational((1 + q) * lam), Q.rational(q * lam * lam)
+    assert eigenvalue_ratio(tr, det) == ("positive" if q > 0
+                                         else "negative")
 
 
 def test_int_sqrt_exact_is_exact_for_big_integers():
@@ -160,8 +176,7 @@ def test_squarefree_part_refuses_a_large_unfactored_cofactor():
 def test_huge_resonant_node_is_not_simple():
     # -v du + k u dv: eigenvalues k and 1, quotient k in Q_{>0}
     k = 100000000000000000001
-    assert ratio_in_positive_rationals(Q.rational(k + 1),
-                                       Q.rational(k)) == "yes"
+    assert eigenvalue_ratio(Q.rational(k + 1), Q.rational(k)) == "positive"
     form = OneForm2(MPoly(("u", "v"), {(0, 1): Q.rational(-1)}, Q),
                     MPoly(("u", "v"), {(1, 0): Q.rational(k)}, Q))
     code, _, _ = classify_point2(form, LocalDivisor.empty())

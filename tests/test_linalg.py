@@ -1,7 +1,7 @@
-"""Sparse-row elimination and the resonance table against frozen copies
-of the dense loops they replaced: same pivots, same reduced rows, same
-solve/nullspace/rank/det, same resonance verdicts; and the same answers
-from list rows and from dict rows."""
+"""Sparse-row elimination against frozen copies of the dense loops it
+replaced: same pivots, same reduced rows, same solve/nullspace/rank/det;
+the same answers from list rows and from dict rows; and the exact
+resonance test against the bounded search it replaced and closed forms."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from foliation_lab import FieldDescriptor
 from foliation_lab import linalg
-from foliation_lab.fields import FieldElement
 from foliation_lab.threefold import _fully_nonresonant
 
 Q = FieldDescriptor()
@@ -244,7 +243,7 @@ def test_det_sign_of_a_row_swap():
 
 
 # ---------------------------------------------------------------------------
-# resonance table
+# resonance
 
 def _gen(desc):
     """rt(m), the parameter or 1: a generator of the tower over Q."""
@@ -258,10 +257,16 @@ def _residues(desc):
         lambda t: desc.rational(t[0]) + desc.rational(t[1]) * gen)
 
 
+def _quotients(desc):
+    """u / v for nonzero residues u, v: over Q(s), denominators differ."""
+    nonzero = _residues(desc).filter(bool)
+    return st.tuples(nonzero, nonzero).map(lambda t: t[0] / t[1])
+
+
 def _triple(desc):
     """Three residues over desc, one of them zero in about a fifth of the
     draws."""
-    some = _residues(desc)
+    some = _residues(desc) | _quotients(desc)
     one = st.just(desc.zero()) | some | some | some | some
     return st.tuples(one, one, one)
 
@@ -276,47 +281,42 @@ _triples = st.sampled_from([Q, Q2, QS]).flatmap(_triple)
 @example((Q.one(), Q.zero(), Q.rational(5)), 1)
 @example((QS.param_gen(), QS.rational(-2) * QS.param_gen(), QS.one()), 3)
 def test_resonance_verdicts_match_on_random_triples(lams, bound):
-    assert _fully_nonresonant(lams, bound) \
-        == _fully_nonresonant_dense(lams, bound)
+    # every relation of the bounded search is found without a bound
+    if not _fully_nonresonant_dense(lams, bound):
+        assert not _fully_nonresonant(lams)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
-       .filter(lambda m: 0 < m[0] + m[1] + m[2] <= 25 and m[2] > 0),
-       _nonzero, _nonzero, st.sampled_from([Q, Q2, QS]),
-       st.integers(1, 25))
-def test_resonance_verdicts_match_on_planted_relations(m, a, b, desc, bound):
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(1, 60))
+       .filter(lambda m: sum(m) <= 60),
+       st.sampled_from([Q, Q2, QS]).flatmap(
+           lambda desc: st.tuples(_quotients(desc), _quotients(desc))))
+def test_resonance_verdicts_match_on_planted_relations(m, pair):
     # lam3 is solved from m . lam = 0, so the relation m is planted
-    lam1 = desc.rational(a)
-    lam2 = desc.rational(b) * _gen(desc)
+    lam1, lam2 = pair
+    desc = lam1.desc
     lam3 = -(lam1 * desc.rational(m[0]) + lam2 * desc.rational(m[1])) \
         * desc.rational(Fraction(1, m[2]))
-    lams = (lam1, lam2, lam3)
-    got = _fully_nonresonant(lams, bound)
-    assert got == _fully_nonresonant_dense(lams, bound)
-    if sum(m) <= bound:
-        assert not got
+    assert not _fully_nonresonant((lam1, lam2, lam3))
 
 
-def test_resonance_search_adds_once_per_pair(monkeypatch):
-    """Without a relation every pair (m1, m2) with m1 + m2 <= bound is
-    tried, at one field addition each, after 2*bound additions for the
-    two tables of multiples."""
-    adds = []
-    add = FieldElement.__add__
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q2, QS]).flatmap(
+    lambda desc: st.tuples(st.just(desc), _small, _small,
+                           _quotients(desc))))
+def test_resonance_verdicts_follow_the_closed_form(args):
+    """(1, g, a + b g) for a generator g over Q has the relation
+    (-a, -b, 1) m3 exactly when a, b <= 0; a common factor c, which
+    brings denominators over Q(s), keeps the relations."""
+    desc, a, b, c = args
+    g = _gen(desc)
+    lams = tuple(c * x for x in
+                 (desc.one(), g, desc.rational(a) + desc.rational(b) * g))
+    assert _fully_nonresonant(lams) == (a > 0 or b > 0)
 
-    def counting(x, y):
-        adds.append(1)
-        return add(x, y)
 
-    monkeypatch.setattr(FieldElement, "__add__", counting)
-    monkeypatch.setattr(FieldElement, "__radd__", counting)
-    cases = [(Q.one(), Q.rational(Fraction(1, 3)), Q.rational(7)),
-             (Q2.one(), Q2.sqrt_gen(), Q2.one() + Q2.sqrt_gen()),
-             (QS.one(), QS.param_gen(), QS.rational(2))]
-    for lams in cases:
-        for bound in (1, 2, 5, 25):
-            adds.clear()
-            assert _fully_nonresonant(lams, bound)
-            assert len(adds) <= ((bound + 1) * (bound + 2) // 2
-                                 + 2 * bound + 1)
+@given(st.tuples(_small, _small, _small), _residues(Q2).filter(bool))
+def test_rational_residue_ratios_resonate_unless_of_one_sign(qs, c):
+    lams = tuple(c * Q2.rational(q) for q in qs)
+    assert _fully_nonresonant(lams) == (all(q > 0 for q in qs)
+                                        or all(q < 0 for q in qs))

@@ -1,7 +1,9 @@
 """Input-format parsing and the command-line driver end to end."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +259,69 @@ def test_cli_usage_errors_exit_one(tmp_form_file, tmp_path):
         for command in ("analyze2", "separatrices"):
             assert cli.main([command, tmp_form_file(text),
                              "--truncation", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce2", "{form}", "--bogus"],
+    ["nocmd", "{form}"],
+    ["reduce2", "{form}", "--truncation", "x"],
+    ["reduce2"],
+    ["model-match3", "{form}", "--resonance-bound", "25"],
+], ids=["unknown-option", "unknown-command", "bad-int", "no-input",
+        "removed-option"])
+def test_cli_argument_errors_exit_one(tmp_form_file, capsys, argv):
+    path = tmp_form_file(DXYZ3 if argv[0] == "model-match3" else CUSP2)
+    assert cli.main([a.format(form=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("foliation-lab: ") and err.count("\n") == 1
+
+
+def test_cli_help_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("option", ["--out", "--dot"])
+def test_cli_unwritable_output_path_exits_one(tmp_form_file, tmp_path,
+                                              capsys, option):
+    target = str(tmp_path / "missing" / "r.out")
+    assert cli.main(["reduce2", tmp_form_file(CUSP2), option, target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("foliation-lab: ") and err.count("\n") == 1
+
+
+def test_cli_max_depth_bounds_the_reduction(tmp_form_file, tmp_path):
+    out = tmp_path / "d.json"
+    path = tmp_form_file(CUSP2)
+    assert cli.main(["reduce2", path, "--max-depth", "2",
+                     "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "blow-up depth exhausted"]
+    assert cli.main(["reduce2", path, "--max-depth", "3",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["reduction"]["blowups"] == 3
+
+
+def test_readme_options_are_the_parser_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("Options:")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    parsed = {o for a in cli._build_argparser()._actions
+              for o in a.option_strings if o.startswith("--")} - {"--help"}
+    assert documented == parsed
+
+
+def test_model_match3_decides_a_resonance_past_any_small_bound(
+        tmp_form_file, tmp_path):
+    """(1, 0, 30) . (1, 1, -1/30) = 0: not model A; with +1/30 there is no
+    relation at all."""
+    out = tmp_path / "m.json"
+    for c, model in (("-1/30", "NotSimple"), ("1/30", "A")):
+        path = tmp_form_file("omega3: y*z dx + x*z dy + (%s)*x*y dz\n" % c)
+        assert cli.main(["model-match3", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict3"]["model"] == model
 
 
 def test_cli_model_match3(tmp_form_file, tmp_path):
