@@ -36,7 +36,8 @@ from .threefold import (InconclusiveError, Model3Match, SectionMap,
                         second_type3_via_sections, theorem_main_harness,
                         well_oriented3)
 from .indices import (DegeneratePointError, IndexValue, LogarithmicData,
-                      LogCriterionReport, PlaneSingularity, ProjFoliation,
+                      LogCriterionReport, PlaneSingularity,
+                      PositiveDimensionalLocusError, ProjFoliation,
                       SingularBranchError, SumReport, bb_index, cs_index,
                       gsv_index, localize_at, logarithmic_build,
                       logarithmic_criterion, plane_singularities,

@@ -2,11 +2,13 @@
 
 The ground field is Q.  A tower may adjoin one square root of a square-free
 integer m (m = -1 gives the imaginary unit) and one transcendental parameter,
-yielding at most Q(t)(sqrt(m)).  Elements are kept in canonical form
-a + b*sqrt(m).  The descriptor fixes the type of the coordinates a and b:
-bare Fractions in a parameter-free tower, reduced RatFuncs of the parameter
-otherwise.  Both types share + - * /, == and truth testing, so the element
-arithmetic is written once for both.
+yielding at most Q(t)(sqrt(m)).  Elements are kept in the normal form
+(p + q*sqrt(m))/d.  The descriptor fixes the type of the coordinates: in a
+parameter-free tower p, q and d are integers with d > 0 and no common
+factor, so an operation is a few integer products and at most one gcd; with
+the parameter p and q are reduced RatFuncs and d = 1.  Both types share
++ - *, == and truth testing, so the element arithmetic is written once for
+both.
 """
 
 from __future__ import annotations
@@ -333,7 +335,11 @@ class FieldDescriptor:
     # -- constructors for elements over this descriptor
 
     def rational(self, q) -> "FieldElement":
-        return _elem(self, _coord(self, q), _coord(self, 0))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        if self.parameter is None:
+            return _elem(self, q.numerator, 0, q.denominator)
+        return _elem(self, _const_rf(Fraction(q)), _const_rf(_F0), 1)
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -344,12 +350,14 @@ class FieldDescriptor:
     def sqrt_gen(self) -> "FieldElement":
         if self.quadratic_extension is None:
             raise FieldError("descriptor has no quadratic extension")
-        return _elem(self, _coord(self, 0), _coord(self, 1))
+        if self.parameter is not None:
+            return FieldElement(self, 0, 1)
+        return _elem(self, 0, 1, 1)
 
     def param_gen(self) -> "FieldElement":
         if self.parameter is None:
             raise FieldError("descriptor has no transcendental parameter")
-        return _elem(self, RatFunc.variable(), _coord(self, 0))
+        return FieldElement(self, RatFunc.variable(), 0)
 
     def widened(self, m: int) -> "FieldDescriptor":
         s, _ = _squarefree_part(m)
@@ -385,12 +393,6 @@ class FieldDescriptor:
 QQ = FieldDescriptor()
 
 
-def _coord(desc: FieldDescriptor, q):
-    """The rational q as a coordinate of desc's type."""
-    q = Fraction(q)
-    return q if desc.parameter is None else _const_rf(q)
-
-
 def _frac(c) -> Fraction:
     """The value of a constant coordinate."""
     return c if type(c) is Fraction else c.as_fraction()
@@ -406,25 +408,34 @@ def _key(c):
     return ((c,) if c else (), _ONE_DEN) if type(c) is Fraction else (c.num, c.den)
 
 
-def _elem(desc: FieldDescriptor, a, b) -> "FieldElement":
-    """The trusted constructor: no checks.  Only for coordinates already of
-    desc's type with b zero when desc has no sqrt(m), as arithmetic on
-    elements of desc yields them."""
+def _elem(desc: FieldDescriptor, p, q, d) -> "FieldElement":
+    """The trusted constructor of (p + q*sqrt(m))/d, for coordinates of
+    desc's type with d > 0 and q zero when desc has no sqrt(m), as
+    arithmetic on elements of desc yields them: no checks, and one gcd
+    brings integer coordinates to normal form."""
+    if d != 1:
+        g = math.gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
     x = object.__new__(FieldElement)
-    x.desc, x.a, x.b = desc, a, b
+    x.desc, x.p, x.q, x.d = desc, p, q, d
     return x
 
 
 class FieldElement:
-    """Element a + b*sqrt(m) of a field tower.
+    """Element (p + q*sqrt(m))/d of a field tower.
 
-    a and b are Fractions when desc has no parameter and reduced RatFuncs
-    when it has one.  The public constructor checks the tower and converts
-    the coordinates to that type; results of arithmetic are built by the
-    trusted `_elem`.
+    In a parameter-free tower p, q and d are integers with d > 0 and
+    gcd(p, q, d) = 1, so equal values have equal coordinates.  In a tower
+    with the parameter p and q are reduced RatFuncs and d = 1.  Either
+    way q is zero when desc has no sqrt(m), and + - * share one formula
+    for both kinds of tower.  The properties a and b give the value as
+    a + b*sqrt(m), as Fractions or RatFuncs.  The public constructor
+    checks the tower and converts a and b; results of arithmetic are
+    built by the trusted `_elem`.
     """
 
-    __slots__ = ("desc", "a", "b")
+    __slots__ = ("desc", "p", "q", "d")
 
     def __init__(self, desc: FieldDescriptor, a, b):
         if desc.parameter is None:
@@ -432,13 +443,24 @@ class FieldElement:
                 raise FieldError("parameter appears in a parameter-free tower")
             a, b = (Fraction(_frac(c) if type(c) is RatFunc else c)
                     for c in (a, b))
+            d = math.lcm(a.denominator, b.denominator)
+            p, q = (c.numerator * (d // c.denominator) for c in (a, b))
         else:
-            a, b = (c if type(c) is RatFunc else RatFunc(c) for c in (a, b))
-        if desc.quadratic_extension is None and b:
+            p, q = (c if type(c) is RatFunc else RatFunc(c) for c in (a, b))
+            d = 1
+        if desc.quadratic_extension is None and q:
             raise FieldError("sqrt coordinate in a tower without extension")
-        self.desc = desc
-        self.a = a
-        self.b = b
+        self.desc, self.p, self.q, self.d = desc, p, q, d
+
+    @property
+    def a(self):
+        return (Fraction(self.p, self.d) if self.desc.parameter is None
+                else self.p)
+
+    @property
+    def b(self):
+        return (Fraction(self.q, self.d) if self.desc.parameter is None
+                else self.q)
 
     # -- coercion helpers
 
@@ -453,10 +475,11 @@ class FieldElement:
         return NotImplemented
 
     def is_zero(self):
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def is_rational(self):
-        return not self.b and (type(self.a) is Fraction or self.a.is_constant())
+        return not self.q and (self.desc.parameter is None
+                               or self.p.is_constant())
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -465,37 +488,50 @@ class FieldElement:
 
     def involves_parameter(self) -> bool:
         return self.desc.parameter is not None and not (
-            self.a.is_constant() and self.b.is_constant())
+            self.p.is_constant() and self.q.is_constant())
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p) or bool(self.q)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
+            if self.q:
+                return False
+            if self.d == 1:
+                return self.p == other
+            return self.p == other.numerator and self.d == other.denominator
         return (isinstance(other, FieldElement)
                 and (self.desc is other.desc or self.desc == other.desc)
-                and self.a == other.a and self.b == other.b)
+                and self.p == other.p and self.q == other.q
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.desc, self.a, self.b))
+        return hash((self.desc, self.p, self.q, self.d))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _elem(self.desc, self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _elem(self.desc, self.p + other.p, self.q + other.q, d)
+        return _elem(self.desc, self.p * e + other.p * d,
+                     self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _elem(self.desc, -self.a, -self.b)
+        return _elem(self.desc, -self.p, -self.q, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _elem(self.desc, self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _elem(self.desc, self.p - other.p, self.q - other.q, d)
+        return _elem(self.desc, self.p * e - other.p * d,
+                     self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -506,9 +542,11 @@ class FieldElement:
             return NotImplemented
         m = self.desc.quadratic_extension
         if m is None:
-            return _elem(self.desc, self.a * other.a, self.b)
-        return _elem(self.desc, self.a * other.a + self.b * other.b * m,
-                     self.a * other.b + self.b * other.a)
+            return _elem(self.desc, self.p * other.p, self.q,
+                         self.d * other.d)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _elem(self.desc, p * r + q * s * m, p * s + q * r,
+                     self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -521,16 +559,21 @@ class FieldElement:
         return out
 
     def inverse(self):
-        """1/a without sqrt(m); else the conjugate over the norm
-        a^2 - m b^2, which vanishes only at 0 as m is square-free."""
-        a, b = self.a, self.b
+        """The conjugate over the norm p^2 - m q^2 (p^2 without sqrt(m)),
+        which vanishes only at 0 as m is square-free, times d."""
+        p, q, d = self.p, self.q, self.d
         m = self.desc.quadratic_extension
-        norm = a if m is None else a * a - b * b * m
-        if not norm:
+        if not p and not q:
             raise ZeroDivisionError("inverse of zero field element")
-        if m is None:
-            return _elem(self.desc, 1 / a, b)
-        return _elem(self.desc, a / norm, -b / norm)
+        if self.desc.parameter is not None:
+            if m is None:
+                return _elem(self.desc, 1 / p, q, 1)
+            norm = p * p - q * q * m
+            return _elem(self.desc, p / norm, -q / norm, 1)
+        norm = p * p if m is None else p * p - q * q * m
+        if norm < 0:
+            norm, d = -norm, -d
+        return _elem(self.desc, d * p, -d * q, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -542,15 +585,15 @@ class FieldElement:
         return self.inverse() * other
 
     def conjugate(self):
-        return _elem(self.desc, self.a, -self.b)
+        return _elem(self.desc, self.p, -self.q, self.d)
 
     def render(self) -> str:
         name = self.desc.parameter or "t"
         m = self.desc.quadratic_extension
-        if not self.b:
+        if not self.q:
             return _render(self.a, name)
         parts = []
-        if self.a:
+        if self.p:
             parts.append(_render(self.a, name))
         bs = _render(self.b, name)
         root = f"rt({m})"
@@ -574,8 +617,8 @@ def coerce(x: FieldElement, desc: FieldDescriptor) -> FieldElement:
         raise FieldExtensionError(
             f"cannot embed {x.desc.describe()} into {desc.describe()}")
     if desc.parameter is not None and x.desc.parameter is None:
-        return _elem(desc, _const_rf(x.a), _const_rf(x.b))
-    return _elem(desc, x.a, x.b)
+        return _elem(desc, _const_rf(x.a), _const_rf(x.b), 1)
+    return _elem(desc, x.p, x.q, x.d)
 
 
 def common_denominator(elements) -> RatFunc:
@@ -619,14 +662,14 @@ def sqrt_in_tower(x: FieldElement):
     desc = x.desc
     m = desc.quadratic_extension
     a = _frac(x.a)
-    if not x.b:
+    if not x.q:
         r = _fraction_sqrt(a)
         if r is not None:
             return desc.rational(r)
         if m is not None:
             r = _fraction_sqrt(a / m)
             if r is not None:
-                return _elem(desc, _coord(desc, 0), _coord(desc, r))
+                return FieldElement(desc, 0, r)
         return None
     # x = a + b*sqrt(m); candidate sqrt c + d*sqrt(m) needs
     # c^2 + m d^2 = a and 2 c d = b, so z = c^2 solves z^2 - a z + m b^2 / 4 = 0.
@@ -639,7 +682,7 @@ def sqrt_in_tower(x: FieldElement):
         c = _fraction_sqrt(root)
         if c is not None and c != 0:
             d = b / (2 * c)
-            cand = _elem(desc, _coord(desc, c), _coord(desc, d))
+            cand = FieldElement(desc, c, d)
             if cand * cand == x:
                 return cand
     return None
@@ -655,8 +698,8 @@ def sqrt_or_widen(x: FieldElement):
         return r
     if x.involves_parameter():
         raise FieldExtensionError("square root of a parameter-dependent element")
-    if not x.b and x.desc.quadratic_extension is None:
-        q = _frac(x.a)
+    if not x.q and x.desc.quadratic_extension is None:
+        q = x.as_fraction()
         s, _ = _squarefree_part(q.numerator * q.denominator)
         raise WidenRequest(s)
     raise FieldExtensionError(

@@ -50,6 +50,14 @@ class SingularBranchError(ValueError, Inconclusive):
     of reach of the smooth-branch index formulas here."""
 
 
+class PositiveDimensionalLocusError(ValueError, Inconclusive):
+    """The singular locus of a plane foliation has a curve component, so
+    its singular points are not isolated and no index sum is read."""
+
+    def __init__(self):
+        super().__init__("the singular locus is positive-dimensional")
+
+
 # ---------------------------------------------------------------------------
 # projective 1-forms
 
@@ -293,17 +301,17 @@ def _resultant_by_specialization(p, q, var, desc):
 def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):
     """Common zeros of two exact bivariate polynomials, as (u, v) pairs."""
     if a.is_zero() or b.is_zero():
-        raise ValueError("the singular locus is positive-dimensional")
+        raise PositiveDimensionalLocusError()
     if gcd_bivariate(a, b).degree() > 0:
-        raise ValueError("the singular locus is positive-dimensional")
+        raise PositiveDimensionalLocusError()
     if a.degree_in("v") == 0 and b.degree_in("v") == 0:
         g = u_gcd(to_univariate(a, "u"), to_univariate(b, "u"), desc)
         if len(g) > 1:
-            raise ValueError("the singular locus is positive-dimensional")
+            raise PositiveDimensionalLocusError()
         return []
     res = _resultant_eliminating(a, b, "v", desc)
     if all(c.is_zero() for c in res):
-        raise ValueError("the singular locus is positive-dimensional")
+        raise PositiveDimensionalLocusError()
     points = []
     for x0 in u_roots_in_tower(res, desc):
         ca = to_univariate(a.restrict({"u": x0}), "v")
@@ -364,7 +372,7 @@ def _plane_sings(fol: ProjFoliation):
     ra = to_univariate(a.restrict({"v": zero}), "u")
     rc = to_univariate(c.restrict({"v": zero}), "u")
     if not ra and not rc:
-        raise ValueError("the singular locus is positive-dimensional")
+        raise PositiveDimensionalLocusError()
     common = (ra or rc) if not (ra and rc) else u_gcd(ra, rc, desc)
     if len(common) > 1:
         for x0 in u_roots_in_tower(common, desc):

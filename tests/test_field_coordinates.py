@@ -1,6 +1,7 @@
-"""Fraction coordinates in parameter-free towers against a frozen copy of
-the RatFunc-coordinate element they replaced, and the boundary between
-parameter-free and parametric towers."""
+"""Integer coordinates (p + q*sqrt(m))/d in parameter-free towers against a
+frozen copy of the element whose coordinates are all RatFuncs, the normal
+form after every operation, and the boundary between parameter-free and
+parametric towers."""
 
 import math
 from fractions import Fraction
@@ -464,7 +465,8 @@ QQ = FieldDescriptor()
 Q2 = FieldDescriptor(quadratic_extension=2)
 QS = FieldDescriptor(parameter="s")
 QS2 = FieldDescriptor(quadratic_extension=2, parameter="s")
-TOWERS = [QQ, Q2, FieldDescriptor(quadratic_extension=-1), QS, QS2]
+TOWERS = [QQ, Q2, FieldDescriptor(quadratic_extension=-1),
+          FieldDescriptor(quadratic_extension=5), QS, QS2]
 
 _fracs = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 _towers = st.sampled_from(TOWERS)
@@ -488,8 +490,22 @@ def _pair(draw, desc):
     return live, RefElement(desc, RatFunc(*a), RatFunc(*b))
 
 
+def _normal(x):
+    """x is in normal form: integers with d > 0 and gcd(p, q, d) = 1 over
+    the ground field, reduced RatFuncs over d = 1 with the parameter, and
+    q = 0 without sqrt(m)."""
+    if x.desc.parameter is None:
+        assert all(type(c) is int for c in (x.p, x.q, x.d))
+        assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    else:
+        assert type(x.p) is type(x.q) is fields.RatFunc and x.d == 1
+    assert x.desc.quadratic_extension is not None or not x.q
+
+
 def _same(live, ref):
-    """Equal coordinates (as the sort key spells them) and equal text."""
+    """Equal coordinates (as the sort key spells them), equal text, and
+    the live element in normal form."""
+    _normal(live)
     assert fields.sort_key(live) == ref_sort_key(ref)
     assert live.render() == ref.render()
 
@@ -506,6 +522,7 @@ def _outcome(fn, *args):
 @given(_towers, st.data())
 def test_ring_operations_agree_with_reference(desc, data):
     (lx, rx), (ly, ry) = _pair(data.draw, desc), _pair(data.draw, desc)
+    _same(lx, rx)
     for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
                lambda p, q: -p * q):
         _same(op(lx, ly), op(rx, ry))
@@ -586,6 +603,61 @@ def test_zero_sorts_before_negative_rationals(desc):
     assert [fields.sort_key(x) for x in order] == [ref_sort_key(x) for x in refs]
 
 
+@settings(max_examples=150, deadline=None)
+@given(_towers, _fracs, _fracs, _fracs.filter(bool))
+def test_equal_values_by_every_route_are_equal_and_hash_equal(desc, a, b, k):
+    """The public constructor, rational and sqrt_gen, arithmetic and
+    coerce all land on one normal form."""
+    if desc.quadratic_extension is None:
+        b = Fraction(0)
+    x = fields.FieldElement(desc, a, b)
+    routes = [fields.FieldElement(desc, fields.RatFunc(a), fields.RatFunc(b)),
+              x * k / k, x + k - k, k - (k - x), x.conjugate().conjugate()]
+    if x:
+        routes.append((x * k).inverse().inverse() / k)
+    if desc.quadratic_extension is not None:
+        routes.append(desc.rational(a) + desc.rational(b) * desc.sqrt_gen())
+    if desc.parameter is not None:
+        ground = FieldDescriptor(desc.quadratic_extension)
+        routes.append(fields.coerce(fields.FieldElement(ground, a, b), desc))
+    if not b:
+        routes += [desc.rational(a), fields.coerce(QQ.rational(a), desc)]
+        assert x == a and (a.denominator != 1 or x == int(a))
+    for y in routes:
+        _normal(y)
+        assert y == x and hash(y) == hash(x)
+        assert fields.sort_key(y) == fields.sort_key(x)
+
+
+@pytest.mark.parametrize("desc", [QQ, Q2], ids=lambda d: d.describe())
+def test_ground_tower_arithmetic_builds_no_fraction(desc, monkeypatch):
+    """+ - * / inverse and comparisons with an int or a Fraction run on
+    integers alone over Q and Q(sqrt(2))."""
+    gen = desc.sqrt_gen() if desc.quadratic_extension else desc.one()
+    x = desc.rational(Fraction(3, 7)) + gen
+    y = desc.rational(Fraction(-5, 11)) - gen * 2
+    half = Fraction(1, 2)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [x + y, x - y, x * y, x / y, y.inverse(), -x, x.conjugate(),
+               x ** 3, x + 2, 2 - x, 3 * x, x * half, half / x, x / 3,
+               desc.rational(half), desc.rational(5), desc.zero(), desc.one()]
+    tests = [x == 3, x == half, x != y, x == x * 1, bool(x), x.is_zero(),
+             desc.rational(half) == half, desc.rational(6) == 6,
+             (x - x) == 0, x * x.inverse() == 1]
+    monkeypatch.undo()
+    assert built == []
+    assert tests == [False, False, True, True, True, False, True, True,
+                     True, True]
+    assert results[3] * y == x and results[4] * y == 1
+
+
 # --- the boundary between parameter-free and parametric towers -------------
 
 
@@ -637,6 +709,7 @@ def test_public_constructor_checks_the_tower():
             fields.FieldElement(desc, 0, 1)
     x = fields.FieldElement(QQ, fields.RatFunc(Fraction(3, 2)), fields.RatFunc(0))
     assert type(x.a) is Fraction and x == Fraction(3, 2)
+    assert (x.p, x.q, x.d) == (3, 0, 2)
     y = fields.FieldElement(QS2, 2, Fraction(1, 3))
     assert type(y.a) is fields.RatFunc and y == QS2.rational(2) + \
         QS2.sqrt_gen() * Fraction(1, 3)

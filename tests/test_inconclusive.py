@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "foliation_lab"
 INCONCLUSIVE = ["FieldExtensionError", "WidenRequest", "PrecisionError",
                 "OrderIndeterminate", "InconclusiveError", "ReductionError",
                 "DicriticalInputError", "DegeneratePointError",
-                "SingularBranchError"]
+                "SingularBranchError", "PositiveDimensionalLocusError"]
 
 
 def test_the_inconclusive_causes_share_one_base():

@@ -428,6 +428,20 @@ def test_cli_indices_singular_branch_is_inconclusive(tmp_form_file,
         "the curve has coincident tangent directions"]
 
 
+@pytest.mark.parametrize("form", ["(Y*Z) dX + (-1*X*Z) dY + (0) dZ",
+                                  "(X*Y*Z) dX + (-1*X^2*Z) dY + (0) dZ"])
+def test_cli_indices_positive_dimensional_locus_is_inconclusive(
+        tmp_form_file, tmp_path, form):
+    """Z (Y dX - X dY) vanishes along the line Z = 0, and X times it along
+    X = 0 as well, so the singular points are not isolated and no index
+    sum is read.  The input is valid: exit 2 with the diagnostic, not 1."""
+    out = tmp_path / "p.json"
+    text = "proj2: %s\nseparatrix:{ X }\n" % form
+    assert cli.main(["indices", tmp_form_file(text), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["diagnostics"] == [
+        "the singular locus is positive-dimensional"]
+
+
 def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):
     """A branch through the origin that is neither invariant nor tagged
     dicritical would keep the reduction blowing up; it is a usage error."""

@@ -40,7 +40,9 @@ TRACED = ["poly.MPoly.substitute.calls", "poly.MPoly.substitute.self_s",
           "threefold.match_simple_model3.self_s",
           "threefold.pullback_section.self_s", "fields.mul.q",
           "fields.mul.quad", "fields.mul.param", "fields.add.q",
-          "fields.add.quad", "fields.add.param", "fields.inverse.param"]
+          "fields.add.quad", "fields.add.param", "fields.inverse.q",
+          "fields.inverse.quad", "fields.inverse.param", "fields.mul_us.q",
+          "fields.mul_us.quad", "fields.mul_us.param"]
 
 
 def _side(rec, parent, change):
