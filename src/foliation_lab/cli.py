@@ -225,7 +225,8 @@ def _cmd_second_type3(parsed, report, opts, dot_ref):
         parsed.form, trials=opts.trials, seed=opts.seed,
         jet_order=opts.jet_order, max_depth=opts.max_depth)
     report["second_type"] = {
-        "verdict": verdict.kind == "SecondType",
+        "verdict": (None if verdict.kind == "Inconclusive"
+                    else verdict.kind == "SecondType"),
         "witnesses": [_witness3(w) for w in verdict.witnesses],
     }
     report["verdict3"] = {

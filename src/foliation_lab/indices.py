@@ -27,6 +27,7 @@ from .poly import (
     MPoly,
     _utrim,
     divides,
+    exact_divide,
     gcd_bivariate,
     interpolate,
     specialize,
@@ -402,19 +403,6 @@ class IndexValue:
         return "IndexValue(%s, %s)" % (self.kind, self.value)
 
 
-def _u_inverse(c, N: int):
-    """First N coefficients of the reciprocal of a unit coefficient list."""
-    inv0 = c[0].inverse()
-    out = [inv0]
-    zero = c[0].desc.zero()
-    for k in range(1, N):
-        s = zero
-        for j in range(1, min(k, len(c) - 1) + 1):
-            s = s + c[j] * out[k - j]
-        out.append(-(s * inv0))
-    return out
-
-
 def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
     """Residue at the origin of the Laurent series n(t)/m(t), where m
     holds the coefficients of t^0..t^N."""
@@ -432,12 +420,9 @@ def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
         raise PrecisionError("a pole of order %d needs the denominator "
                              "through order %d; raise --truncation"
                              % (r, 2 * r - 1))
-    inv = _u_inverse(m[r:], r)
-    out = desc.zero()
-    for j in range(r):
-        if j < len(n):
-            out = out + n[j] * inv[r - 1 - j]
-    return out
+    num, unit = (MPoly(("t",), {(k,): c for k, c in enumerate(s)}, desc, r)
+                 for s in (n[:r], m[r:2 * r]))
+    return exact_divide(num, unit).coefficient((r - 1,))
 
 
 def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:

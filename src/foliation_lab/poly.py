@@ -5,6 +5,9 @@ variable labels.  A truncated series is the same data plus a precision N:
 coefficients are trusted for total degree < N only, and arithmetic
 propagates the minimum precision of the operands (pessimistic, never
 reporting an untrusted coefficient).
+
+exact_divide is the one division of the package, for polynomials and
+series alike: the quotient is found one degree at a time, lowest first.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ def _as_element(c, desc: FieldDescriptor) -> FieldElement:
         if c.desc is not desc and c.desc != desc:
             raise MismatchedFieldError("coefficient over a different tower")
         return c
-    return desc.rational(Fraction(c))
+    return desc.rational(c)
 
 
 class MPoly:
@@ -284,34 +287,32 @@ class MPoly:
         return self.substitute(mapping)
 
     def evaluate(self, point: dict) -> FieldElement:
-        total = self.desc.zero()
-        vals = [_as_element(point[name], self.desc) for name in self.vars]
-        for e, c in self.terms():
-            term = c
-            for v, k in zip(vals, e):
-                for _ in range(k):
-                    term = term * v
-            total = total + term
-        return total
+        """The value at `point`, which fixes every variable."""
+        return self.restrict(point).constant_coefficient()
 
     def restrict(self, fixed: dict) -> "MPoly":
-        """Set some variables to field constants, keeping the others."""
-        keep = [v for v in self.vars if v not in fixed]
+        """Set some variables to field constants, keeping the others.
+
+        Each fixed variable has one table of the powers of its value,
+        extended as the terms ask for them, so a term takes one product
+        per fixed variable."""
+        kept = [i for i, v in enumerate(self.vars) if v not in fixed]
+        powers = [(i, [None, _as_element(fixed[v], self.desc)])
+                  for i, v in enumerate(self.vars)
+                  if v in fixed and self.coeffs]
         out = {}
         for e, c in self.coeffs.items():
             val = c
-            ne = []
-            for name, k in zip(self.vars, e):
-                if name in fixed:
-                    base = _as_element(fixed[name], self.desc)
-                    for _ in range(k):
-                        val = val * base
-                else:
-                    ne.append(k)
-            ne = tuple(ne)
+            for i, table in powers:
+                k = e[i]
+                if k:
+                    while len(table) <= k:
+                        table.append(table[-1] * table[1])
+                    val = val * table[k]
+            ne = tuple([e[i] for i in kept])
             if not val.is_zero():
                 out[ne] = out[ne] + val if ne in out else val
-        return MPoly(keep, out, self.desc, self.prec)
+        return MPoly([self.vars[i] for i in kept], out, self.desc, self.prec)
 
     def rename(self, new_vars) -> "MPoly":
         if len(new_vars) != len(self.vars):
@@ -405,41 +406,76 @@ def exact_divide(p: MPoly, q: MPoly):
     """Quotient r with p = q*r (exact, or to the joint precision); None if
     the division fails.
 
-    Solved as a bounded linear system in the unknown coefficients of r
-    (a box of exponents, or the monomials below prec - ord q for series)
-    with the multiplication_matrix of q; no division ordering is needed.
+    Divided one degree at a time, lowest first, for polynomials and
+    series alike (Knuth, TAOCP vol. 2, 4.7).  Let L be the lowest part
+    of q, of order oq.  The degree-j part r_j of r solves L r_j = h_j,
+    where h_j is the degree-(j + oq) part of the residual
+    p - q (r_0 + ... + r_{j-1}): a scaling when L is a constant, else a
+    linear solve with the multiplication_matrix of L over the monomials
+    of degree j.  L is not a zero divisor, so each r_j is unique.  q
+    divides p when p has no term below degree oq, every step solves and
+    the residual ends at zero: in every degree for polynomials, where
+    r stops at degree deg p - deg q; below the joint precision N of p
+    and q for series, where r is trusted below N - oq.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return MPoly.zero(p.vars, p.desc, MPoly._join_prec(p.prec, q.prec))
     prec = MPoly._join_prec(p.prec, q.prec)
-    try:
-        oq = q.order()
-    except OrderIndeterminate:
+    if p.is_zero():
+        return MPoly.zero(p.vars, p.desc, prec)
+    oq = q.order()
+    residual = {}  # degree -> {exponent: coefficient}, below prec only
+    for e, c in p.coeffs.items():
+        d = sum(e)
+        if prec is None or d < prec:
+            residual.setdefault(d, {})[e] = c
+    if any(d < oq for d in residual):
         return None
-    if prec is None:
-        bounds = [max(e[i] for e in p.coeffs) - max(e[i] for e in q.coeffs)
-                  for i in range(len(p.vars))]
-        if any(b < 0 for b in bounds):
+    lowest = q.lowest_part()
+    tail = [(e, c, sum(e)) for e, c in q.coeffs.items() if sum(e) > oq]
+    inv = lowest.constant_coefficient().inverse() if oq == 0 else None
+    quotient = {}
+    for j in range(p.degree() - q.degree() + 1 if prec is None
+                   else prec - oq):
+        h = residual.pop(j + oq, None)
+        if not h:
+            continue
+        r = ({e: c * inv for e, c in h.items()} if inv is not None
+             else _solve_degree(lowest, h, j))
+        if r is None:
             return None
-        unknowns = list(itertools.product(*(range(b + 1) for b in bounds)))
-    else:
-        unknowns = monomials_below(len(p.vars), prec - oq)
+        quotient.update(r)
+        for e, c, d in tail:
+            if prec is not None and d + j >= prec:
+                continue
+            part = residual.setdefault(d + j, {})
+            for s, x in r.items():
+                E = tuple(map(operator.add, e, s))
+                y = part.get(E)
+                y = -(c * x) if y is None else y - c * x
+                if y:
+                    part[E] = y
+                else:
+                    del part[E]
+    if any(residual.values()):
+        return None
+    return p._make(quotient, None if prec is None else max(prec - oq, 0))
 
-    def keep(E):
-        return prec is None or sum(E) < prec
 
-    matrix, exps = multiplication_matrix([q], unknowns, keep)
+def _solve_degree(L: MPoly, h: dict, j: int):
+    """The r, over the monomials of degree j, with L r = h (h homogeneous
+    of degree j + ord L), or None when there is none."""
+    n = len(L.vars)
+    shifts = [e + (j - sum(e),) for e in monomials_below(n - 1, j + 1)]
+    matrix, exps = multiplication_matrix([L], shifts, lambda E: True)
     reached = set(exps)
-    if any(keep(E) and E not in reached for E in p.coeffs):
-        return None  # that row would read 0 = p_E != 0
-    zero = p.desc.zero()
-    sol = linalg.solve(matrix, [p.coeffs.get(E, zero) for E in exps], p.desc)
+    if any(E not in reached for E in h):
+        return None  # that row would read 0 = h_E != 0
+    zero = L.desc.zero()
+    sol = linalg.solve(matrix, [h.get(E, zero) for E in exps], L.desc)
     if sol is None:
         return None
-    out_prec = None if prec is None else max(prec - oq, 0)
-    return MPoly(p.vars, dict(zip(unknowns, sol)), p.desc, out_prec)
+    return {s: x for s, x in zip(shifts, sol) if x}
 
 
 def divides(p: MPoly, q: MPoly) -> bool:

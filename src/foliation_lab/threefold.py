@@ -37,7 +37,8 @@ from .forms import (
 )
 from .blowup import blowup_curve3, blowup_point3
 from .linalg import nullspace
-from .poly import MPoly, monomials_below, multiplication_matrix
+from .poly import (MPoly, exact_divide, monomials_below,
+                   multiplication_matrix)
 from .reduce2d import (
     NON_SIMPLE,
     REGULAR,
@@ -141,25 +142,6 @@ def _perm_poly(p: MPoly, perm):
     coeffs = {tuple(e[perm[i]] for i in range(3)): c
               for e, c in p.coeffs.items()}
     return MPoly(p.vars, coeffs, p.desc, p.prec)
-
-
-def _series_quot(p: MPoly, q: MPoly, N: int):
-    """p / q at the joint precision min(N, p.prec, q.prec); q must be a
-    unit series.
-
-    Divided one degree at a time: the homogeneous part of degree d of
-    the quotient is r_d = (p_d - sum_{k>=1} q_k r_{d-k}) / q_0.
-    """
-    prec = min([N] + [s.prec for s in (p, q) if s.prec is not None])
-    inv = q.constant_coefficient().inverse()
-    qk = [q.homogeneous_part(k) for k in range(prec)]
-    parts = []
-    for d in range(prec):
-        r = p.homogeneous_part(d)
-        for k in range(1, d + 1):
-            r = r - qk[k] * parts[d - k]
-        parts.append(r.scale(inv))
-    return sum(parts, MPoly.zero(p.vars, p.desc, prec))
 
 
 def _residue_series(p: MPoly, divisors, N: int):
@@ -277,7 +259,7 @@ def _match_tau3(form: OneForm3, jet_order: int):
             # non-resonance check yet the germ need not be linearizable.
             powers = _integer_powers(a0, (b0, c0) if c0 else (b0,))
             if powers is not None and not c.is_zero():
-                qb, qc = (_series_quot(p, a, jet_order) for p in (b, c))
+                qb, qc = (exact_divide(p, a) for p in (b, c))
                 match = _model_b(qb, qc, powers, perm)
                 if match is not None:
                     return match
@@ -289,7 +271,7 @@ def _match_tau3(form: OneForm3, jet_order: int):
                 return Model3Match("A", 3, residues=(a0, b0, c0))
             continue
         # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
-        qb, qc = (_series_quot(p, a, jet_order) for p in (b, c))
+        qb, qc = (exact_divide(p, a) for p in (b, c))
         if any(q.is_zero() or q.degree_in(y) or q.degree_in(z)
                for q in (qb, qc)):
             continue

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import linalg
+from foliation_lab import FieldDescriptor, linalg
 from foliation_lab.fields import FieldElement
 from foliation_lab.forms import OneForm2, OneForm3, mu0
 from foliation_lab.poly import (MPoly, exact_divide, monomials_below,
@@ -19,6 +19,8 @@ from foliation_lab.threefold import _cylinder_candidate
 
 import frozen_monomial_systems as frozen
 from conftest import Q, Q2, UV, XYZ, dressed_cusp_cylinder
+
+QS = FieldDescriptor(parameter="s")
 
 _NONZERO = sorted({Fraction(a, b) for a in range(-5, 6) if a
                    for b in (1, 2, 3)})
@@ -29,8 +31,10 @@ _small = st.just(Fraction(0)) | _nonzero
 @st.composite
 def _coeff(draw, desc):
     c = desc.rational(draw(_nonzero))
-    if desc is Q2 and draw(st.booleans()):
-        c = c + desc.rational(draw(_small)) * desc.sqrt_gen()
+    gen = (desc.sqrt_gen() if desc.quadratic_extension
+           else desc.param_gen() if desc.parameter else None)
+    if gen is not None and draw(st.booleans()):
+        c = c + desc.rational(draw(_small)) * gen
     return c
 
 
@@ -45,7 +49,7 @@ def _poly(draw, desc, vars_, max_deg, min_order=0, max_terms=5,
     return MPoly(vars_, terms, desc, prec)
 
 
-_descs = st.sampled_from([Q, Q2])
+_descs = st.sampled_from([Q, Q2, QS])
 _precs = st.none() | st.integers(1, 7)
 
 
@@ -124,8 +128,10 @@ def test_unreached_exponent_of_p_fails_without_a_solve(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mu0_agrees_on_plane_germs(data):
-    """Isolated and non-isolated singular germs, exact or truncated."""
-    desc = data.draw(_descs)
+    """Isolated and non-isolated singular germs, exact or truncated.  Not
+    over Q(s): a non-isolated germ there runs its rank to the Bezout cap
+    in rational functions of s, up to tens of seconds per test."""
+    desc = data.draw(st.sampled_from([Q, Q2]))
     prec = data.draw(st.none() | st.integers(3, 7))
     # a common factor h makes the germ non-isolated, and mu0 then runs to
     # its Bezout cap deg A * deg B + 2: degrees stay at 3 either way

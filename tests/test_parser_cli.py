@@ -10,7 +10,7 @@ import pytest
 from foliation_lab import cli
 from foliation_lab.parser import InputSyntaxError, parse_form
 
-from conftest import Q2, corpus2
+from conftest import corpus2
 
 TANGENT2 = "omega2: (v^2 - u*v) du + u^2 dv\n"
 CUSP2 = "omega2: (-3*u^2) du + 2*v dv\n"
@@ -72,22 +72,6 @@ def test_parse_divisor_and_section_blocks():
     parsed = parse_form(PLANES4_P3)
     assert [c.render() for c in parsed.section] == ["1", "2", "3"]
     assert parsed.desc.quadratic_extension == 2
-
-
-def test_field_extensions_can_be_disabled(monkeypatch):
-    monkeypatch.setenv("FOLIATION_LAB_MAX_FIELD_DEG", "1")
-    with pytest.raises(InputSyntaxError):
-        parse_form("omega3: y*z dx + x*z dy + rt(2)*x*y dz")
-    monkeypatch.setenv("FOLIATION_LAB_MAX_FIELD_DEG", "2")
-    assert parse_form("omega3: y*z dx + x*z dy + rt(2)*x*y dz").desc == Q2
-
-
-def test_malformed_field_degree_setting_is_a_usage_error(monkeypatch,
-                                                         tmp_form_file):
-    monkeypatch.setenv("FOLIATION_LAB_MAX_FIELD_DEG", "two")
-    with pytest.raises(ValueError, match="FOLIATION_LAB_MAX_FIELD_DEG"):
-        parse_form(CUSP2)
-    assert cli.main(["reduce2", tmp_form_file(CUSP2)]) == 1
 
 
 # --- command-line driver ----------------------------------------------------
@@ -379,6 +363,21 @@ def test_cli_reports_are_byte_deterministic(tmp_form_file, tmp_path):
     assert len(rep["second_type"]["witnesses"]) == 6
     for w in rep["second_type"]["witnesses"]:
         assert w["where"] and w["leaves"]
+
+
+def test_cli_second_type3_inconclusive_verdict_is_null(tmp_form_file,
+                                                       tmp_path):
+    """An inconclusive section test exits 2, and its report says neither
+    "of second type" nor "not": the verdict is null."""
+    out = tmp_path / "report.json"
+    code = cli.main(["second-type3",
+                     tmp_form_file("omega3: y*z dx + x*z dy"
+                                   " + (-1/2)*x*y dz\n"),
+                     "--seed", "1", "--out", str(out)])
+    assert code == 2
+    rep = json.loads(out.read_text())
+    assert rep["verdict3"]["kind"] == "Inconclusive"
+    assert rep["second_type"]["verdict"] is None
 
 
 def test_cli_indices_low_truncation_is_inconclusive(tmp_form_file, tmp_path):

@@ -36,3 +36,13 @@ def test_count_prints_callers_and_keeps_the_digest(capsys, monkeypatch):
     assert calls["total"] == sum(n for k, n in calls.items() if k != "total")
     # the bindings are restored
     assert forms.normalize2 is original and reduce2d.normalize2 is original
+
+
+def test_chain_set_runs_the_one_over_n_family(capsys, monkeypatch):
+    """chain:N is second-type3 --seed 1 on the residues (1, 1, -1/N); at
+    N = 2 the section test is inconclusive and the item exits 2."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _tool().main(["--list", "chain:2"])
+    item, total = capsys.readouterr().out.splitlines()
+    assert item.split()[:2] == ["chain/2", "2"]
+    assert total.split()[:2] == ["chain:2", "1"]

@@ -1,7 +1,9 @@
-"""Division by a unit series one degree at a time
-(threefold._series_quot) against exact division by a linear solve
-(poly.exact_divide) of the operands truncated at N: the same
-coefficients and the same precision."""
+"""Division by a unit series degree by degree, now done by
+poly.exact_divide, against the two loops it replaced
+(frozen_series.py): threefold._series_quot on the operands truncated at
+N gives the same coefficients and the same precision, and the residue
+of n(t)/m(t) is the one read from the reciprocal of m / t^r
+(indices._u_inverse)."""
 
 from fractions import Fraction
 
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliation_lab import FieldDescriptor
+from foliation_lab.indices import _residue
 from foliation_lab.poly import MPoly, exact_divide, monomials_below
-from foliation_lab.threefold import _series_quot
 
+import frozen_series as frozen
 from conftest import Q, Q2, XYZ
 
 QS = FieldDescriptor(parameter="s")
@@ -51,8 +54,29 @@ def test_series_quot_matches_exact_divide(data):
     p = data.draw(_series(desc, 0, data.draw(_precs)))
     q = data.draw(_series(desc, 1, data.draw(_precs)))
     q = q + MPoly.constant(XYZ, data.draw(_coeff(desc)), desc)
-    got = _series_quot(p, q, N)
-    want = exact_divide(p.truncate(N), q.truncate(N))
+    want = frozen._series_quot(p, q, N)
+    got = exact_divide(p.truncate(N), q.truncate(N))
     assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
     assert got.prec == min([N] + [s.prec for s in (p, q)
                                   if s.prec is not None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_residue_matches_the_frozen_reciprocal(data):
+    """n(t)/m(t) with m of order r >= 1, known through t^N, N >= 2r - 1:
+    the residue is sum_{j<r} n_j [t^(r-1-j)] (t^r / m)."""
+    desc = data.draw(st.sampled_from([Q, Q2, QS]))
+    r = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(2 * r - 1, 2 * r + 2))
+    zero = desc.zero()
+    m = [zero] * r + data.draw(st.lists(st.just(zero) | _coeff(desc),
+                                        min_size=N + 1 - r,
+                                        max_size=N + 1 - r))
+    m[r] = data.draw(_coeff(desc))
+    n = data.draw(st.lists(st.just(zero) | _coeff(desc), max_size=N + 1))
+    inv = frozen._u_inverse(m[r:], r)
+    want = zero
+    for j in range(min(r, len(n))):
+        want = want + n[j] * inv[r - 1 - j]
+    assert _residue(n, m, desc) == want

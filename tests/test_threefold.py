@@ -260,8 +260,8 @@ def test_match_divides_by_a_only_for_the_b_models(monkeypatch, form, calls):
     """b/a and c/a are series divisions: at most once per permutation, and
     never when only model A can match."""
     seen = []
-    quot = threefold._series_quot
-    monkeypatch.setattr(threefold, "_series_quot",
+    quot = threefold.exact_divide
+    monkeypatch.setattr(threefold, "exact_divide",
                         lambda *args: seen.append(args) or quot(*args))
     match_simple_model3(form())
     assert len(seen) == calls

@@ -7,7 +7,11 @@
 A SET is either
 
 - ``corpus2``: the twelve plane forms of tests/conftest.py, each under
-  analyze2, reduce2, separatrices and second-type2; or
+  analyze2, reduce2, separatrices and second-type2;
+- ``chain:N[,N...]``, for example ``chain:2,3,4``: ``second-type3 --seed
+  1`` on ``omega3: y*z dx + x*z dy + (-1/N)*x*y dz`` for each N, a germ
+  whose plane sections are reduced along blow-up chains that grow with
+  N; or
 - ``WORKLOAD:SEED[,SEED...]:CYCLES``, for example ``plane:7,11:7``: the
   items that bench/workloads.py generates for each seed, with the file
   names and flags that bench/run.py gives them.
@@ -66,14 +70,23 @@ def _items(spec):
                  "omega2: %s\n" % form.render(), [])
                 for name, (form, _) in sorted(corpus2().items())
                 for command in PLANE_COMMANDS]
+    if spec.startswith("chain:"):
+        try:
+            ns = [int(n) for n in spec[len("chain:"):].split(",")]
+        except ValueError:
+            sys.exit("report_digest: a chain set is chain:N[,N...], not %r"
+                     % spec)
+        return [("chain/%d" % n, "second-type3", "chain%d.form" % n,
+                 "omega3: y*z dx + x*z dy + (-1/%d)*x*y dz\n" % n,
+                 ["--seed", "1"]) for n in ns]
     import workloads
     try:
         workload, seeds, cycles = spec.split(":")
         seeds = [int(s) for s in seeds.split(",")]
         cycles = int(cycles)
     except ValueError:
-        sys.exit("report_digest: a set is corpus2 or WORKLOAD:SEEDS:CYCLES, "
-                 "not %r" % spec)
+        sys.exit("report_digest: a set is corpus2, chain:N[,N...] or "
+                 "WORKLOAD:SEEDS:CYCLES, not %r" % spec)
     out = []
     for seed in seeds:
         for item in workloads.generate(workload, seed, cycles):
