@@ -9,6 +9,7 @@ and 2 a mathematically inconclusive run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,7 +348,10 @@ _HANDLERS = {
 # driver
 
 
+@functools.cache
 def _build_argparser():
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     ap = _ArgumentParser(
         prog="foliation-lab",
         description="Exact local analysis of singular holomorphic "

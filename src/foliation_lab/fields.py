@@ -6,9 +6,13 @@ yielding at most Q(t)(sqrt(m)).  Elements are kept in the normal form
 (p + q*sqrt(m))/d.  The descriptor fixes the type of the coordinates: in a
 parameter-free tower p, q and d are integers with d > 0 and no common
 factor, so an operation is a few integer products and at most one gcd; with
-the parameter p and q are reduced RatFuncs and d = 1.  Both types share
-+ - *, == and truth testing, so the element arithmetic is written once for
-both.
+the parameter p and q are RatFuncs and d = 1.  A RatFunc is num/den with
+num and den tuples of integer coefficients, coprime, with no common
+content and den[-1] > 0; when both denominators are constant, as for a
+polynomial in t over Q, an operation is integer convolutions and one gcd,
+and only a non-constant denominator takes a polynomial gcd in Z[t].  Both
+coordinate types share + - *, == and truth testing, so the element
+arithmetic is written once for both.
 """
 
 from __future__ import annotations
@@ -47,20 +51,24 @@ class WidenRequest(FieldError, Inconclusive):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, low-to-high coefficient tuples
+# dense univariate polynomials over Z, low-to-high tuples of ints, trimmed
+# (the leading entry is nonzero)
 
 
 def _ptrim(c):
     n = len(c)
-    while n > 0 and c[n - 1] == 0:
+    while n and not c[n - 1]:
         n -= 1
     return tuple(c[:n])
 
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, b in enumerate(q):
+        out[i] += b
+    return _ptrim(out)
 
 
 def _pneg(p):
@@ -70,184 +78,262 @@ def _pneg(p):
 def _pmul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        a = p[0]
+        return q if a == 1 else tuple(a * b for b in q)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return _ptrim(out)
+    return tuple(out)
 
 
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+def _primitive(p):
+    """p over its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return p if g == 1 else tuple(c // g for c in p)
+
+
+def _pquo(p, q):
+    """p / q when q divides p in Q[t] and q is primitive, so that the
+    quotient has integer coefficients (Gauss's lemma)."""
     r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq = len(q) - 1
     lead = q[-1]
-    while len(r) - 1 >= dq and _ptrim(r):
-        r = list(_ptrim(r))
-        if len(r) - 1 < dq:
-            break
-        c = r[-1] / lead
-        k = len(r) - 1 - dq
-        quo[k] = c
-        for j in range(len(q)):
-            r[k + j] -= c * q[j]
-        r = r[:-1]
-    return _ptrim(quo), _ptrim(r)
+    out = [0] * (len(p) - dq)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = r[k + dq] // lead
+        if c:
+            for j, b in enumerate(q):
+                r[k + j] -= c * b
+    return tuple(out)
+
+
+def _prem(p, q):
+    """A nonzero integer multiple of the remainder of p by q, for
+    len(p) >= len(q) >= 2."""
+    r = list(p)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(r) > dq:
+        c = r[-1]
+        if c:
+            g = math.gcd(c, lead)
+            a, b = lead // g, c // g
+            k = len(r) - 1 - dq
+            r = [x * a for x in r]
+            for j, y in enumerate(q):
+                r[k + j] -= b * y
+        r.pop()
+    return _ptrim(r)
 
 
 def _pgcd(p, q):
-    a, b = _ptrim(p), _ptrim(q)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
-    return a
+    """The gcd in Z[t] of two nonzero polynomials, primitive with a
+    positive leading coefficient: the primitive remainder sequence."""
+    if len(p) < len(q):
+        p, q = q, p
+    p, q = _primitive(p), _primitive(q)
+    while len(q) > 1:
+        p, q = q, _prem(p, q)
+        if not q:
+            return p
+        q = _primitive(q)
+    return _ONE
 
 
-def _peval(p, x):
-    """The value of p at the rational x (Horner's rule)."""
-    acc = _F0
-    for c in reversed(p):
-        acc = acc * x + c
+def _homogeneous_value(c, p, q):
+    """sum c_i p^i q^(n-i) with n = len(c) - 1: q^n times the value of
+    the polynomial c at p/q, in integers (Horner's rule)."""
+    acc, w = 0, 1
+    for a in reversed(c):
+        acc = acc * p + a * w
+        w *= q
     return acc
 
 
-def _pmonic_scale(p):
-    """Return (monic polynomial, leading coefficient)."""
-    if not p:
-        return (), Fraction(1)
-    lead = p[-1]
-    return tuple(c / lead for c in p), lead
+_ONE = (1,)
 
 
-_ONE_DEN = (Fraction(1),)
-_F0 = Fraction(0)
-
-
-def _const_rf(c: Fraction) -> "RatFunc":
-    """Constant rational function without normalization overhead."""
+def _rf(num, den):
+    """The trusted constructor of num/den, already in normal form."""
     r = object.__new__(RatFunc)
-    r.num = (c,) if c else ()
-    r.den = _ONE_DEN
+    r.num, r.den = num, den
     return r
 
 
-class RatFunc:
-    """A reduced rational function in one variable over Q.
+def _over(num, d):
+    """num/d in normal form, for a trimmed polynomial num and an int d > 0:
+    one gcd."""
+    if not num:
+        return _RF0
+    if d == 1:
+        return _rf(num, _ONE)
+    g = math.gcd(d, *num)
+    if g != 1:
+        return _rf(tuple(c // g for c in num), (d // g,))
+    return _rf(num, (d,))
 
-    Constants are represented with denominator (1,).  Immutable.
+
+def _reduce(num, den):
+    """num/den in normal form, for trimmed polynomials with den nonzero.
+    Only a non-constant den takes a polynomial gcd."""
+    if len(den) == 1:
+        d = den[0]
+        return _over(num, d) if d > 0 else _over(_pneg(num), -d)
+    if not num:
+        return _RF0
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, den = _pquo(num, g), _pquo(den, g)
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+    return _rf(num, den)
+
+
+def _integral(c):
+    """(n, m): the int polynomial n and the positive int m with c = n/m,
+    for a rational or a sequence of rationals (ints or Fractions)."""
+    if isinstance(c, (int, Fraction)):
+        c = (c,)
+    m = math.lcm(*(x.denominator for x in c))
+    return _ptrim([x.numerator * (m // x.denominator) for x in c]), m
+
+
+def _lift(x):
+    """The constant RatFunc of an int or a Fraction."""
+    return _rf((x.numerator,), (x.denominator,)) if x else _RF0
+
+
+class RatFunc:
+    """A rational function num/den in one variable over Q.
+
+    num and den are trimmed tuples of ints, low to high, in one normal
+    form: no common polynomial factor, no common integer content, and
+    den[-1] > 0.  A polynomial has a den of length 1, so a constant c is
+    ((c.numerator,), (c.denominator,)) and zero is ((), (1,)); equal
+    values have equal tuples.  + - * / with constant denominators on both
+    sides take integer products and one gcd.  render, at and the sort key
+    read the monic Fraction form of _monic.  Immutable.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=_ONE_DEN):
-        if isinstance(num, (int, Fraction)):
-            num = (Fraction(num),) if num != 0 else ()
-        num = _ptrim(num)
-        den = _ptrim(den)
+    def __init__(self, num, den=_ONE):
+        """num/den from one rational or a sequence of rationals (ints or
+        Fractions, low to high) on each side."""
+        num, a = _integral(num)
+        den, b = _integral(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num = ()
-            self.den = _ONE_DEN
-            return
-        if len(den) == 1:
-            if den[0] != 1:
-                lead = den[0]
-                num = tuple(c / lead for c in num)
-            self.num = num
-            self.den = _ONE_DEN
-            return
-        g = _pgcd(num, den)
-        if g and len(g) > 1 or (g and g != (Fraction(1),)):
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        den, lead = _pmonic_scale(den)
-        num = tuple(c / lead for c in num)
-        self.num = num
-        self.den = den
-
-    def _const_value(self):
-        """The constant value when this is a constant, else None."""
-        if self.den is _ONE_DEN or self.den == _ONE_DEN:
-            if not self.num:
-                return _F0
-            if len(self.num) == 1:
-                return self.num[0]
-        return None
+        r = _reduce(_pmul(num, (b,)), _pmul(den, (a,)))
+        self.num, self.den = r.num, r.den
 
     @staticmethod
     def variable():
-        return RatFunc((Fraction(0), Fraction(1)))
+        return _rf((0, 1), _ONE)
 
     def is_zero(self):
         return not self.num
 
+    def _monic(self):
+        """(num, den) over the leading coefficient of den, as Fractions
+        (ints when that coefficient is 1)."""
+        lead = self.den[-1]
+        if lead == 1:
+            return self.num, self.den
+        return (tuple(Fraction(c, lead) for c in self.num),
+                tuple(Fraction(c, lead) for c in self.den))
+
     def at(self, x):
         """The value at the rational x, or None at a pole."""
-        den = _peval(self.den, x)
-        return _peval(self.num, x) / den if den else None
+        p, q = x.numerator, x.denominator
+        den = _homogeneous_value(self.den, p, q)
+        if not den:
+            return None
+        num = _homogeneous_value(self.num, p, q)
+        k = len(self.den) - len(self.num)
+        return (Fraction(num * q ** k, den) if k >= 0
+                else Fraction(num, den * q ** -k))
 
     def is_constant(self):
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_fraction(self):
         if not self.is_constant():
             raise FieldError("not a constant rational function")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
+
+    def degree(self):
+        """The degree of num less that of den, for a nonzero value."""
+        return len(self.num) - len(self.den)
+
+    def coefficients(self):
+        """The coefficients of a polynomial, low to high, as Fractions."""
+        if len(self.den) > 1:
+            raise FieldError("not a polynomial")
+        return [Fraction(c, self.den[0]) for c in self.num]
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+            other = _lift(other)
+        return (isinstance(other, RatFunc) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        a, b = self._const_value(), other._const_value()
-        if a is not None and b is not None:
-            return _const_rf(a + b)
-        return RatFunc(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-                       _pmul(self.den, other.den))
+        if type(other) is not RatFunc:
+            other = _lift(other)
+        a, d = self.num, self.den
+        b, e = other.num, other.den
+        if len(d) == 1 and len(e) == 1:
+            d, e = d[0], e[0]
+            if d == e:
+                return _over(_padd(a, b), d)
+            return _over(_padd(_pmul(a, (e,)), _pmul(b, (d,))), d * e)
+        return _reduce(_padd(_pmul(a, e), _pmul(b, d)), _pmul(d, e))
+
+    __radd__ = __add__
 
     def __neg__(self):
-        a = self._const_value()
-        if a is not None:
-            return _const_rf(-a)
-        return RatFunc(_pneg(self.num), self.den)
+        return _rf(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._const_value(), other._const_value()
-        if a is not None and b is not None:
-            return _const_rf(a - b)
-        return self + (-other)
+        if type(other) is not RatFunc:
+            other = _lift(other)
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        a, b = self._const_value(), other._const_value()
-        if a is not None and b is not None:
-            return _const_rf(a * b)
-        if (a is not None and not a) or (b is not None and not b):
-            return _const_rf(_F0)
-        return RatFunc(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if type(other) is not RatFunc:
+            other = _lift(other)
+        return _reduce(_pmul(self.num, other.num), _pmul(self.den, other.den))
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.is_zero():
+        if type(other) is not RatFunc:
+            other = _lift(other)
+        if not other.num:
             raise ZeroDivisionError("division by zero rational function")
-        a, b = self._const_value(), other._const_value()
-        if a is not None and b is not None:
-            return _const_rf(a / b)
-        return RatFunc(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return _reduce(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        return RatFunc(other) / self
+        return _lift(other) / self
 
     def __repr__(self):
         return f"RatFunc({self.num}, {self.den})"
@@ -267,50 +353,64 @@ class RatFunc:
                 else:
                     terms.append(f"{c}*{name}^{k}" if c != 1 else f"{name}^{k}")
             return " + ".join(terms).replace("+ -", "- ")
-        if self.den == (Fraction(1),):
-            return side(self.num)
-        return f"({side(self.num)})/({side(self.den)})"
+        num, den = self._monic()
+        if len(den) == 1:
+            return side(num)
+        return f"({side(num)})/({side(den)})"
+
+
+_RF0 = _rf((), _ONE)
 
 
 # Trial division stops here, so one factorization costs at most this many
-# steps; a cofactor below its cube is still decided exactly.
+# steps; what a cofactor left above the limit still decides is up to the
+# caller.
 _TRIAL_LIMIT = 10 ** 5
+
+
+def _trial_factor(n: int):
+    """(factors, c) for an int n != 0: the (prime, exponent) pairs of the
+    primes up to _TRIAL_LIMIT dividing n, and the cofactor c of |n| they
+    leave.  Every prime factor of c exceeds the limit, so c is 1 or prime
+    when c < _TRIAL_LIMIT^2."""
+    n = abs(n)
+    factors = []
+    d = 2
+    while d * d <= n and d <= _TRIAL_LIMIT:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    return factors, n
 
 
 def _squarefree_part(n: int):
     """Return (s, k) with n = s*k^2 and s square-free.
 
-    Trial division runs up to _TRIAL_LIMIT.  Every prime factor of the
-    cofactor c left after it exceeds the limit, so a c below the cube of
-    the limit has at most two prime factors: it is the square of a prime
-    or square-free.  A larger c is not factored, and FieldExtensionError
-    is raised.
+    A cofactor c that _trial_factor leaves below the cube of the limit
+    has at most two prime factors: it is the square of a prime or
+    square-free.  A larger c is not factored, and FieldExtensionError is
+    raised.
     """
     if n == 0:
         return 0, 1
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s, k = 1, 1
-    d = 2
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
+    factors, c = _trial_factor(n)
+    s, k = (-1 if n < 0 else 1), 1
+    for p, e in factors:
         if e % 2:
-            s *= d
-        k *= d ** (e // 2)
-        d += 1
-    if d * d <= n:
-        # stopped by the limit: every prime factor of n exceeds it
-        if n >= _TRIAL_LIMIT ** 3:
-            raise FieldExtensionError(
-                "cannot decide whether %d is square-free: it has no prime "
-                "factor below %d" % (n, _TRIAL_LIMIT))
-        r = math.isqrt(n)
-        if r * r == n:
-            return sign * s, k * r
-    return sign * s * n, k
+            s *= p
+        k *= p ** (e // 2)
+    if c >= _TRIAL_LIMIT ** 3:
+        raise FieldExtensionError(
+            "cannot decide whether %d is square-free: it has no prime "
+            "factor below %d" % (c, _TRIAL_LIMIT))
+    r = math.isqrt(c)
+    if r * r == c:
+        return s, k * r
+    return s * c, k
 
 
 def _is_squarefree(n: int) -> bool:
@@ -339,7 +439,7 @@ class FieldDescriptor:
             q = Fraction(q)
         if self.parameter is None:
             return _elem(self, q.numerator, 0, q.denominator)
-        return _elem(self, _const_rf(Fraction(q)), _const_rf(_F0), 1)
+        return _elem(self, _lift(q), _RF0, 1)
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -403,9 +503,10 @@ def _render(c, name: str) -> str:
 
 
 def _key(c):
-    """(numerator, denominator) tuples; a Fraction keys as the constant
-    RatFunc, so 0 (empty numerator) sorts before every other rational."""
-    return ((c,) if c else (), _ONE_DEN) if type(c) is Fraction else (c.num, c.den)
+    """(numerator, denominator) tuples of the monic form; a Fraction keys
+    as the constant RatFunc, so 0 (empty numerator) sorts before every
+    other rational."""
+    return ((c,) if c else (), _ONE) if type(c) is Fraction else c._monic()
 
 
 def _elem(desc: FieldDescriptor, p, q, d) -> "FieldElement":
@@ -617,19 +718,21 @@ def coerce(x: FieldElement, desc: FieldDescriptor) -> FieldElement:
         raise FieldExtensionError(
             f"cannot embed {x.desc.describe()} into {desc.describe()}")
     if desc.parameter is not None and x.desc.parameter is None:
-        return _elem(desc, _const_rf(x.a), _const_rf(x.b), 1)
+        return _elem(desc, _over(_ptrim((x.p,)), x.d),
+                     _over(_ptrim((x.q,)), x.d), 1)
     return _elem(desc, x.p, x.q, x.d)
 
 
 def common_denominator(elements) -> RatFunc:
     """The monic lcm in Q[t] of the denominators of the coordinates of
     elements of a tower with a parameter, as a polynomial RatFunc."""
-    d = _ONE_DEN
+    d = _ONE
     for x in elements:
-        for c in (x.a, x.b):
+        for c in (x.p, x.q):
             if len(c.den) > 1:
-                d = _pmul(d, _pdivmod(c.den, _pgcd(d, c.den))[0])
-    return RatFunc(d)
+                e = _primitive(c.den)
+                d = _pmul(d, _pquo(e, _pgcd(d, e)))
+    return _rf(d, (d[-1],))
 
 
 def _fraction_sqrt(q: Fraction):

@@ -274,8 +274,8 @@ def _resultant_by_specialization(p, q, var, desc):
     D = 0
     for f, k in ((p, dq), (q, dp)):
         den = common_denominator(f.coeffs.values())
-        D += k * (max(len(c.num) - len(c.den) for x in f.coeffs.values()
-                      for c in (x.a, x.b) if c) + len(den.num) - 1)
+        D += k * (max(c.degree() for x in f.coeffs.values()
+                      for c in (x.a, x.b) if c) + den.degree())
         for _ in range(k):
             scale = scale * den
     length = p.degree() * q.degree() + 1

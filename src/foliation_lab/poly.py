@@ -13,12 +13,15 @@ series alike: the quotient is found one degree at a time, lowest first.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
 from . import linalg
-from .fields import (FieldDescriptor, FieldElement, FieldError, Inconclusive,
-                     MismatchedFieldError, coerce, sort_key)
+from .fields import (_TRIAL_LIMIT, FieldDescriptor, FieldElement, FieldError,
+                     FieldExtensionError, Inconclusive, MismatchedFieldError,
+                     _homogeneous_value, _trial_factor, coerce, sort_key,
+                     sqrt_or_widen)
 
 
 class OrderIndeterminate(FieldError, Inconclusive):
@@ -524,13 +527,6 @@ def interpolate(xs, ys):
     return out
 
 
-def u_eval(c, x: FieldElement):
-    acc = x.desc.zero()
-    for k in reversed(c):
-        acc = acc * x + k
-    return acc
-
-
 def u_divmod(a, b, desc):
     a = list(a)
     q = [desc.zero()] * max(len(a) - len(b) + 1, 0)
@@ -556,54 +552,65 @@ def u_gcd(a, b, desc):
     return a
 
 
-def u_deflate(c, root, desc):
-    """Divide by (X - root)."""
-    out, rem = u_divmod(c, [-root, desc.one()], desc)
-    if rem:
-        raise ValueError("not a root")
+def _divisors(n: int):
+    """The positive divisors of the int n != 0, from one trial division
+    (fields._trial_factor); FieldExtensionError names n when a cofactor
+    too large to be known prime is left."""
+    factors, c = _trial_factor(n)
+    if c >= _TRIAL_LIMIT ** 2:
+        raise FieldExtensionError(
+            "cannot list the rational roots: the coefficient %d is not "
+            "factored, as its cofactor %d has no prime factor up to %d"
+            % (n, c, _TRIAL_LIMIT))
+    if c > 1:
+        factors.append((c, 1))
+    out = [1]
+    for p, e in factors:
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return out
 
 
-def _rational_root_candidates(coeffs):
-    """Rational-root-theorem candidates for a rational-coefficient list."""
-    fracs = [c.as_fraction() for c in coeffs]
-    from math import gcd as igcd
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // igcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return []
+def _rational_roots(f):
+    """(roots, g): the rational roots p/q (q > 0, gcd(p, q) = 1) of the
+    int polynomial f with f[0] != 0, once per multiplicity, and the int
+    polynomial g that f is left with after dividing by every q*X - p.
+    The search stops at a linear g.
 
-    def divisors(n):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend((d, n // d))
-            d += 1
-        return sorted(set(out))
+    A root has p | f[0] and q | f[-1], and f = (q*X - p) * h with h in
+    Z[X] gives (q - p) | f(1) and (q + p) | f(-1); a candidate that
+    passes these is tested as sum f_i p^i q^(n-i) = 0 in ints."""
+    roots = []
+    ps, qs = _divisors(f[0]), _divisors(f[-1])
+    for p, q in ((p, q) for q in qs for d in ps if math.gcd(d, q) == 1
+                 for p in (d, -d)):
+        while (len(f) > 2 and not (f[0] % p or f[-1] % q)
+               and _divides(q - p, sum(f))
+               and _divides(q + p, sum(f[::2]) - sum(f[1::2]))
+               and not _homogeneous_value(f, p, q)):
+            roots.append((p, q))
+            # f = (q*X - p) * g, from the top: g_(i-1) = (f_i + p g_i) / q
+            g, carry = [0] * (len(f) - 1), 0
+            for i in range(len(f) - 1, 0, -1):
+                carry = g[i - 1] = (f[i] + p * carry) // q
+            f = g
+        if len(f) <= 2:
+            break
+    return roots, f
 
-    cands = set()
-    for p in divisors(a0):
-        for q in divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+
+def _divides(a: int, b: int) -> bool:
+    return b % a == 0 if a else b == 0
 
 
 def u_roots_in_tower(coeffs, desc: FieldDescriptor):
     """All roots lying inside the tower, each listed once, sorted.
 
-    Roots in Q come from the rational root test and a quadratic factor
+    Roots in Q come from the rational root test, run in ints on the
+    coefficients over their common denominator, and a quadratic factor
     is solved by a square root (WidenRequest outside the tower).  A factor
     of degree >= 3 without a root in Q is not split: FieldExtensionError
     names its degree, although its roots may lie in the tower.
     """
-    from .fields import FieldExtensionError, sqrt_or_widen
-
     c = _utrim(list(coeffs))
     if not c:
         raise ValueError("zero polynomial has every root")
@@ -615,32 +622,28 @@ def u_roots_in_tower(coeffs, desc: FieldDescriptor):
     if k:
         roots.append(desc.zero())
         c = c[k:]
-    while len(c) > 1:
-        if len(c) == 2:
-            roots.append(-c[0] / c[1])
-            break
-        rational = all(x.is_rational() for x in c)
-        if rational:
-            found = None
-            for cand in _rational_root_candidates(c):
-                x = desc.rational(cand)
-                if u_eval(c, x).is_zero():
-                    found = x
-                    break
-            if found is not None:
-                roots.append(found)
-                c = u_deflate(c, found, desc)
-                continue
-        if len(c) == 3:
-            a2, a1, a0 = c[2], c[1], c[0]
-            disc = a1 * a1 - 4 * a2 * a0
-            if disc.is_zero():
-                roots.append(-a1 / (2 * a2))
-                break
+    rational = all(x.is_rational() for x in c)
+    if rational and len(c) > 2:
+        fracs = [x.as_fraction() for x in c]
+        m = math.lcm(*(x.denominator for x in fracs))
+        found, f = _rational_roots(
+            [x.numerator * (m // x.denominator) for x in fracs])
+        roots += [desc.rational(Fraction(p, q)) for p, q in found]
+        # c is f times the product of the q over m
+        scale = math.prod(q for _, q in found)
+        c = [desc.rational(Fraction(a * scale, m)) for a in f]
+    if len(c) == 2:
+        roots.append(-c[0] / c[1])
+    elif len(c) == 3:
+        a2, a1, a0 = c[2], c[1], c[0]
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc.is_zero():
+            roots.append(-a1 / (2 * a2))
+        else:
             s = sqrt_or_widen(disc)
             roots.append((-a1 + s) / (2 * a2))
             roots.append((-a1 - s) / (2 * a2))
-            break
+    elif len(c) > 3:
         raise FieldExtensionError("a factor of degree %d was not split: %s" % (
             len(c) - 1, "no root in Q was found" if rational else
             "its coefficients are not in Q, so no root was searched"))

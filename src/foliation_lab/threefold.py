@@ -210,7 +210,8 @@ def _fully_nonresonant(lams) -> bool:
     rows = {}
     for i, lam in enumerate(lams):
         for part, c in enumerate((lam.a, lam.b)):
-            for k, q in enumerate((c,) if d is None else (c * d).num):
+            for k, q in enumerate((c,) if d is None
+                                  else (c * d).coefficients()):
                 rows.setdefault((part, k), [0, 0, 0])[i] = q
     rows = [r for r in rows.values() if any(r)]
     if not rows:

@@ -490,15 +490,34 @@ def _pair(draw, desc):
     return live, RefElement(desc, RatFunc(*a), RatFunc(*b))
 
 
+def _normal_ratfunc(c):
+    """c is a RatFunc in the integer normal form: trimmed int tuples with
+    no common polynomial factor and no common content, den[-1] > 0."""
+    assert type(c) is fields.RatFunc
+    assert type(c.num) is type(c.den) is tuple
+    assert all(type(a) is int for a in c.num + c.den)
+    assert not c.num or c.num[-1] != 0
+    assert c.den and c.den[-1] > 0
+    if not c.num:
+        assert c.den == (1,)
+        return
+    assert math.gcd(*c.num, *c.den) == 1
+    if len(c.den) > 1:
+        assert _pgcd(*(tuple(map(Fraction, p)) for p in (c.num, c.den))) \
+            == (1,)
+
+
 def _normal(x):
     """x is in normal form: integers with d > 0 and gcd(p, q, d) = 1 over
-    the ground field, reduced RatFuncs over d = 1 with the parameter, and
-    q = 0 without sqrt(m)."""
+    the ground field, RatFuncs in their normal form over d = 1 with the
+    parameter, and q = 0 without sqrt(m)."""
     if x.desc.parameter is None:
         assert all(type(c) is int for c in (x.p, x.q, x.d))
         assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
     else:
-        assert type(x.p) is type(x.q) is fields.RatFunc and x.d == 1
+        _normal_ratfunc(x.p)
+        _normal_ratfunc(x.q)
+        assert x.d == 1
     assert x.desc.quadratic_extension is not None or not x.q
 
 
@@ -629,11 +648,14 @@ def test_equal_values_by_every_route_are_equal_and_hash_equal(desc, a, b, k):
         assert fields.sort_key(y) == fields.sort_key(x)
 
 
-@pytest.mark.parametrize("desc", [QQ, Q2], ids=lambda d: d.describe())
+@pytest.mark.parametrize("desc", [QQ, Q2, QS, QS2], ids=lambda d: d.describe())
 def test_ground_tower_arithmetic_builds_no_fraction(desc, monkeypatch):
     """+ - * / inverse and comparisons with an int or a Fraction run on
-    integers alone over Q and Q(sqrt(2))."""
+    integers alone over Q and Q(sqrt(2)), and over Q(s) and
+    Q(s)(sqrt(2)) on coordinates with constant denominators."""
     gen = desc.sqrt_gen() if desc.quadratic_extension else desc.one()
+    if desc.parameter is not None:
+        gen = gen * (desc.param_gen() * Fraction(2, 3) - 1)
     x = desc.rational(Fraction(3, 7)) + gen
     y = desc.rational(Fraction(-5, 11)) - gen * 2
     half = Fraction(1, 2)
@@ -656,6 +678,78 @@ def test_ground_tower_arithmetic_builds_no_fraction(desc, monkeypatch):
     assert tests == [False, False, True, True, True, False, True, True,
                      True, True]
     assert results[3] * y == x and results[4] * y == 1
+
+
+# --- RatFunc against the frozen Fraction RatFunc ---------------------------
+
+
+def _ref_at(c, x):
+    """The frozen value of the RatFunc c at the rational x, or None."""
+    def value(p):
+        acc = _F0
+        for a in reversed(p):
+            acc = acc * x + a
+        return acc
+    den = value(c.den)
+    return value(c.num) / den if den else None
+
+
+def _ref_common_denominator(elements):
+    """The frozen monic lcm of the denominators of the coordinates."""
+    d = _ONE_DEN
+    for x in elements:
+        for c in (x.a, x.b):
+            if len(c.den) > 1:
+                d = _pmul(d, _pdivmod(c.den, _pgcd(d, c.den))[0])
+    return RatFunc(d)
+
+
+def _rf_same(live, ref):
+    """The same value: the monic form of the live RatFunc is the frozen
+    one's coordinates, with equal text; and live is in normal form."""
+    _normal_ratfunc(live)
+    assert fields._key(live) == (ref.num, ref.den)
+    assert live.render("s") == ref.render("s")
+
+
+def _rf_pair(draw):
+    """num/den as a live and a frozen RatFunc, with non-constant
+    denominators and, at times, a common factor to cancel."""
+    num = tuple(draw(st.lists(_fracs, max_size=4)))
+    den = tuple(draw(st.lists(_fracs, min_size=1, max_size=3).filter(any)))
+    common = tuple(draw(st.lists(_fracs, min_size=1, max_size=2).filter(any)))
+    num, den = (_pmul(tuple(map(Fraction, p)), common) for p in (num, den))
+    return fields.RatFunc(num, den), RatFunc(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ratfunc_agrees_with_frozen_ratfunc(data):
+    (lx, rx), (ly, ry) = _rf_pair(data.draw), _rf_pair(data.draw)
+    _rf_same(lx, rx)
+    _rf_same(ly, ry)
+    k = data.draw(st.integers(-5, 5) | _fracs)
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
+               lambda p, q: -p * q):
+        _rf_same(op(lx, ly), op(rx, ry))
+        _rf_same(op(lx, k), op(rx, k))
+        _rf_same(op(k, lx), op(k, rx))
+    for p, q, r, s in ((lx, ly, rx, ry), (k, lx, k, rx), (lx, k, rx, k)):
+        if s:
+            _rf_same(p / q, r / s)
+        else:
+            assert _outcome(lambda: p / q) is ZeroDivisionError
+    for x in (0, 1, -2, k, Fraction(1, 3)):
+        assert lx.at(x) == _ref_at(rx, x)
+    assert (lx == ly) == (rx == ry) and (lx == k) == (rx == k)
+    assert lx.is_constant() == rx.is_constant()
+    assert _outcome(lx.as_fraction) == _outcome(rx.as_fraction)
+    elements = [fields.FieldElement(QS2, lx, ly), fields.FieldElement(QS, ly, 0),
+                QS.rational(k)]
+    refs = [RefElement(QS2, rx, ry), RefElement(QS, ry, RatFunc(0)),
+            _ref_rational(QS, k)]
+    _rf_same(fields.common_denominator(elements),
+             _ref_common_denominator(refs))
 
 
 # --- the boundary between parameter-free and parametric towers -------------

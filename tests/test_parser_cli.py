@@ -1,7 +1,10 @@
 """Input-format parsing and the command-line driver end to end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -186,6 +189,50 @@ def test_cli_huge_semiprime_discriminant_ends(tmp_form_file, tmp_path):
     assert code in (0, 2)
     if code == 2:
         assert json.loads(out.read_text())["diagnostics"]
+
+
+def _fresh_run(argv, timeout=60):
+    """(exit code, stdout, stderr) of the command line in a new interpreter
+    that imports this checkout's package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-m", "foliation_lab.cli"] + argv,
+                         capture_output=True, text=True, env=env,
+                         timeout=timeout)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_cli_huge_prime_coefficient_bounds_the_root_search(tmp_form_file):
+    """The tangent cone u^3 + p v^3 with p = 10^18 + 3 prime: trial
+    division up to sqrt(p) would take minutes, so the rational root test
+    stops at its limit and exits 2 naming the coefficient."""
+    p = 1000000000000000003
+    code, out, _ = _fresh_run(
+        ["reduce2", tmp_form_file("omega2: (u^2) du + (%d*v^2) dv\n" % p)],
+        timeout=20)
+    assert code == 2
+    [diagnostic] = json.loads(out)["diagnostics"]
+    assert diagnostic.startswith(
+        "cannot list the rational roots: the coefficient %d" % p)
+
+
+def test_cli_parser_is_reused_across_calls(tmp_form_file, capsys):
+    """One process runs main with --jet-order 4 and then without it: each
+    report equals that of a fresh process, and a later argument error
+    still exits 1 with one line."""
+    path = tmp_form_file("omega3: (y - 2*x*y) dx + (3*x^2 + 2*x^3) dy\n")
+    runs = [["model-match3", path, "--jet-order", "4"],
+            ["model-match3", path]]
+    fresh = [_fresh_run(argv)[:2] for argv in runs]
+    assert fresh[0][0] == 0 and fresh[0][1] != fresh[1][1]
+    capsys.readouterr()
+    for argv, (code, out) in zip(runs, fresh):
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == out
+    assert cli.main(["model-match3", path, "--jet-order", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("foliation-lab: ") and err.count("\n") == 1
+    assert cli._build_argparser() is cli._build_argparser()
 
 
 def test_cli_undecidable_field_is_inconclusive(tmp_form_file, tmp_path):

@@ -42,7 +42,8 @@ TRACED = ["poly.MPoly.substitute.calls", "poly.MPoly.substitute.self_s",
           "fields.mul.quad", "fields.mul.param", "fields.add.q",
           "fields.add.quad", "fields.add.param", "fields.inverse.q",
           "fields.inverse.quad", "fields.inverse.param", "fields.mul_us.q",
-          "fields.mul_us.quad", "fields.mul_us.param"]
+          "fields.mul_us.quad", "fields.mul_us.param",
+          "poly.u_roots_in_tower.calls", "poly.u_roots_in_tower.self_s"]
 
 
 def _side(rec, parent, change):
