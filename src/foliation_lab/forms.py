@@ -265,8 +265,9 @@ def _content_and_gcd(coeffs, coprime=False):
     only for exact bivariate input, where gcd_bivariate applies, and only
     when the caller does not already know the list is coprime.
     gcd_bivariate is then the one certificate: coprimality proved at
-    specialized points, or else a gcd of degree 0, proves the list
-    coprime.
+    specialized points, or else a gcd of degree 0 (read off the
+    syzygies, or over the parameter tower interpolated in s), proves the
+    list coprime.
     """
     alive = [p for p in coeffs if not p.is_zero()]
     if not alive:

@@ -30,6 +30,7 @@ from .poly import (
     exact_divide,
     gcd_bivariate,
     interpolate,
+    interpolate_parameter,
     specialize,
     to_univariate,
     u_gcd,
@@ -291,28 +292,25 @@ def _resultant_by_specialization(p, q, var, desc):
             vals.append([c * f for c in res]
                         + [ps.desc.zero()] * (length - len(res)))
         s0 += 1
-    out = []
-    for k in range(length):
-        a = interpolate(pts, [row[k].a for row in vals])
-        b = interpolate(pts, [row[k].b for row in vals])
-        out.append(FieldElement(desc, RatFunc(a) / scale, RatFunc(b) / scale))
-    return out
+    inv = FieldElement(desc, 1 / scale, 0)
+    return [interpolate_parameter(pts, [row[k] for row in vals], desc) * inv
+            for k in range(length)]
 
 
 def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):
-    """Common zeros of two exact bivariate polynomials, as (u, v) pairs."""
+    """Common zeros of two exact bivariate polynomials, as (u, v) pairs.
+
+    Past the gcd test a and b are coprime: without v they have no common
+    zero, and otherwise Res_v(a, b) != 0, as it vanishes only for a
+    common factor of positive degree in v (a^deg_v(b) when deg_v a = 0).
+    """
     if a.is_zero() or b.is_zero():
         raise PositiveDimensionalLocusError()
     if gcd_bivariate(a, b).degree() > 0:
         raise PositiveDimensionalLocusError()
     if a.degree_in("v") == 0 and b.degree_in("v") == 0:
-        g = u_gcd(to_univariate(a, "u"), to_univariate(b, "u"), desc)
-        if len(g) > 1:
-            raise PositiveDimensionalLocusError()
         return []
     res = _resultant_eliminating(a, b, "v", desc)
-    if all(c.is_zero() for c in res):
-        raise PositiveDimensionalLocusError()
     points = []
     for x0 in u_roots_in_tower(res, desc):
         ca = to_univariate(a.restrict({"u": x0}), "v")

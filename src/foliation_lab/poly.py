@@ -20,8 +20,8 @@ from fractions import Fraction
 from . import linalg
 from .fields import (_TRIAL_LIMIT, FieldDescriptor, FieldElement, FieldError,
                      FieldExtensionError, Inconclusive, MismatchedFieldError,
-                     _homogeneous_value, _trial_factor, coerce, sort_key,
-                     sqrt_or_widen)
+                     RatFunc, _homogeneous_value, _trial_factor, coerce,
+                     common_denominator, sort_key, sqrt_or_widen)
 
 
 class OrderIndeterminate(FieldError, Inconclusive):
@@ -690,22 +690,29 @@ def specialize(x, s0):
     return MPoly(x.vars, out, ground) if poly else out[None]
 
 
+def interpolate_parameter(pts, values, desc: FieldDescriptor):
+    """The element of desc, a polynomial in its parameter of degree below
+    len(pts), whose value at the rational pts[i] is values[i], an element
+    of the tower without the parameter: the rational part and the
+    square-root part are interpolated separately."""
+    return FieldElement(desc, RatFunc(interpolate(pts, [x.a for x in values])),
+                        RatFunc(interpolate(pts, [x.b for x in values])))
+
+
 # ---------------------------------------------------------------------------
 # bivariate gcd (used by 1-form normalization)
 
 
 def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
-    """Gcd of two exact polynomials in exactly two variables, monic-ish
-    (normalized so its leading term has coefficient one).
+    """Gcd of two exact polynomials in exactly two variables, with
+    coefficient one at its largest exponent.
 
-    Specializations decide first (_coprime_at_points).  Most coprime
-    pairs are proved coprime there, and no content is computed.  When
-    they rule out only the common factors of positive degree in the
-    second variable, the gcd is that of the contents in the first.
-    Otherwise the contents are split off and the primitive parts go
-    through a pseudo-remainder sequence in the second variable.
-    Callers: forms._content_and_gcd (normalize2) and
-    indices._affine_common_roots.
+    Most coprime pairs are proved coprime at points (_coprime_at_points).
+    Otherwise the gcd is read off the syzygies of p and q over Q or
+    Q(rt m) (_syzygy_gcd), and over a tower with the parameter it is
+    interpolated from those at values of the parameter
+    (_gcd_by_specialization).  Callers: forms._content_and_gcd
+    (normalize2) and indices._affine_common_roots.
     """
     if p.prec is not None or q.prec is not None:
         raise ValueError("gcd of series is not supported")
@@ -713,21 +720,17 @@ def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
         return _normalize_lead(q)
     if q.is_zero():
         return _normalize_lead(p)
-    certified = _coprime_at_points(p, q)
-    if certified == 2:
+    if _coprime_at_points(p, q):
         return MPoly.constant(p.vars, 1, p.desc)
-    a = _to_recursive(p)
-    b = _to_recursive(q)
-    g = _rec_gcd(a, b, p.vars, p.desc, certified == 1)
-    return _normalize_lead(_from_recursive(g, p.vars, p.desc))
+    if p.desc.parameter is not None:
+        return _gcd_by_specialization(p, q)
+    return _normalize_lead(_syzygy_gcd(p, q))
 
 
-def _coprime_at_points(p, q):
-    """What specializations prove about common factors of p and q, in
-    variables (u, v) over a tower K: 2 when no common factor has positive
-    degree in u or in v, so the gcd is 1; 1 when none has positive degree
-    in v, so the gcd is that of the contents in u; 0 when no point
-    certified.
+def _coprime_at_points(p, q) -> bool:
+    """True when specializations prove that p and q, in variables (u, v)
+    over a tower K, have no common factor of positive degree, so their
+    gcd is 1; False when no point certified.
 
     Let k be K without its parameter s (Q or Q(rt m)); without a
     parameter s is not set.  The test for v at a point (u0, s0): no
@@ -768,95 +771,78 @@ def _coprime_at_points(p, q):
                 break
             done += 1
         if done == 2:
-            break
-    return done
+            return True
+    return False
 
 
-def _to_recursive(p: MPoly):
-    """Map to a dict (degree in the second variable) -> univariate MPoly
-    in the first variable."""
-    out = {}
-    for (eu, ev), c in p.coeffs.items():
-        out.setdefault(ev, {})[(eu, 0)] = c
-    return {k: MPoly(p.vars, d, p.desc) for k, d in out.items()}
+def _syzygies(p, q, k):
+    """A basis of the pairs (r, t) of degree at most k with r p = t q,
+    each the coefficients of r and then of t on monomials_below(2, k + 1),
+    and those monomials."""
+    shifts = monomials_below(2, k + 1)
+    matrix, _ = multiplication_matrix((p, -q), shifts, lambda E: True)
+    return linalg.nullspace(matrix, 2 * len(shifts), p.desc), shifts
 
 
-def _from_recursive(d, vars, desc):
-    total = MPoly.zero(vars, desc)
-    v = MPoly.variable(vars, vars[1], desc)
-    for k in sorted(d):
-        total = total + d[k] * v ** k
-    return total
+def _syzygy_gcd(p, q):
+    """A gcd of the nonzero p and q over a tower without the parameter
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Write
+    p = g a, q = g b with a, b coprime, n = deg g, M = max(deg p, deg q).
+    The syzygies r p = t q are r = b h, t = a h, as b divides r a; with
+    r and t of degree <= k, deg h <= k - M + n.  So at k = M - 1 they
+    span n (n + 1) / 2 dimensions, the monomials of degree below n, and
+    at k = M - n they are the multiples of (b, a): g = p / a.
+    """
+    top = max(p.degree(), q.degree())
+    basis, _ = _syzygies(p, q, top - 1)
+    n = (math.isqrt(8 * len(basis) + 1) - 1) // 2
+    if not n:
+        return MPoly.constant(p.vars, 1, p.desc)
+    [syzygy], shifts = _syzygies(p, q, top - n)
+    return exact_divide(p, MPoly(p.vars, dict(zip(
+        shifts, syzygy[len(shifts):])), p.desc))
 
 
-def _rec_content(d, vars, desc):
-    g = None
-    for k in sorted(d):
-        cu = to_univariate(d[k], vars[0])
-        g = cu if g is None else u_gcd(g, cu, desc)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _rec_primitive(d, vars, desc, content):
-    if len(content) == 1:
-        inv = content[0].inverse()
-        return {k: p.scale(inv) for k, p in d.items()}
-    out = {}
-    for k, p in d.items():
-        q, r = u_divmod(to_univariate(p, vars[0]), content, desc)
-        if r:
-            raise FieldError("content division left a remainder")
-        out[k] = MPoly(vars, {(i, 0): c for i, c in enumerate(q)
-                              if not c.is_zero()}, desc)
-    return out
-
-
-def _rec_deg(d):
-    return max(d) if d else -1
-
-
-def _rec_gcd(a, b, vars, desc, parts_coprime):
-    """Gcd of the contents in the first variable, times that of the
-    primitive parts by pseudo-remainders unless `parts_coprime`."""
-    ca = _rec_content(a, vars, desc)
-    cb = _rec_content(b, vars, desc)
-    cg = u_gcd(ca, cb, desc)
-    cgpoly = MPoly(vars, {(i, 0): c for i, c in enumerate(cg)}, desc)
-    if parts_coprime:
-        return {0: cgpoly}
-    a = _rec_primitive(a, vars, desc, ca)
-    b = _rec_primitive(b, vars, desc, cb)
-    while b:
-        if _rec_deg(a) < _rec_deg(b):
-            a, b = b, a
+def _gcd_by_specialization(p, q):
+    """gcd_bivariate over a tower k(s), from gcds over k at s0 = 0, 1, ...
+    (W. S. Brown, J. ACM 18 (1971)).  Let P, Q be p, q over their
+    denominators, in k[s][u, v], G their gcd with lc(G) = 1 and P = G' C
+    with G' primitive.  Where the leading terms of P and Q survive,
+    lc(G') | lc(P) does not vanish, so G(s0) divides the gcd H of P(s0)
+    and Q(s0): the leading exponent of H is a multiple of that of G,
+    equal where H = G(s0), larger at finitely many points.  A constant H
+    proves the gcd 1.  lc(P) G = lc(C) G' has degree <= D = deg_s P in
+    s, so D + 1 points of the least leading exponent, each H times
+    lc(P)(s0), interpolate it.  A candidate that divides p and q divides
+    G and has a multiple of its leading exponent, so it is G.
+    """
+    desc = p.desc
+    P, Q = (f.scale(FieldElement(desc, common_denominator(
+        f.coeffs.values()), 0)) for f in (p, q))
+    lp, lq = max(P.coeffs), max(Q.coeffs)
+    D = max(c.degree() for x in P.coeffs.values() for c in (x.p, x.q) if c)
+    best, pts, vals = None, [], []
+    for s0 in itertools.count():
+        ps, qs = specialize(P, s0), specialize(Q, s0)
+        if lp not in ps.coeffs or lq not in qs.coeffs:
             continue
-        r = _rec_prem(a, b, vars, desc)
-        a, b = b, r
-        if b:
-            cb2 = _rec_content(b, vars, desc)
-            b = _rec_primitive(b, vars, desc, cb2)
-    return {k: p * cgpoly for k, p in a.items()}
-
-
-def _rec_prem(a, b, vars, desc):
-    """Pseudo-remainder of a by b in the outer variable."""
-    a = dict(a)
-    db = _rec_deg(b)
-    lb = b[db]
-    while a and _rec_deg(a) >= db:
-        da = _rec_deg(a)
-        la = a[da]
-        a = {k: p * lb for k, p in a.items()}
-        for k, p in b.items():
-            shift = k + da - db
-            term = p * la
-            a[shift] = a.get(shift, MPoly.zero(vars, desc)) - term
-        a = {k: p for k, p in a.items() if not p.is_zero()}
-        if _rec_deg(a) == da:
-            a.pop(da, None)
-    return a
+        h = gcd_bivariate(ps, qs)
+        lead = max(h.coeffs)
+        if not any(lead):
+            return MPoly.constant(p.vars, 1, desc)
+        if best is None or lead < best:
+            best, pts, vals = lead, [], []
+        if lead == best:
+            pts.append(s0)
+            vals.append(h.scale(ps.coeffs[lp]))
+        if len(pts) > D:
+            g = _normalize_lead(MPoly(p.vars, {
+                e: interpolate_parameter(pts, [x.coefficient(e)
+                                               for x in vals], desc)
+                for e in set().union(*(x.coeffs for x in vals))}, desc))
+            if divides(p, g) and divides(q, g):
+                return g
+            pts, vals = [], []
 
 
 def _normalize_lead(p: MPoly) -> MPoly:

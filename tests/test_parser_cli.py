@@ -216,6 +216,26 @@ def test_cli_huge_prime_coefficient_bounds_the_root_search(tmp_form_file):
         "cannot list the rational roots: the coefficient %d" % p)
 
 
+def test_cli_reduce2_over_the_parameter_with_a_common_factor_ends(
+        tmp_form_file):
+    """Both coefficients share the factor u + (1 + 3s) v, so no point
+    proves them coprime: normalize2 interpolates the gcd from its values
+    at s = 0, 1, ..., and the saturated form is a saddle-node.  The
+    pseudo-remainder gcd over Q(s) that this replaced ran past 60 s."""
+    s = "param(s)"
+    g = "(u + (1 + 3*%s)*v)" % s
+    form = ("omega2: %s*((3/2 + %s)*v - 1/2*v^2 + 1/2*v^4 + (3 - %s)*u*v^2"
+            " + (2 + 3/2*%s)*u^2*v^2) du + %s*(-4*v^3 - 3/2*v^4"
+            " - (3/2 + 2*%s)*u*v^3 - (1 + 2*%s)*u^2 + (%s - 3)*u^3) dv\n"
+            % (g, s, s, s, g, s, s, s))
+    code, out, _ = _fresh_run(["reduce2", tmp_form_file(form)], timeout=20)
+    assert code == 0
+    report = json.loads(out)
+    assert report["field"] == "Q(s)"
+    assert [leaf["kind"] for leaf in report["reduction"]["leaves"]] == [
+        "SaddleNode"]
+
+
 def test_cli_parser_is_reused_across_calls(tmp_form_file, capsys):
     """One process runs main with --jet-order 4 and then without it: each
     report equals that of a fresh process, and a later argument error

@@ -15,8 +15,9 @@ fills ``traced``.  With ``--claim`` the file states whether the claim is
 met: the change wins at least nine tenths of the pairs and the medians
 differ by more than the parent's quartile distance.  ``bounds`` gives,
 per workload and metric, the change of the median against the bound that
-BENCHMARK.json fixes.  The keys of NOTES.json (method, tier1, src_lines,
-...) are copied to the top level as they are.
+BENCHMARK.json fixes, with the spread and the beats-all test taken per
+seed.  The keys of NOTES.json (method, tier1, src_lines, ...) are copied
+to the top level as they are.
 """
 
 from __future__ import annotations
@@ -153,7 +154,20 @@ def _claim(workloads, claim):
                          m["parent"]["iqr"])}
 
 
+def _by_seed(values, seeds):
+    """The values of each seed, in the order of the pairs."""
+    out = {}
+    for v, seed in zip(values, seeds):
+        out.setdefault(seed, []).append(v)
+    return out
+
+
 def _bounds(workloads, spec):
+    """Per workload and metric, the change of the median against the
+    bound of BENCHMARK.json.  Seeds run different items, so their medians
+    differ: the spread is the largest IQR over median of one side on one
+    seed, and the change beats all when on every seed each of its runs
+    beats each of the parent's."""
     out = {}
     for name, w in workloads.items():
         rows = {}
@@ -162,13 +176,17 @@ def _bounds(workloads, spec):
             base, new = e["parent"]["median"], e["change"]["median"]
             change = (new - base) / abs(base) if base else 0.0
             worse_by = change if m["better"] == "lower" else -change
-            spread = max(e[s]["iqr"] / abs(e[s]["median"])
-                         if e[s]["median"] else 0.0
-                         for s in ("parent", "change"))
-            runs = e["runs"]
-            beats_all = (max(runs["change"]) < min(runs["parent"])
-                         if m["better"] == "lower"
-                         else min(runs["change"]) > max(runs["parent"]))
+            runs = {s: _by_seed(e["runs"][s], w["seeds"])
+                    for s in ("parent", "change")}
+            spread, beats_all = 0.0, True
+            for seed, parent in runs["parent"].items():
+                ours = runs["change"][seed]
+                for q in (_quartiles(parent), _quartiles(ours)):
+                    if q["median"]:
+                        spread = max(spread, q["iqr"] / abs(q["median"]))
+                beats_all = beats_all and (
+                    max(ours) < min(parent) if m["better"] == "lower"
+                    else min(ours) > max(parent))
             rows[m["name"]] = {
                 "median_change": change, "bound": m["bound"],
                 "spread": spread,
