@@ -308,17 +308,9 @@ def _cmd_log_criterion(parsed, report, opts, dot_ref):
     if not parsed.separatrices:
         raise UsageError("log-criterion needs a separatrix:{...} block "
                          "declaring the invariant surface factors")
-    section = parsed.section
-    if section is None:
-        parts = (opts.section or "1,1,1").split(",")
-        if len(parts) != 3:
-            raise UsageError("--section needs three comma-separated "
-                             "rationals")
-        from fractions import Fraction
-        section = tuple(parsed.desc.rational(Fraction(p.strip()))
-                        for p in parts)
     S = _product(parsed.separatrices)
-    rep = logarithmic_criterion(parsed.form, S, section, N=opts.truncation)
+    rep = logarithmic_criterion(parsed.form, S, parsed.section or (1, 1, 1),
+                                N=opts.truncation)
     report["indices"] = {
         "logarithmic": rep.logarithmic,
         "degree": rep.degree,
@@ -363,8 +355,6 @@ def _build_argparser():
     ap.add_argument("--trials", type=int, default=8)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--truncation", type=int, default=12, metavar="N")
-    ap.add_argument("--section", default=None,
-                    help="plane section a,b,c for log-criterion")
     ap.add_argument("--out", default=None,
                     help="report file (directory when several inputs)")
     ap.add_argument("--dot", default=None,

@@ -17,10 +17,10 @@ mu0, and the 1-form calculus shared by every number of variables:
 - invariant_hypersurface: {f = 0} is invariant when f divides every
   minor c_i df/dx_j - c_j df/dx_i of omega ^ df.
 - integrable: omega ^ d omega = 0, one triple i < j < k at a time.
-- _solve_graph: the one series solver for graphs v = s(u), shared by the
-  separatrix traces (invariant_graph_jet) and the curve branches of the
-  index sums; it reads each order of the residual from a table of the
-  coefficients of the powers of s and never substitutes the graph.
+- _solve_graph: the one series solver for graphs v = s(u), behind every
+  separatrix trace (invariant_graph_jet); it reads each order of the
+  residual from a table of the coefficients of the powers of s and never
+  substitutes the graph.
 
 Boolean questions about truncated series are three-valued internally;
 an answer that cannot be certified at the available precision raises
@@ -499,8 +499,8 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
 
 def _solve_graph(polys, c1, offset: int, beta, N: int, fail: str):
     """Coefficients c_1..c_N of a graph s = sum c_k u^k along which the
-    residual R = P(u, s), for polys = (P,), or R = P(u, s) + Q(u, s) s',
-    for polys = (P, Q), vanishes; P and Q are in two variables (u, v).
+    residual R = P(u, s) + Q(u, s) s' vanishes, for polys = (P, Q) in two
+    variables (u, v).
 
     The coefficient of R at order k + offset must be alpha + beta(k) c_k
     with alpha free of c_k and later coefficients.  Each order k >= 2
@@ -550,10 +550,9 @@ def _solve_graph(polys, c1, offset: int, beta, N: int, fail: str):
         if prec is not None and n >= prec:
             return zero
         val = composed(0, n)
-        if len(polys) > 1:
-            for i in range(1, min(n + 1, len(cs)) + 1):
-                if cs[i - 1]:
-                    val = val + composed(1, n + 1 - i) * (cs[i - 1] * i)
+        for i in range(1, min(n + 1, len(cs)) + 1):
+            if cs[i - 1]:
+                val = val + composed(1, n + 1 - i) * (cs[i - 1] * i)
         return val
 
     if N >= 2 and any(coefficient(n) for n in range(2 + offset)):

@@ -8,21 +8,23 @@ Verjovski and Baum-Bott indices at reduced singular points, verifies the
 classical index sum formulas, and decides the logarithmic criterion
 through the pole degree of a plane section.
 
-Every index is read along invariant branches given by a parametrization
-and an implicit jet: the branches of a curve through a point are solved
-once as graphs (_local_branches), those of a saddle-node are traced from
-its strong and weak directions (_germ_branches).  Camacho-Sad pulls the
-form back along the parametrization (forms.pullback), GSV compares the
-form with the gradient of the curve along it, and Baum-Bott at a
-saddle-node is CS + 2 GSV over both separatrices.
+At a non-degenerate point every index is read from the linear part:
+Baum-Bott is tr^2/det, and the Camacho-Sad and GSV indices of a curve
+with smooth branches of distinct tangents come from the eigenvalues on
+the tangents (_curve_indices).  At a saddle-node they are read along the
+separatrices traced from its strong and weak directions (_germ_branches),
+each given by a parametrization and an implicit jet: Camacho-Sad pulls
+the form back along the parametrization (forms.pullback), GSV compares
+the form with the gradient of the curve along it, and Baum-Bott is
+CS + 2 GSV over both separatrices.  No tangent cone is ever split.
 """
 
 from __future__ import annotations
 
 from .fields import (FieldDescriptor, FieldElement, Inconclusive, RatFunc,
                      common_denominator, sort_key, widening)
-from .forms import (LocalDivisor, OneForm2, PrecisionError, _solve_graph,
-                    integrable, invariant_hypersurface, normalize2, pullback)
+from .forms import (LocalDivisor, OneForm2, PrecisionError, integrable,
+                    invariant_hypersurface, normalize2, pullback)
 from .poly import (
     MPoly,
     _utrim,
@@ -37,8 +39,8 @@ from .poly import (
     u_resultant,
     u_roots_in_tower,
 )
-from .reduce2d import SADDLE_NODE, classify_point2
-from .separatrix import _graph_branch, _trace_graph
+from .reduce2d import SADDLE_NODE, _branch_tangent, _scale_dir, classify_point2
+from .separatrix import _trace_graph
 
 _UV = ("u", "v")
 
@@ -426,8 +428,8 @@ def _residue(n, m, desc: FieldDescriptor) -> FieldElement:
 def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
     """Camacho-Sad index of a smooth invariant branch at the origin.
 
-    `branch` carries a parametrization gamma (`param`); a bare equation
-    must be smooth and is turned into its one branch first.  With
+    `branch` carries a parametrization gamma (`param`); a bare equation f
+    must be smooth and is traced first, as the leaf of df.  With
     n = d/dv, or d/du when gamma'(0) is vertical, the map
     (x, y) -> gamma(x) + y n straightens the branch to {y = 0}, and
     CS = -Res_x (d_n omega)(gamma') / omega(n)|_gamma: the numerator is
@@ -442,7 +444,12 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
             raise SingularBranchError("the Camacho-Sad branch must be smooth")
         if not branch.constant_coefficient().is_zero():
             raise ValueError("the Camacho-Sad branch misses the origin")
-        branch = _local_branches(branch, branch.desc, N)[0]
+        # the leaf of df through the origin, as _regular_branches traces it
+        d = _scale_dir(_branch_tangent(branch))
+        axes = (branch.desc.zero(), branch.desc.one())
+        branch = _CurveBranch(*_trace_graph(
+            OneForm2(*map(branch.partial, branch.vars), branch.vars), d,
+            axes if d[0] else axes[::-1], N))
     gamma = branch.param.components
     coeffs, names = form.coeffs(), form.vars
     normal = names[0] if gamma[0].coefficient((1,)).is_zero() else names[1]
@@ -567,67 +574,54 @@ def _cs_over_branches(form: OneForm2, branches, N: int) -> FieldElement:
     return out
 
 
-# ---------------------------------------------------------------------------
-# local branches of an invariant algebraic curve
+def _curve_indices(sing: PlaneSingularity, c: MPoly, N: int):
+    """(CS, GSV) of the curve germ {c = 0} through a singular point.
 
+    The tangent cone of c, of degree m = ord c, read as a polynomial in the
+    slope of v = lambda u, must be m distinct lines, so that the germ is m
+    smooth, pairwise transversal branches; else SingularBranchError.
 
-def _local_branches(c: MPoly, desc: FieldDescriptor, N: int):
-    """Smooth branches of a reduced curve jet with distinct tangents.
-
-    Returns _CurveBranch objects; raises when a branch is singular or
-    tangencies make the configuration unresolvable here.
+    At a non-degenerate point each branch is tangent to an eigenline of
+    the linear part.  In coordinates where it is {y = 0} and omega =
+    y a dx + b dy, CS = -a(0,0)/b_x(0,0), the transversal eigenvalue over
+    the tangent one lambda_t, and GSV = ord b(x, 0) = 1.  So one branch
+    has CS = tr/lambda_t - 1; a scalar linear part gives 1 per branch; any
+    other has two eigenlines, so m = 2, and lambda_1/lambda_2 +
+    lambda_2/lambda_1 = tr^2/det - 2.  Two transversal smooth branches
+    meet once: CS gains m(m - 1) and GSV = m - m(m - 1).  A degenerate
+    point here is a saddle-node (bb_index refused the rest), and the
+    branches are its separatrices tangent to the cone.
     """
-    if c.is_zero():
-        raise ValueError("the local curve equation vanishes identically")
-    if not c.constant_coefficient().is_zero():
-        return []
+    desc = sing.desc
     m = c.order()
-    # tangent cone roots as slopes lambda of v = lambda u
-    lam = [desc.zero()] * (m + 1)
-    for e, coeff in c.coeffs.items():
-        if sum(e) == m:
-            lam[e[1]] = coeff
-    plam = _utrim(lam)
-    vertical = m - (len(plam) - 1)
-    if vertical > 1:
+    cone = c.homogeneous_part(m)
+    lam = to_univariate(cone.restrict({c.vars[0]: desc.one()}), c.vars[1])
+    if m - (len(lam) - 1) > 1:
         raise SingularBranchError("the curve has a multiple vertical tangent")
-    identity = (desc.one(), desc.zero())
-    swapped = identity[::-1]
-    branches = []
-    if len(plam) > 1:
-        roots = u_roots_in_tower(plam, desc)
-        if len(roots) < len(plam) - 1:
-            raise SingularBranchError(
-                "the curve has coincident tangent directions")
-        for slope in roots:
-            cs = _branch_coeffs(c, slope, m, N)
-            branches.append(_CurveBranch(*_graph_branch(
-                cs, identity, swapped, c.vars, desc, N)))
-    if vertical == 1:
-        cs = _branch_coeffs(_swapped(c), desc.zero(), m, N)
-        branches.append(_CurveBranch(*_graph_branch(
-            cs, swapped, identity, c.vars, desc, N)))
-    return branches
-
-
-def _swapped(p: MPoly) -> MPoly:
-    """p with its two variables exchanged."""
-    return MPoly(p.vars, {(e[1], e[0]): c for e, c in p.coeffs.items()},
-                 p.desc, p.prec)
-
-
-def _branch_coeffs(c: MPoly, slope: FieldElement, m: int, N: int):
-    """Graph coefficients of the branch of c (order m, distinct tangents)
-    tangent to v = slope*u: c(u, s(u)) has the order-(k + m - 1) coefficient
-    alpha + eta c_k, eta the order-(m - 1) coefficient of c_v(u, slope*u)."""
-    u, v = c.vars
-    fail = "the tangent direction is not a simple branch"
-    uu = MPoly.variable(c.vars, u, c.desc, N + m)
-    eta = c.partial(v).substitute({u: uu, v: uu.scale(slope)}).coefficient(
-        (m - 1, 0))
-    if eta.is_zero():
-        raise ValueError(fail)
-    return _solve_graph((c,), slope, m - 1, lambda k: eta, N, fail)
+    if len(lam) > 2 and len(u_gcd(lam, [lam[k] * desc.rational(k)
+                                        for k in range(1, len(lam))],
+                                  desc)) > 1:
+        raise SingularBranchError("the curve has coincident tangent directions")
+    M = sing.linear
+    tr = M[0][0] + M[1][1]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    if det.is_zero():
+        # _germ_branches traces the strong direction, then the weak one
+        dirs = (sing.code.strong, sing.code.weak)
+        branches = [br for d, br in zip(dirs, _germ_branches(sing.form,
+                                                             sing.code, N))
+                    if cone.evaluate(dict(zip(c.vars, d))).is_zero()]
+        return (_cs_over_branches(sing.form, branches, N),
+                gsv_index(sing.form, branches, g=c, N=N).value)
+    if m == 1:
+        t = _branch_tangent(c)
+        i = 0 if t[0] else 1
+        cs = tr * t[i] / (M[i][0] * t[0] + M[i][1] * t[1]) - desc.one()
+    elif M[0][1].is_zero() and M[1][0].is_zero() and M[0][0] == M[1][1]:
+        cs = desc.rational(m)
+    else:
+        cs = tr * tr / det - desc.rational(2)
+    return cs + desc.rational(m * (m - 1)), desc.rational(m * (2 - m))
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +689,7 @@ def _sum_check(fol, C, d0, N):
         entry = {"point": sing.point, "bb": bb}
         cl = localize_at(C, sing)
         if cl.constant_coefficient().is_zero():
-            branches = _local_branches(cl, sing.desc, N)
-            cs = _cs_over_branches(sing.form, branches, N)
-            gsv = gsv_index(sing.form, branches, g=cl, N=N).value
+            cs, gsv = _curve_indices(sing, cl, N)
             cs_sum = cs_sum + cs
             gsv_sum = gsv_sum + gsv
             entry["cs"] = cs

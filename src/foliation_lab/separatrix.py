@@ -12,7 +12,7 @@ Every branch is built by _graph_branch from graph coefficients in a frame
 (u, v) = u' d_target + v' d_other, its parametrization is
 t -> t d_target + s(t) d_other and its implicit jet is v' - s(u') written
 in (u, v).  Reduced points use their separatrix directions as the frame,
-curve branches in indices the identity or the swapped frame.
+a regular point the kernel of omega(0) and a coordinate axis.
 """
 
 from __future__ import annotations

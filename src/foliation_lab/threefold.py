@@ -311,7 +311,10 @@ def _model_b(qb: MPoly, qc: MPoly, powers, perm):
 
 def _extract_pair(qb: MPoly, qc: MPoly, pvec):
     """Both series must be multiples of one phi(x^p1 y^p2 z^p3); returns
-    (lam_b, lam_c) or None.  One of the two may vanish."""
+    (lam_b, lam_c) or None.  One of the two may vanish.  lam_q is the
+    leading coefficient of q: both leads are nonzero and lie below the
+    joint precision, so q lam_ref = ref lam_q forces one leading exponent,
+    and q = lam_q phi."""
     desc = qb.desc
     ref = qc if not qc.is_zero() else qb
     if ref.is_zero():
@@ -324,11 +327,7 @@ def _extract_pair(qb: MPoly, qc: MPoly, pvec):
         if q.is_zero():
             out.append(desc.zero())
             continue
-        _, lead = _lead_term(q)
-        e_ref, _ = _lead_term(ref)
-        if min(q.coeffs, key=lambda t: (sum(t), t)) != e_ref:
-            return None
-        lam_q = lead
+        _, lam_q = _lead_term(q)
         if not (q.scale(lam_ref) - ref.scale(lam_q)).is_zero():
             return None
         out.append(lam_q)

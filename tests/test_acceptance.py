@@ -16,12 +16,13 @@ from foliation_lab import (OneForm2, bb_index, cs_index, gsv_index,
                            seidenberg_reduce, sum_theorem_check,
                            theorem_main_harness, weak_graph_coefficients)
 from foliation_lab import cli
-from foliation_lab.indices import _cs_over_branches, _local_branches
+from foliation_lab.indices import _cs_over_branches
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import REGULAR, SADDLE_NODE, SIMPLE
 
 from conftest import (CUSP_LINE_SCRIPT, PROJ3, Q, Q2, XYZ, corpus2,
                       cusp_line_form, f3, log_plane_foliation)
+from frozen_branches import _local_branches
 from test_indices import _contour_gsv, _oracle_cases
 from test_lemma_suites import (
     test_two_branch_second_type_germs_are_already_simple as _lemma_plane,

@@ -1,6 +1,6 @@
 """Camacho-Sad from the branch parametrization against a frozen copy of the
-implicit-equation straightening it replaced, and a guard on the number of
-graph solves per curve branch."""
+implicit-equation straightening it replaced, and a guard on the graph
+traces of a sum check."""
 
 from fractions import Fraction
 
@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foliation_lab import (bb_index, cs_index, indices, plane_singularities,
-                           sum_theorem_check)
+from foliation_lab import (bb_index, cs_index, indices, localize_at,
+                           plane_singularities, sum_theorem_check)
 from foliation_lab.fields import FieldError
 from foliation_lab.forms import LocalDivisor, OneForm2, normalize2
-from foliation_lab.indices import (_branch_coeffs, _germ_branches,
-                                   _local_branches, _residue, _swapped)
+from foliation_lab.indices import _cs_over_branches, _germ_branches, _residue
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import SADDLE_NODE, _rotate_form, classify_point2
 
 from conftest import (Q, UV, corpus2, log_plane_foliation, mk,
                       saddle_node_plane_foliation)
+from frozen_branches import _branch_coeffs, _local_branches, _swapped
+from test_reduce2d import _count_graph_solves
 
 
 # --- frozen reference: the straightening through the implicit equation ------
@@ -116,8 +117,14 @@ def test_cs_index_matches_reference_on_the_plane_foliations(monkeypatch):
     sn_fol, (Xs, Ys, _) = saddle_node_plane_foliation()
     sn_sings = plane_singularities(sn_fol)
     assert any(s.code.kind == SADDLE_NODE for s in sn_sings)
+
+    def triangle():
+        for s in plane_singularities(log_fol):
+            cl = localize_at(X * Y * Z, s)
+            _cs_over_branches(s.form, _local_branches(cl, s.desc, 12), 12)
+
     seen = _visited_branches(monkeypatch, [
-        lambda: sum_theorem_check(log_fol, X * Y * Z),
+        triangle,
         lambda: sum_theorem_check(sn_fol, Xs * Ys),
         lambda: [bb_index(s) for s in sn_sings]])
     # three vertices with two lines each, then the saddle-node's curve
@@ -199,16 +206,15 @@ def test_cs_index_reads_the_linear_term_at_truncation_one():
     assert sum_theorem_check(fol, X * Y * Z, N=1).ok
 
 
-# --- one graph solve per curve branch ---------------------------------------
+# --- no graph traced at a non-degenerate point ------------------------------
 
 
-def test_sum_check_solves_each_curve_branch_once(monkeypatch):
+def test_sum_check_traces_no_curve_branch_at_non_degenerate_points(
+        monkeypatch):
     fol, (X, Y, Z) = log_plane_foliation()
-    solves = []
-    original = indices._branch_coeffs
-    monkeypatch.setattr(indices, "_branch_coeffs",
-                        lambda *args: solves.append(1) or original(*args))
+    traces = _count_graph_solves(monkeypatch)
     rep = sum_theorem_check(fol, X * Y * Z)
     assert rep.ok
-    # each of the three vertices meets two of the lines
-    assert len(solves) == 6
+    # each of the three vertices meets two of the lines, and each is
+    # non-degenerate: the indices come from its linear part
+    assert traces == []

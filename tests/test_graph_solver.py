@@ -13,12 +13,13 @@ from foliation_lab import seidenberg_reduce
 from foliation_lab.fields import (FieldElement, FieldError, sort_key,
                                   sqrt_or_widen)
 from foliation_lab.forms import (OneForm2, PrecisionError, _solve_graph,
-                                 invariant_graph_jet, normalize2, pullback)
-from foliation_lab.indices import _branch_coeffs, _swapped
+                                 invariant_graph_jet, normalize2)
 from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import REGULAR, _rotate_form
 
 from conftest import Q, UV, corpus2, f2, mk
+from frozen_branches import (_branch_coeffs, _frozen_invariant_graph_jet,
+                             _swapped)
 from test_lemma_suites import N_INSTANCES, _random_plane_germ
 
 
@@ -232,15 +233,11 @@ def test_adapters_substitute_once_per_order(monkeypatch):
         return original(self, mapping)
 
     monkeypatch.setattr(MPoly, "substitute", counting)
-    # v^2 + u v + u^3: two branches, tangent to v = 0 and to v = -u
-    node = mk(UV, {(0, 2): 1, (1, 1): 1, (3, 0): 1})
     euler = normalize2(corpus2()["euler"][0])
     for N in (1, 2, 9, 16):
         count[0] = 0
         invariant_graph_jet(euler, N)
         assert count[0] == 0  # the graph is never substituted
-        _branch_coeffs(node, Q.zero(), 2, N)
-        assert count[0] == 1  # eta only
 
 
 def test_solver_work_grows_quadratically_with_the_order(monkeypatch):
@@ -269,81 +266,6 @@ def test_solver_work_grows_quadratically_with_the_order(monkeypatch):
 # --- against a frozen copy of the substituting solver -----------------------
 
 
-def _frozen_solve_graph(residual, c1, offset, beta, N, fail):
-    coeffs, zero, last = [c1], c1.desc.zero(), None
-    for k in range(2, N + 1):
-        target, alpha = k + offset, zero
-        for e, c in residual(coeffs, target + 1).coeffs.items():
-            if sum(e) < target:
-                raise ValueError(fail % {"k": k})
-            alpha = c if sum(e) == target else alpha
-        if alpha.is_zero():
-            coeffs.append(zero)
-            continue
-        b = beta(k)
-        if b.is_zero():
-            raise ValueError(fail % {"k": k})
-        if b is not last:
-            last, inv = b, b.inverse()
-        coeffs.append(-(alpha * inv))
-    return coeffs
-
-
-def _frozen_invariant_graph_jet(form, N, slope=None):
-    u, v = form.vars
-    desc = form.desc
-    if N < 1:
-        raise ValueError("need at least one coefficient")
-    prec_cap = form.prec()
-    if prec_cap is not None and prec_cap <= N:
-        raise PrecisionError("form precision %d too low for a degree-%d graph"
-                             % (prec_cap, N))
-    A, B = form.A, form.B
-    if not (A.constant_coefficient().is_zero()
-            and B.constant_coefficient().is_zero()):
-        raise ValueError("an invariant graph needs a singular point")
-    a10, a01 = A.coefficient((1, 0)), A.coefficient((0, 1))
-    b10, b01 = B.coefficient((1, 0)), B.coefficient((0, 1))
-    fail = "no invariant graph: obstruction at order %(k)d"
-    q1 = a01 + b10
-    if slope is None and not (b01.is_zero() or a10.is_zero()):
-        disc = sqrt_or_widen(q1 * q1 - desc.rational(4) * b01 * a10)
-        slope = min((-q1 + disc) / (b01 + b01), (-q1 - disc) / (b01 + b01),
-                    key=sort_key)
-    elif slope is None:
-        if q1.is_zero() and not a10.is_zero():
-            raise ValueError(fail % {"k": 1})
-        slope = desc.zero() if q1.is_zero() else -(a10 / q1)
-    uu = MPoly.variable((u,), u, desc)
-
-    def residual(cs, prec):
-        s = MPoly((u,), {(k + 1,): c for k, c in enumerate(cs)}, desc,
-                  prec + 1)
-        return pullback(form.coeffs(), form.vars, {u: uu, v: s})[0]
-
-    lin, step = a01 + b01 * slope, b10 + b01 * slope
-    return _frozen_solve_graph(residual, slope, 0,
-                               lambda k: lin + desc.rational(k) * step, N,
-                               fail)
-
-
-def _frozen_branch_coeffs(c, slope, m, N):
-    u, v = c.vars
-    fail = "the tangent direction is not a simple branch"
-    uu = MPoly.variable(c.vars, u, c.desc, N + m)
-
-    def residual(cs, prec):
-        s = MPoly(c.vars, {(k + 1, 0): ck for k, ck in enumerate(cs)},
-                  c.desc, prec)
-        return c.substitute({u: uu, v: s})
-
-    eta = c.partial(v).substitute({u: uu, v: uu.scale(slope)}).coefficient(
-        (m - 1, 0))
-    if eta.is_zero():
-        raise ValueError(fail)
-    return _frozen_solve_graph(residual, slope, m - 1, lambda k: eta, N, fail)
-
-
 def _result(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -364,19 +286,14 @@ def test_solver_matches_frozen_copy_on_lemma_germs(seed, N):
     for d1, d2 in _frames(form.desc)[:2]:
         _agree(invariant_graph_jet, _frozen_invariant_graph_jet,
                normalize2(_rotate_form(form, d1, d2)), N)
-    zero = form.desc.zero()
-    for c, m in ((form.A, 1), (form.A * form.B, 2),
-                 (_swapped(form.A * form.B), 2)):
-        _agree(_branch_coeffs, _frozen_branch_coeffs, c, zero, m, N)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True),
        _higher, st.integers(1, 7))
 def test_solver_matches_frozen_copy_on_line_products(slopes, higher, N):
-    """c = product of lines plus higher terms: its branches along each
-    tangent and a direction that is not one (an obstruction once N >= 2),
-    and the invariant graphs of dc along the same slopes."""
+    """c = product of lines plus higher terms: the invariant graphs of dc
+    along each tangent and along a direction that is not one."""
     u = MPoly.variable(UV, "u", Q)
     v = MPoly.variable(UV, "v", Q)
     c = MPoly.constant(UV, 1, Q)
@@ -386,8 +303,6 @@ def test_solver_matches_frozen_copy_on_line_products(slopes, higher, N):
     c = c + mk(UV, {e: k for e, k in higher.items() if sum(e) > m})
     form = OneForm2(c.partial("u"), c.partial("v"), UV)
     for lam in slopes + [4]:
-        _agree(_branch_coeffs, _frozen_branch_coeffs, c, Q.rational(lam), m,
-               N)
         _agree(invariant_graph_jet, _frozen_invariant_graph_jet, form, N,
                Q.rational(lam))
 

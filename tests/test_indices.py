@@ -14,15 +14,14 @@ from foliation_lab import (ProjFoliation, bb_index, cli, cs_index, forms,
                            gsv_index, indices, localize_at,
                            logarithmic_criterion, plane_singularities,
                            sum_theorem_check)
-from foliation_lab.indices import (_branch_coeffs, _cs_over_branches,
-                                   _local_branches, _resultant_eliminating,
-                                   _swapped)
+from foliation_lab.indices import _cs_over_branches, _resultant_eliminating
 from foliation_lab.forms import normalize2
 from foliation_lab.poly import MPoly, gcd_bivariate, u_roots_in_tower
 from foliation_lab.reduce2d import SADDLE_NODE
 
 from conftest import (PROJ3, Q, UV, corpus2, log_plane_foliation, mk,
                       planes4_foliation, saddle_node_plane_foliation)
+from frozen_branches import _branch_coeffs, _local_branches, _swapped
 
 
 def test_projective_form_validation():
@@ -71,11 +70,13 @@ def test_singular_points_widen_the_tower():
     assert sum_theorem_check(fol, X).ok
 
 
-def test_sum_check_widens_for_the_tangents_of_a_node():
+def test_sum_check_needs_no_widening_for_the_tangents_of_a_node(
+        monkeypatch):
     """The pencil C/L^3 with C = Y^2 Z - 6X^2 Z + 2X^3 + XY^2 and
-    L = 9X + 5Z: its seven singular points are rational, but C has a node
-    at (0 : 0 : 1) with tangents v = +-rt(6) u, so only the branches of C
-    need the wider tower."""
+    L = 9X + 5Z: its seven singular points are rational, and C has a node
+    at (0 : 0 : 1) with tangents v = +-rt(6) u.  The indices of the node
+    come from the linear part, so the tangents are never split and the
+    check stays over Q."""
     X, Y, Z = _xyz()
     k = Q.rational
     C = Y * Y * Z - (X * X * Z).scale(k(6)) + (X * X * X).scale(k(2)) \
@@ -85,9 +86,13 @@ def test_sum_check_widens_for_the_tangents_of_a_node():
                               for w in PROJ3), PROJ3)
     sings = plane_singularities(fol)
     assert len(sings) == 7 and all(s.desc == Q for s in sings)
+    calls = []
+    original = indices.plane_singularities
+    monkeypatch.setattr(indices, "plane_singularities",
+                        lambda f: calls.append(1) or original(f))
     rep = sum_theorem_check(fol, C)
     assert rep.ok
-    assert rep.bb_sum.desc.quadratic_extension == 6
+    assert rep.bb_sum.desc == Q and len(calls) == 1
 
 
 def test_sum_check_certifies_each_point_once(monkeypatch):
@@ -392,3 +397,20 @@ def test_sum_check_finds_the_point_over_a_leading_coefficient_drop(
         [["0", "2", "1"], ["-1", "0", "1"], ["2", "0", "1"]]
     assert rep["ok"] is True
     assert (rep["cs_sum"], rep["gsv_sum"], rep["bb_sum"]) == ("1", "2", "9")
+
+
+def test_sum_check_reads_an_unsplit_tangent_cone(tmp_path):
+    """The three lines X^3 = 2 Y^3 through the radial point (0 : 0 : 1) of
+    the pencil Y dX - X dY are not defined over Q, and no tangent is
+    split: the point carries CS 9 and GSV -3."""
+    path = tmp_path / "cubic.form"
+    path.write_text("proj2: Y dX - X dY\nseparatrix:{ X^3 - 2*Y^3 }\n",
+                    encoding="utf-8")
+    out = tmp_path / "cubic.json"
+    assert cli.main(["indices", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rep = report["indices"]
+    assert report["field"] == "Q" and rep["ok"] is True
+    assert (rep["cs_sum"], rep["gsv_sum"], rep["bb_sum"]) == ("9", "-3", "4")
+    assert rep["points"] == [{"point": ["0", "0", "1"], "bb": "4",
+                              "cs": "9", "gsv": "-3"}]

@@ -318,8 +318,9 @@ def test_cli_usage_errors_exit_one(tmp_form_file, tmp_path):
     ["reduce2", "{form}", "--truncation", "x"],
     ["reduce2"],
     ["model-match3", "{form}", "--resonance-bound", "25"],
+    ["log-criterion", "{form}", "--section", "1,2,3"],
 ], ids=["unknown-option", "unknown-command", "bad-int", "no-input",
-        "removed-option"])
+        "removed-option", "removed-section-option"])
 def test_cli_argument_errors_exit_one(tmp_form_file, capsys, argv):
     path = tmp_form_file(DXYZ3 if argv[0] == "model-match3" else CUSP2)
     assert cli.main([a.format(form=path) for a in argv]) == 1
