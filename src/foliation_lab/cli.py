@@ -234,6 +234,7 @@ def _cmd_second_type3(parsed, report, opts, dot_ref):
         "kind": verdict.kind,
         "evidence": [_render(e) for e in verdict.evidence],
     }
+    report["diagnostics"].extend(verdict.notes)
     return (_EXIT_INCONCLUSIVE if verdict.kind == "Inconclusive"
             else _EXIT_OK)
 

@@ -17,10 +17,10 @@ mu0, and the 1-form calculus shared by every number of variables:
 - invariant_hypersurface: {f = 0} is invariant when f divides every
   minor c_i df/dx_j - c_j df/dx_i of omega ^ df.
 - integrable: omega ^ d omega = 0, one triple i < j < k at a time.
-- _solve_graph: the one series solver for graphs v = s(u), behind every
-  separatrix trace (invariant_graph_jet); it reads each order of the
-  residual from a table of the coefficients of the powers of s and never
-  substitutes the graph.
+- invariant_graph_jet: the one series solver for graphs v = s(u), behind
+  every separatrix trace; the caller gives the slope, and each order of
+  the residual is read from a table of the coefficients of the powers of
+  s, so the graph is never substituted and the tower never widened.
 
 Boolean questions about truncated series are three-valued internally;
 an answer that cannot be certified at the available precision raises
@@ -31,13 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fields import (
-    FieldDescriptor,
-    FieldError,
-    Inconclusive,
-    sort_key,
-    sqrt_or_widen,
-)
+from .fields import FieldDescriptor, FieldError, Inconclusive
 from .linalg import rank
 from .poly import (
     MPoly,
@@ -358,7 +352,7 @@ def _ideal_codim(A: MPoly, B: MPoly, d: int) -> int:
     """
     shifts = monomials_below(2, d - min(A.order(), B.order()))
     rows, _ = multiplication_matrix((A, B), shifts, lambda E: sum(E) < d)
-    return len(monomials_below(2, d)) - rank(rows, A.desc)
+    return len(monomials_below(2, d)) - rank(rows)
 
 
 def mu0(form: OneForm2) -> int:
@@ -497,27 +491,43 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     return res
 
 
-def _solve_graph(polys, c1, offset: int, beta, N: int, fail: str):
-    """Coefficients c_1..c_N of a graph s = sum c_k u^k along which the
-    residual R = P(u, s) + Q(u, s) s' vanishes, for polys = (P, Q) in two
-    variables (u, v).
+def invariant_graph_jet(form: OneForm2, N: int, slope):
+    """Coefficients c_1..c_N of the invariant graph v = sum c_k u^k with
+    c_1 = `slope` at a singular point, solving the residual
+    R = A(u, s) + B(u, s) s' = 0 order by order.
 
-    The coefficient of R at order k + offset must be alpha + beta(k) c_k
-    with alpha free of c_k and later coefficients.  Each order k >= 2
-    reads alpha (c_k = 0) and sets c_k = 0 when alpha = 0, else
-    -alpha/beta(k).  A nonzero coefficient below 2 + offset (checked once,
-    when N >= 2; linearity keeps the later ones zero) or beta(k) = 0 !=
-    alpha means there is no such graph and raises
-    ValueError(fail % {"k": k}).
+    The caller picks the direction: `slope` must be a root of the order-1
+    equation a10 + (a01 + b10) c_1 + b01 c_1^2 = 0.  Order k >= 2 of R is
+    alpha + beta(k) c_k with alpha free of c_k and later coefficients and
+    beta(k) = (a01 + b01 c_1) + k (b10 + b01 c_1); it sets c_k = 0 when
+    alpha = 0, else -alpha/beta(k).  A nonzero coefficient of R below
+    order 2 (checked once, when N >= 2; linearity keeps the later ones
+    zero) or beta(k) = 0 != alpha means there is no such graph and raises
+    ValueError.
 
-    Nothing is substituted: R is read from the terms of P and Q and a
-    table of the coefficients [u^n] s^j, and [u^n] s^j, [u^n] Q(u, s) are
-    kept once every c_i they read is known, so each is computed once
-    (entries that still read the unknown c_k are recomputed).  A
-    coefficient of R at or past the precision of P and Q reads as zero.
+    Nothing is substituted: R is read from the terms of A and B and a
+    table of the coefficients [u^n] s^j, and [u^n] s^j, [u^n] A(u, s),
+    [u^n] B(u, s) are kept once every c_i they read is known, so each is
+    computed once (entries that still read the unknown c_k are
+    recomputed).  A coefficient of R at or past the precision of A and B
+    reads as zero.
     """
-    zero, one = c1.desc.zero(), c1.desc.one()
-    cs, powers, images = [c1], {}, {}
+    desc = form.desc
+    if N < 1:
+        raise ValueError("need at least one coefficient")
+    prec_cap = form.prec()
+    if prec_cap is not None and prec_cap <= N:
+        raise PrecisionError("form precision %d too low for a degree-%d graph" % (prec_cap, N))
+    A, B = form.A, form.B
+    if not (A.constant_coefficient().is_zero()
+            and B.constant_coefficient().is_zero()):
+        raise ValueError("an invariant graph needs a singular point")
+    a01 = A.coefficient((0, 1))
+    b10, b01 = B.coefficient((1, 0)), B.coefficient((0, 1))
+    lin, step = a01 + b01 * slope, b10 + b01 * slope
+    polys = (A, B)
+    zero, one = desc.zero(), desc.one()
+    cs, powers, images = [slope], {}, {}
     prec = min((p.prec for p in polys if p.prec is not None), default=None)
 
     def power(j, n):  # [u^n] s^j
@@ -555,55 +565,16 @@ def _solve_graph(polys, c1, offset: int, beta, N: int, fail: str):
                 val = val + composed(1, n + 1 - i) * (cs[i - 1] * i)
         return val
 
-    if N >= 2 and any(coefficient(n) for n in range(2 + offset)):
-        raise ValueError(fail % {"k": 2})
-    last = None
+    fail = "no invariant graph: obstruction at order %d"
+    if N >= 2 and (coefficient(0) or coefficient(1)):
+        raise ValueError(fail % 2)
     for k in range(2, N + 1):
-        alpha = coefficient(k + offset)
+        alpha = coefficient(k)
         if not alpha:
             cs.append(zero)
             continue
-        b = beta(k)
-        if not b:
-            raise ValueError(fail % {"k": k})
-        if b is not last:  # a constant beta is inverted once
-            last, inv = b, b.inverse()
-        cs.append(-(alpha * inv))
+        beta = lin + desc.rational(k) * step
+        if not beta:
+            raise ValueError(fail % k)
+        cs.append(-(alpha * beta.inverse()))
     return cs
-
-
-def invariant_graph_jet(form: OneForm2, N: int, slope=None):
-    """Coefficients c_1..c_N of an invariant graph v = sum c_k u^k at a
-    singular point, solving A(u, s) + B(u, s) s' = 0 order by order.
-
-    Order 1, a10 + (a01 + b10) c_1 + b01 c_1^2 = 0, selects the direction:
-    `slope` when given (a root), else the sort_key-smallest root.  Order k
-    is linear in c_k with beta(k) = (a01 + b01 c_1) + k (b10 + b01 c_1); an
-    inconsistent order raises ValueError and a free coefficient is zero.
-    """
-    desc = form.desc
-    if N < 1:
-        raise ValueError("need at least one coefficient")
-    prec_cap = form.prec()
-    if prec_cap is not None and prec_cap <= N:
-        raise PrecisionError("form precision %d too low for a degree-%d graph" % (prec_cap, N))
-    A, B = form.A, form.B
-    if not (A.constant_coefficient().is_zero()
-            and B.constant_coefficient().is_zero()):
-        raise ValueError("an invariant graph needs a singular point")
-    a10, a01 = A.coefficient((1, 0)), A.coefficient((0, 1))
-    b10, b01 = B.coefficient((1, 0)), B.coefficient((0, 1))
-    fail = "no invariant graph: obstruction at order %(k)d"
-    q1 = a01 + b10
-    if slope is None and not (b01.is_zero() or a10.is_zero()):
-        disc = sqrt_or_widen(q1 * q1 - desc.rational(4) * b01 * a10)
-        slope = min((-q1 + disc) / (b01 + b01), (-q1 - disc) / (b01 + b01),
-                    key=sort_key)
-    elif slope is None:
-        if q1.is_zero() and not a10.is_zero():
-            raise ValueError(fail % {"k": 1})
-        slope = desc.zero() if q1.is_zero() else -(a10 / q1)
-
-    lin, step = a01 + b01 * slope, b10 + b01 * slope
-    return _solve_graph((A, B), slope, 0,
-                        lambda k: lin + desc.rational(k) * step, N, fail)

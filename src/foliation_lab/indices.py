@@ -39,8 +39,8 @@ from .poly import (
     u_resultant,
     u_roots_in_tower,
 )
-from .reduce2d import SADDLE_NODE, _branch_tangent, _scale_dir, classify_point2
-from .separatrix import _trace_graph
+from .reduce2d import SADDLE_NODE, _branch_tangent, classify_point2
+from .separatrix import _leaf_frame, _trace_graph
 
 _UV = ("u", "v")
 
@@ -302,15 +302,15 @@ def _resultant_by_specialization(p, q, var, desc):
 def _affine_common_roots(a: MPoly, b: MPoly, desc: FieldDescriptor):
     """Common zeros of two exact bivariate polynomials, as (u, v) pairs.
 
-    Past the gcd test a and b are coprime: without v they have no common
-    zero, and otherwise Res_v(a, b) != 0, as it vanishes only for a
-    common factor of positive degree in v (a^deg_v(b) when deg_v a = 0).
+    A gcd that is zero (a = b = 0) or of positive degree is a curve of
+    common zeros.  Past that test a and b are coprime, so when one is zero
+    the other is a nonzero constant: without v they have no common zero,
+    and otherwise Res_v(a, b) != 0, as it vanishes only for a common
+    factor of positive degree in v (a^deg_v(b) when deg_v a = 0).
     """
-    if a.is_zero() or b.is_zero():
+    if gcd_bivariate(a, b).degree() != 0:
         raise PositiveDimensionalLocusError()
-    if gcd_bivariate(a, b).degree() > 0:
-        raise PositiveDimensionalLocusError()
-    if a.degree_in("v") == 0 and b.degree_in("v") == 0:
+    if a.degree_in("v") <= 0 and b.degree_in("v") <= 0:
         return []
     res = _resultant_eliminating(a, b, "v", desc)
     points = []
@@ -445,11 +445,8 @@ def cs_index(form: OneForm2, branch, N: int = 12) -> IndexValue:
         if not branch.constant_coefficient().is_zero():
             raise ValueError("the Camacho-Sad branch misses the origin")
         # the leaf of df through the origin, as _regular_branches traces it
-        d = _scale_dir(_branch_tangent(branch))
-        axes = (branch.desc.zero(), branch.desc.one())
-        branch = _CurveBranch(*_trace_graph(
-            OneForm2(*map(branch.partial, branch.vars), branch.vars), d,
-            axes if d[0] else axes[::-1], N))
+        df = OneForm2(*map(branch.partial, branch.vars), branch.vars)
+        branch = _CurveBranch(*_trace_graph(df, *_leaf_frame(df), N))
     gamma = branch.param.components
     coeffs, names = form.coeffs(), form.vars
     normal = names[0] if gamma[0].coefficient((1,)).is_zero() else names[1]

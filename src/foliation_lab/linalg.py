@@ -86,7 +86,7 @@ def _echelon(matrix, ncols, det_factors=None):
     return pivots, rows
 
 
-def rank(matrix, desc: FieldDescriptor) -> int:
+def rank(matrix) -> int:
     if not matrix:
         return 0
     return len(_echelon(matrix, _width(matrix))[0])

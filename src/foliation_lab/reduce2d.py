@@ -15,13 +15,7 @@ roots are not located and the run aborts with a field-extension error.
 
 from __future__ import annotations
 
-from .fields import (
-    FieldDescriptor,
-    Inconclusive,
-    eigenvalue_ratio,
-    sort_key,
-    widening,
-)
+from .fields import Inconclusive, eigenvalue_ratio, sort_key, widening
 from .forms import (
     DivisorBranch,
     LocalDivisor,
@@ -156,7 +150,7 @@ def _eigdir(M, lam, desc):
     return (desc.one(), desc.zero())
 
 
-def classify_linear2(M, desc: FieldDescriptor) -> str:
+def classify_linear2(M) -> str:
     """Preliminary code from the linear part of the dual vector field."""
     tr = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
@@ -210,7 +204,7 @@ def classify_point2(form: OneForm2, E: LocalDivisor):
                 adapted = UNADAPTED
         return ClassCode(REGULAR, adapted=adapted), True, M
 
-    verdict = classify_linear2(M, desc)
+    verdict = classify_linear2(M)
     if verdict == NON_SIMPLE:
         return ClassCode(NON_SIMPLE), True, M
 

@@ -141,8 +141,21 @@ def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     if rotated.B.constant_coefficient():
         u = MPoly.variable(rotated.vars, rotated.vars[0], form.desc)
         rotated = OneForm2(rotated.A * u, rotated.B * u, rotated.vars)
-    return _graph_branch(invariant_graph_jet(rotated, N), d_target, d_other,
-                         form.vars, form.desc, N)
+    # in the rotated frame d_target is an eigendirection of the linear
+    # part (at a regular point, of u' * omega's), so a10 = 0 and slope 0
+    # solves order 1
+    return _graph_branch(invariant_graph_jet(rotated, N, form.desc.zero()),
+                         d_target, d_other, form.vars, form.desc, N)
+
+
+def _leaf_frame(form: OneForm2):
+    """The frame (d, d_other) of the leaf through a regular origin: d is
+    the kernel (b, -a) of omega(0) = a du + b dv, scaled, and d_other the
+    unit axis that is not parallel to it."""
+    a, b = form.A.constant_coefficient(), form.B.constant_coefficient()
+    d = _scale_dir((b, -a))
+    zero, one = form.desc.zero(), form.desc.one()
+    return d, ((zero, one) if d[0] else (one, zero))
 
 
 _EXC_INDEX = dict(PLANE_CHARTS)
@@ -211,13 +224,10 @@ def _regular_branches(form: OneForm2, divisor, N: int):
     tangent to the kernel of omega(0), unless a branch of `divisor`
     through the origin is tangent to it.  Its path is empty, so nothing
     is pushed down."""
-    a, b = form.A.constant_coefficient(), form.B.constant_coefficient()
-    d = _scale_dir((b, -a))
+    d, d_other = _leaf_frame(form)
     if any(_parallel(d, _branch_tangent(br.equation)) for br in divisor
            if br.equation.constant_coefficient().is_zero()):
         return []
-    zero, one = form.desc.zero(), form.desc.one()
-    d_other = (zero, one) if d[0] else (one, zero)
     param, implicit = _trace_graph(form, d, d_other, N)
     return [BranchJet(param, _normalize_implicit(implicit), True, "ordinary",
                       ())]
@@ -274,7 +284,7 @@ def weak_graph_coefficients(form: OneForm2, N: int = 10):
     weak, _ = _saddle_node_frame(form)
     if weak[0].is_zero():
         raise ValueError("the weak direction is vertical")
-    return invariant_graph_jet(form, N, slope=weak[1])
+    return invariant_graph_jet(form, N, weak[1])
 
 
 class IdentityReport:

@@ -486,14 +486,17 @@ def pullback_section(form: OneForm3, phi: SectionMap) -> OneForm2:
 
 
 class Verdict3:
-    """Outcome of the section-based second-type test."""
+    """Outcome of the section-based second-type test.  An Inconclusive
+    verdict lists in `notes` the reasons that left it undecided; they end
+    its evidence too."""
 
-    __slots__ = ("kind", "witnesses", "evidence")
+    __slots__ = ("kind", "witnesses", "evidence", "notes")
 
-    def __init__(self, kind, witnesses=(), evidence=()):
+    def __init__(self, kind, witnesses=(), evidence=(), notes=()):
         self.kind = kind  # SecondType | NotSecondType | Inconclusive
         self.witnesses = tuple(witnesses)
-        self.evidence = tuple(evidence)
+        self.notes = tuple(notes)
+        self.evidence = tuple(evidence) + self.notes
 
     def __bool__(self):
         return self.kind == "SecondType"
@@ -676,7 +679,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
                         evidence=evidence)
     if origin_ok and not notes and (clean or trials == 0):
         return Verdict3("SecondType", evidence=evidence)
-    return Verdict3("Inconclusive", evidence=tuple(evidence) + tuple(notes))
+    return Verdict3("Inconclusive", evidence=evidence, notes=notes)
 
 
 def _logarithmic_certificate(form: OneForm3, evidence, notes,

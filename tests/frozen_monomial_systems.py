@@ -117,7 +117,7 @@ def _ideal_codim(A: MPoly, B: MPoly, d: int) -> int:
             for e, c in shifted.items():
                 row[index[e]] = c
             rows.append(row)
-    return len(monos) - linalg.rank(rows, desc)
+    return len(monos) - linalg.rank(rows)
 
 
 def mu0(form: OneForm2) -> int:

@@ -1,6 +1,7 @@
 """No dead names in the package: every module-level import is used,
-every local name a function stores is read again (``_`` excepted), and
-every private top-level function or class is named outside itself."""
+every local name a function stores is read again (``_`` excepted), every
+parameter is read, and every private top-level function or class is
+named outside itself."""
 
 import ast
 from pathlib import Path
@@ -60,16 +61,15 @@ _HANDLER_SIGNATURE = ("parsed", "report", "opts", "dot_ref")
 
 
 def unread_parameters(source):
-    """(function, parameter, line) of every parameter that a private
-    top-level function, or a method of a private top-level class, never
-    reads.  The first parameter of a method and the command-handler
-    signature are exempt."""
+    """(function, parameter, line) of every parameter that a top-level
+    function, or a method of a top-level class, never reads.  The first
+    parameter of a method and the command-handler signature are exempt."""
     tree = ast.parse(source)
     fns = []
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             fns.append((node.name, node, 0))
-        elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+        elif isinstance(node, ast.ClassDef):
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
                     static = any(isinstance(d, ast.Name)
@@ -231,7 +231,8 @@ def test_unread_parameter_guard_sees_planted_names():
               "        return 0\n")
     assert unread_parameters(source) == [
         ("_f", "b", 1), ("_f", "rest", 1), ("_f", "kw", 1),
-        ("_C.m", "x", 12), ("_C.s", "first", 15)]
+        ("public", "b", 3), ("_C.m", "x", 12), ("_C.s", "first", 15),
+        ("Public.m", "x", 18)]
 
 
 def _callee(call):

@@ -436,7 +436,8 @@ def test_cli_reports_are_byte_deterministic(tmp_form_file, tmp_path):
 def test_cli_second_type3_inconclusive_verdict_is_null(tmp_form_file,
                                                        tmp_path):
     """An inconclusive section test exits 2, and its report says neither
-    "of second type" nor "not": the verdict is null."""
+    "of second type" nor "not": the verdict is null.  The reason it is
+    undecided closes the evidence and is the report's diagnostic."""
     out = tmp_path / "report.json"
     code = cli.main(["second-type3",
                      tmp_form_file("omega3: y*z dx + x*z dy"
@@ -446,6 +447,9 @@ def test_cli_second_type3_inconclusive_verdict_is_null(tmp_form_file,
     rep = json.loads(out.read_text())
     assert rep["verdict3"]["kind"] == "Inconclusive"
     assert rep["second_type"]["verdict"] is None
+    note = "origin: residues 0 and 1 rationally dependent"
+    assert rep["diagnostics"] == [note]
+    assert rep["verdict3"]["evidence"][-1] == note
 
 
 def test_cli_indices_low_truncation_is_inconclusive(tmp_form_file, tmp_path):
@@ -507,6 +511,22 @@ def test_cli_indices_positive_dimensional_locus_is_inconclusive(
     assert cli.main(["indices", tmp_form_file(text), "--out", str(out)]) == 2
     assert json.loads(out.read_text())["diagnostics"] == [
         "the singular locus is positive-dimensional"]
+
+
+def test_cli_indices_pencil_of_lines_has_one_point(tmp_form_file, tmp_path):
+    """Z dX - X dZ is the pencil of lines through (0 : 1 : 0).  In chart
+    Z = 1 its coefficients are 1 and 0, which have no common zero, so the
+    one singular point is (0 : 1 : 0), radial, and the line X = 0 through
+    it gives CS 1 = X.X, GSV 1 = 2 deg X - X.X and BB 4 = (0 + 2)^2."""
+    out = tmp_path / "pencil.json"
+    text = "proj2: Z dX - X dZ\nseparatrix:{ X }\n"
+    assert cli.main(["indices", tmp_form_file(text), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["diagnostics"] == []
+    sums = rep["indices"]
+    assert [p["point"] for p in sums["points"]] == [["0", "1", "0"]]
+    assert (sums["cs_sum"], sums["gsv_sum"], sums["bb_sum"]) == ("1", "1", "4")
+    assert sums["cs_ok"] and sums["gsv_ok"] and sums["bb_ok"] and sums["ok"]
 
 
 def test_cli_refuses_divisor_branches_that_are_never_adapted(tmp_form_file):

@@ -46,3 +46,28 @@ def test_chain_set_runs_the_one_over_n_family(capsys, monkeypatch):
     item, total = capsys.readouterr().out.splitlines()
     assert item.split()[:2] == ["chain/2", "2"]
     assert total.split()[:2] == ["chain:2", "1"]
+
+
+# the quick sets and their digests, as tools/report_digest.py prints them
+GOLDEN = {
+    "corpus2 48":
+        "aecb5c0a0a219ce31122c540d1322d26657712651562af20950503c5a6abaa3b",
+    "plane:7:7 147":
+        "593cd6485881836b0200b582be1c6fac0e7adff3c9318aa4ff656c9a4c9d0111",
+    "space3-projective:5:2 156":
+        "b0c97bba62732b3d68a748f6c2fb1e4a9bd1fc0d402d71f849552e64d229d8e9",
+    "chain:2,3 2":
+        "7c2176e0ef8df5bec752f617c81ab7c7d87b1b181dd63de99825f75f3dde4542",
+}
+
+
+def test_reports_match_the_golden_digests(capsys, monkeypatch):
+    """Every report of the quick digest sets is byte-identical to the one
+    these digests were taken from, exit codes included.  A change that
+    alters any report fails here: it updates the set's digest in GOLDEN
+    in the same commit and lists each moved item
+    (tools/report_digest.py --list SET) in CHANGES.md."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _tool().main([spec.split()[0] for spec in GOLDEN])
+    lines = capsys.readouterr().out.splitlines()
+    assert dict(line.rsplit(" ", 1) for line in lines) == GOLDEN
