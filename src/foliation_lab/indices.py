@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .fields import (FieldDescriptor, FieldElement, Inconclusive, RatFunc,
                      common_denominator, sort_key, widening)
-from .forms import (LocalDivisor, OneForm2, PrecisionError, integrable,
+from .forms import (OneForm2, PrecisionError, integrable,
                     invariant_hypersurface, normalize2, pullback)
 from .poly import (
     MPoly,
@@ -39,7 +39,7 @@ from .poly import (
     u_resultant,
     u_roots_in_tower,
 )
-from .reduce2d import SADDLE_NODE, _branch_tangent, classify_point2
+from .reduce2d import SADDLE_NODE, _branch_tangent, classify_linear_part
 from .separatrix import _leaf_frame, _trace_graph
 
 _UV = ("u", "v")
@@ -116,6 +116,8 @@ class ProjFoliation:
         self.desc = desc
 
     def coerce_to(self, desc: FieldDescriptor) -> "ProjFoliation":
+        if desc == self.desc:
+            return self
         return ProjFoliation(tuple(p.coerce_to(desc) for p in self.coeffs),
                              self.vars)
 
@@ -186,26 +188,48 @@ class PlaneSingularity:
     """One singular point of a plane projective foliation.
 
     `point` is a normalized homogeneous coordinate triple, `chart` the
-    variable set to one, and `form` the translated affine local 1-form in
-    (u, v); `code` and `linear` come from the plane classification.
-    `form` is built normalized when the point is found, with no
-    normalize2 call: its coefficients are coprime (proved in
-    _plane_sings, not certified), so they share no monomial either, and
-    it carries the `coprime` flag.
+    variable set to one, and `base` the point in the chart's (u, v).  Read
+    off the chart coefficients (a, b) of the form when the point is found:
+    `linear`, the dual linear part [[b_u, b_v], [-a_u, -a_v]] at `base`,
+    and `code`, its class by reduce2d.classify_linear_part.  Built on
+    demand and then kept, for saddle-nodes only: `form`, the local 1-form
+    (a, b) translated to the origin, and `branches(N)`, its strong and
+    weak separatrices traced to order N.  `form` carries the `coprime`
+    flag with no normalize2 call: a and b are coprime (proved in
+    _plane_sings, not certified) and translation keeps that, so they
+    share no monomial either.
     """
 
-    __slots__ = ("point", "chart", "base", "form", "code", "well_oriented",
-                 "linear", "desc")
+    __slots__ = ("point", "chart", "base", "code", "linear", "desc",
+                 "_chart", "_form", "_branches")
 
-    def __init__(self, point, chart, base, form, code, well_oriented, linear):
+    def __init__(self, point, chart, base, a, b):
         self.point = tuple(point)
         self.chart = chart
         self.base = tuple(base)
-        self.form = form
-        self.code = code
-        self.well_oriented = well_oriented
-        self.linear = linear
-        self.desc = form.desc
+        self.desc = a.desc
+        at = dict(zip(_UV, self.base))
+        self.linear = [[b.partial(w).evaluate(at) for w in _UV],
+                       [-a.partial(w).evaluate(at) for w in _UV]]
+        self.code = classify_linear_part(self.linear)
+        self._chart = (a, b)
+        self._form = None
+        self._branches = {}
+
+    @property
+    def form(self) -> OneForm2:
+        if self._form is None:
+            shift = dict(zip(_UV, self.base))
+            self._form = OneForm2(*(p.translate(shift) for p in self._chart),
+                                  _UV, True)
+        return self._form
+
+    def branches(self, N: int):
+        """The strong, then the weak separatrix of a saddle-node, traced
+        once per N and shared by every index read at the point."""
+        if N not in self._branches:
+            self._branches[N] = _germ_branches(self.form, self.code, N)
+        return self._branches[N]
 
     def __repr__(self):
         return "PlaneSingularity(%s-chart, %s)" % (self.chart, self.code.kind)
@@ -335,15 +359,6 @@ def plane_singularities(fol: ProjFoliation):
     return widening(lambda desc: _plane_sings(fol.coerce_to(desc)), fol.desc)
 
 
-def _classified(point, chart, base, a, b):
-    # a and b are coprime (see _plane_sings) and translation keeps it, so
-    # the form is normalized as built: normalize2 would return it unchanged
-    form = OneForm2(a.translate({"u": base[0], "v": base[1]}),
-                    b.translate({"u": base[0], "v": base[1]}), _UV, True)
-    code, well, M = classify_point2(form, LocalDivisor.empty())
-    return PlaneSingularity(point, chart, base, form, code, well, M)
-
-
 def _plane_sings(fol: ProjFoliation):
     """Singular points chart by chart: Z = 1, then Y = 1 on Z = 0, then
     (1 : 0 : 0).
@@ -367,7 +382,7 @@ def _plane_sings(fol: ProjFoliation):
     a, b = _dehomog(A, 2), _dehomog(B, 2)
     pts = _affine_common_roots(a, b, desc)
     for x0, y0 in sorted(pts, key=lambda p: (sort_key(p[0]), sort_key(p[1]))):
-        sings.append(_classified((x0, y0, one), "Z", (x0, y0), a, b))
+        sings.append(PlaneSingularity((x0, y0, one), "Z", (x0, y0), a, b))
     # chart Y = 1 restricted to Z = 0, coordinates (X, Z)
     a, c = _dehomog(A, 1), _dehomog(C, 1)
     ra = to_univariate(a.restrict({"v": zero}), "u")
@@ -377,12 +392,14 @@ def _plane_sings(fol: ProjFoliation):
     common = (ra or rc) if not (ra and rc) else u_gcd(ra, rc, desc)
     if len(common) > 1:
         for x0 in u_roots_in_tower(common, desc):
-            sings.append(_classified((x0, one, zero), "Y", (x0, zero), a, c))
+            sings.append(PlaneSingularity((x0, one, zero), "Y", (x0, zero),
+                                          a, c))
     # chart X = 1 at the single point Y = Z = 0
     b, c = _dehomog(B, 0), _dehomog(C, 0)
     if (b.constant_coefficient().is_zero()
             and c.constant_coefficient().is_zero()):
-        sings.append(_classified((one, zero, zero), "X", (zero, zero), b, c))
+        sings.append(PlaneSingularity((one, zero, zero), "X", (zero, zero),
+                                      b, c))
     return sings
 
 
@@ -526,7 +543,7 @@ def bb_index(sing: PlaneSingularity, N: int = 12) -> IndexValue:
     if sing.code.kind != SADDLE_NODE:
         raise DegeneratePointError("Baum-Bott needs a non-degenerate point "
                                    "or a saddle-node")
-    branches = _germ_branches(sing.form, sing.code, N)
+    branches = sing.branches(N)
     cs = _cs_over_branches(sing.form, branches, N)
     gsv = gsv_index(sing.form, branches, N=N).value
     return IndexValue(cs + gsv + gsv, "BB")
@@ -603,10 +620,9 @@ def _curve_indices(sing: PlaneSingularity, c: MPoly, N: int):
     tr = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if det.is_zero():
-        # _germ_branches traces the strong direction, then the weak one
+        # the strong separatrix, then the weak one
         dirs = (sing.code.strong, sing.code.weak)
-        branches = [br for d, br in zip(dirs, _germ_branches(sing.form,
-                                                             sing.code, N))
+        branches = [br for d, br in zip(dirs, sing.branches(N))
                     if cone.evaluate(dict(zip(c.vars, d))).is_zero()]
         return (_cs_over_branches(sing.form, branches, N),
                 gsv_index(sing.form, branches, g=c, N=N).value)
@@ -666,14 +682,20 @@ def sum_theorem_check(fol: ProjFoliation, C: MPoly, N: int = 12) -> SumReport:
     d0 = _homogeneous_degree(C)
     if d0 is None:
         raise ValueError("the invariant curve must be nonzero")
+    C = C.coerce_to(fol.desc)
+    if not invariant_hypersurface(fol.coeffs, fol.vars, C):
+        raise ValueError("the declared curve is not invariant")
+    return _sums(fol, C, d0, N)
+
+
+def _sums(fol, C, d0, N):
+    """The three sums for a curve C of degree d0 known to be invariant."""
     return widening(lambda desc: _sum_check(fol.coerce_to(desc),
                                             C.coerce_to(desc), d0, N),
                     fol.desc)
 
 
 def _sum_check(fol, C, d0, N):
-    if not invariant_hypersurface(fol.coeffs, fol.vars, C):
-        raise ValueError("the declared curve is not invariant")
     sings = plane_singularities(fol)
     desc = sings[0].desc if sings else fol.desc
     cs_sum = desc.zero()
@@ -747,5 +769,6 @@ def logarithmic_criterion(fol: ProjFoliation, S: MPoly, section,
     if C.is_zero():
         raise ValueError("the section plane lies inside the surface")
     sec = ProjFoliation(sec_coeffs, plane_vars)
-    sums = sum_theorem_check(sec, C, N)
-    return LogCriterionReport(sec.degree, _homogeneous_degree(C), sums)
+    # S | omega ^ dS pulls back to C | omega_H ^ dC: C is invariant
+    d0 = _homogeneous_degree(C)
+    return LogCriterionReport(sec.degree, d0, _sums(sec, C, d0, N))

@@ -61,28 +61,25 @@ class MPoly:
 
     @classmethod
     def zero(cls, vars, desc, prec=None):
-        return cls(vars, {}, desc, prec)
+        return _trusted(tuple(vars), desc, {}, prec)
 
     @classmethod
     def constant(cls, vars, c, desc, prec=None):
-        return cls(vars, {(0,) * len(vars): c}, desc, prec)
+        vars = tuple(vars)
+        return _trusted(vars, desc, {(0,) * len(vars): _as_element(c, desc)},
+                        prec)
 
     @classmethod
     def variable(cls, vars, name, desc, prec=None):
+        vars = tuple(vars)
         exp = [0] * len(vars)
-        exp[tuple(vars).index(name)] = 1
-        return cls(vars, {tuple(exp): 1}, desc, prec)
+        exp[vars.index(name)] = 1
+        return _trusted(vars, desc, {tuple(exp): desc.one()}, prec)
 
     def _make(self, coeffs, prec):
-        """Trusted constructor over self's variables and tower: `coeffs`
-        maps well-formed exponents to elements of self.desc, as operations
-        on this polynomial's own terms build it; only zero coefficients and
-        terms of degree >= prec are dropped."""
-        p = object.__new__(MPoly)
-        p.vars, p.desc, p.prec = self.vars, self.desc, prec
-        p.coeffs = {e: c for e, c in coeffs.items()
-                    if c and (prec is None or sum(e) < prec)}
-        return p
+        """Trusted constructor over self's variables and tower (see
+        _trusted)."""
+        return _trusted(self.vars, self.desc, coeffs, prec)
 
     # -- basic queries -----------------------------------------------------
 
@@ -279,19 +276,50 @@ class MPoly:
         return tgt._make(out, prec)
 
     def translate(self, shifts: dict) -> "MPoly":
-        """Substitute name -> name + c for each (name, c) in shifts."""
-        mapping = {}
-        for name in self.vars:
-            img = MPoly.variable(self.vars, name, self.desc, self.prec)
-            if name in shifts:
-                img = img + MPoly.constant(self.vars, shifts[name], self.desc,
-                                           self.prec)
-            mapping[name] = img
-        return self.substitute(mapping)
+        """Substitute name -> name + c for each (name, c) in shifts.
+
+        A Taylor shift, one shifted variable x at a time: a term of degree
+        k in x spreads over (x + c)^k = sum_j C(k, j) c^(k-j) x^j, whose
+        coefficients are kept in one table per shift.  No term rises in
+        degree, so a series keeps its precision."""
+        coeffs = self.coeffs
+        for i, name in enumerate(self.vars):
+            if name not in shifts or not coeffs:
+                continue
+            c = _as_element(shifts[name], self.desc)
+            if c.is_zero():
+                continue
+            rows = [[self.desc.one()]]  # rows[k][j] = C(k, j) c^(k-j)
+            out = {}
+            for e, a in coeffs.items():
+                k = e[i]
+                while len(rows) <= k:
+                    last = rows[-1]
+                    rows.append([last[0] * c]
+                                + [last[j] * c + last[j - 1]
+                                   for j in range(1, len(last))]
+                                + [last[-1]])
+                head, tail = e[:i], e[i + 1:]
+                for j, b in enumerate(rows[k]):
+                    ne = head + (j,) + tail
+                    t = a * b
+                    out[ne] = out[ne] + t if ne in out else t
+            coeffs = out
+        return self._make(coeffs, self.prec)
 
     def evaluate(self, point: dict) -> FieldElement:
-        """The value at `point`, which fixes every variable."""
-        return self.restrict(point).constant_coefficient()
+        """The value at `point`, which fixes every variable; each variable
+        has one table of the powers of its value."""
+        tables = [[None, _as_element(point[v], self.desc)] for v in self.vars]
+        total = self.desc.zero()
+        for e, c in self.coeffs.items():
+            for table, k in zip(tables, e):
+                if k:
+                    while len(table) <= k:
+                        table.append(table[-1] * table[1])
+                    c = c * table[k]
+            total = total + c
+        return total
 
     def restrict(self, fixed: dict) -> "MPoly":
         """Set some variables to field constants, keeping the others.
@@ -313,21 +341,25 @@ class MPoly:
                         table.append(table[-1] * table[1])
                     val = val * table[k]
             ne = tuple([e[i] for i in kept])
-            if not val.is_zero():
-                out[ne] = out[ne] + val if ne in out else val
-        return MPoly([self.vars[i] for i in kept], out, self.desc, self.prec)
+            out[ne] = out[ne] + val if ne in out else val
+        return _trusted(tuple(self.vars[i] for i in kept), self.desc, out,
+                        self.prec)
 
     def rename(self, new_vars) -> "MPoly":
         if len(new_vars) != len(self.vars):
             raise ValueError("variable count mismatch")
-        return MPoly(tuple(new_vars), self.coeffs, self.desc, self.prec)
+        # the terms are kept as they are, so the dict is shared, not copied
+        p = _trusted(tuple(new_vars), self.desc, {}, self.prec)
+        p.coeffs = self.coeffs
+        return p
 
     def coerce_to(self, desc: FieldDescriptor) -> "MPoly":
         """Embed the coefficients into a wider field tower."""
         if desc == self.desc:
             return self
-        out = {e: coerce(c, desc) for e, c in self.coeffs.items()}
-        return MPoly(self.vars, out, desc, self.prec)
+        return _trusted(self.vars, desc,
+                        {e: coerce(c, desc) for e, c in self.coeffs.items()},
+                        self.prec)
 
     # -- divisibility ------------------------------------------------------
 
@@ -372,6 +404,18 @@ class MPoly:
 
     def __repr__(self):
         return f"<{self.render()}>"
+
+
+def _trusted(vars, desc, coeffs, prec) -> MPoly:
+    """The constructor with no checks: `coeffs` maps exponent tuples of
+    the length of `vars` to elements of desc, as operations on
+    polynomials over desc build them; only zero coefficients and terms of
+    degree >= prec are dropped."""
+    p = object.__new__(MPoly)
+    p.vars, p.desc, p.prec = vars, desc, prec
+    p.coeffs = {e: c for e, c in coeffs.items()
+                if c and (prec is None or sum(e) < prec)}
+    return p
 
 
 def _plain(s: str) -> bool:

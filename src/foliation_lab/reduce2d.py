@@ -150,16 +150,22 @@ def _eigdir(M, lam, desc):
     return (desc.one(), desc.zero())
 
 
-def classify_linear2(M) -> str:
-    """Preliminary code from the linear part of the dual vector field."""
+def classify_linear_part(M) -> ClassCode:
+    """The class of a singular point from the linear part M of its dual
+    field alone: NonSimple, simple non-degenerate, or a saddle-node with
+    its strong and weak eigendirections, scaled.  Simple classes come
+    E-simple, as with no divisor; classify_point2 then weighs the
+    divisor."""
     tr = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     verdict = eigenvalue_ratio(tr, det)
     if verdict in ("nilpotent", "positive"):
-        return NON_SIMPLE
-    if verdict == "zero-eigenvalue":
-        return "SaddleNodeCandidate"
-    return SIMPLE
+        return ClassCode(NON_SIMPLE)
+    if verdict != "zero-eigenvalue":
+        return ClassCode(SIMPLE, adapted=E_SIMPLE)
+    desc = tr.desc
+    return ClassCode(SADDLE_NODE, _scale_dir(_eigdir(M, tr, desc)),
+                     _scale_dir(_eigdir(M, desc.zero(), desc)), E_SIMPLE)
 
 
 def _rotate_form(form: OneForm2, d1, d2) -> OneForm2:
@@ -186,7 +192,6 @@ def classify_point2(form: OneForm2, E: LocalDivisor):
     """
     # public, and _axis_trace_form hands it forms without the flag
     form = normalize2(form)
-    desc = form.desc
     local = [b for b in E if b.equation.constant_coefficient().is_zero()]
     a0 = form.A.constant_coefficient()
     b0 = form.B.constant_coefficient()
@@ -204,32 +209,24 @@ def classify_point2(form: OneForm2, E: LocalDivisor):
                 adapted = UNADAPTED
         return ClassCode(REGULAR, adapted=adapted), True, M
 
-    verdict = classify_linear2(M)
-    if verdict == NON_SIMPLE:
-        return ClassCode(NON_SIMPLE), True, M
-
-    adapted = E_SIMPLE
+    code = classify_linear_part(M)
+    if code.kind == NON_SIMPLE:
+        return code, True, M
     if len(local) > 2:
-        adapted = UNADAPTED
+        code.adapted = UNADAPTED
     for b in local:
         if b.dicritical or not invariant_hypersurface(
                 form.coeffs(), form.vars, b.equation):
-            adapted = UNADAPTED
-
-    if verdict == SIMPLE:
-        code = ClassCode(SIMPLE, adapted=adapted)
+            code.adapted = UNADAPTED
+    if code.kind == SIMPLE:
         return code, True, M
-
-    tr = M[0][0] + M[1][1]
-    strong = _scale_dir(_eigdir(M, tr, desc))
-    weak = _scale_dir(_eigdir(M, desc.zero(), desc))
     well = True
     for b in local:
         if b.dicritical:
             continue
-        if _parallel(_branch_tangent(b.equation), weak):
+        if _parallel(_branch_tangent(b.equation), code.weak):
             well = False  # the weak separatrix lies in the divisor
-    return ClassCode(SADDLE_NODE, strong, weak, adapted), well, M
+    return code, well, M
 
 
 def _restrict_to_line(p: MPoly, var: str, desc):

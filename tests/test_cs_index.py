@@ -130,7 +130,13 @@ def test_cs_index_matches_reference_on_the_plane_foliations(monkeypatch):
     # three vertices with two lines each, then the saddle-node's curve
     # branches and its strong and weak separatrices
     assert len(seen) >= 10
-    assert len({id(br) for _, br, _ in seen}) == len(seen)
+    # a saddle-node's separatrices are traced once per point and N: the
+    # curve indices read the branches that its Baum-Bott index traced, so
+    # a branch object recurs, always with the form and N it was traced for
+    traced = {id(br): (id(form), N) for form, br, N in seen}
+    assert len(traced) == len({(id(br), id(form), N)
+                               for form, br, N in seen})
+    assert 8 <= len(traced) < len(seen)
     solved = 0
     for form, branch, _ in seen:
         for N in (2, 3, 5, 12):

@@ -1,5 +1,5 @@
 """The one order-by-order graph-series solver against frozen copies of the
-two loops it replaced and of the substituting solver that followed them,
+graph loop it replaced and of the substituting solver that followed it,
 with guards on its residual reads, substitutions and work.
 
 The solver takes the slope of the graph from its caller.  The
@@ -24,12 +24,11 @@ from foliation_lab.poly import MPoly
 from foliation_lab.reduce2d import REGULAR, _rotate_form
 
 from conftest import Q, UV, corpus2, f2, mk
-from frozen_branches import (_branch_coeffs, _frozen_invariant_graph_jet,
-                             _swapped)
+from frozen_branches import _frozen_invariant_graph_jet
 from test_lemma_suites import N_INSTANCES, _random_plane_germ
 
 
-# --- frozen references: the two solvers as they were before the merge ------
+# --- frozen reference: the graph loop as it was before the merge -------------
 
 
 def _reference_invariant_graph_jet(form, N):
@@ -84,32 +83,6 @@ def _reference_invariant_graph_jet(form, N):
     return coeffs
 
 
-def _reference_multi_graph(c, slope, m, N):
-    desc = c.desc
-    u, v = c.vars
-    uu = MPoly.variable(c.vars, u, desc, prec=N + m)
-    s = uu.scale(slope)
-    cv = c.partial(v)
-    eta = cv.substitute({u: uu, v: s}).coefficient(
-        tuple(m - 1 if w == u else 0 for w in c.vars))
-    if eta.is_zero():
-        raise ValueError("the tangent direction is not a simple branch")
-    inv = eta.inverse()
-    i_u = c.vars.index(u)
-    for k in range(2, N + 1):
-        e = c.substitute({u: uu, v: s})
-        mono = tuple(m - 1 + k if w == u else 0 for w in c.vars)
-        t = e.coefficient(mono)
-        low = [ee for ee, cc in e.coeffs.items()
-               if ee[1 - i_u] == 0 and ee[i_u] < m - 1 + k
-               and not cc.is_zero()]
-        if low:
-            raise ValueError("the tangent direction is not a simple branch")
-        if not t.is_zero():
-            s = s - (uu ** k).scale(t * inv)
-    return s
-
-
 def _outcome(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -131,20 +104,6 @@ def _same_graph(form, N):
     new = _outcome(invariant_graph_jet, form, N, slope)
     old = _outcome(_reference_invariant_graph_jet, form, N)
     assert new == old, (form.render(), new, old)
-    return new[0] == "ok"
-
-
-def _branch_graph(c, slope, m, N):
-    """The graph series of _branch_coeffs, as the reference returns it."""
-    return MPoly(c.vars, {(k + 1, 0): ck for k, ck in
-                          enumerate(_branch_coeffs(c, slope, m, N))},
-                 c.desc, N + m)
-
-
-def _same_multi(c, slope, m, N):
-    new = _outcome(_branch_graph, c, slope, m, N)
-    old = _outcome(_reference_multi_graph, c, slope, m, N)
-    assert new == old, (c.render(), new, old)
     return new[0] == "ok"
 
 
@@ -174,18 +133,12 @@ def test_invariant_graph_jet_matches_reference_on_corpus2_leaves():
 def test_solvers_match_reference_on_the_plane_lemma_germs():
     rng = random.Random(20260823)
     germs = [_random_plane_germ(rng) for _ in range(N_INSTANCES)]
-    solved = multi = 0
+    solved = 0
     for form in germs:
         form = normalize2(form)
         for d1, d2 in _frames(form.desc)[:2]:
             solved += _same_graph(normalize2(_rotate_form(form, d1, d2)), 6)
-        # A = l1 v + ... is smooth and tangent to v = 0; A*B adds the
-        # branch of B, tangent to u = 0, which the swapped variables solve
-        zero = form.desc.zero()
-        multi += _same_multi(form.A, zero, 1, 6)
-        multi += _same_multi(form.A * form.B, zero, 2, 6)
-        multi += _same_multi(_swapped(form.A * form.B), zero, 2, 6)
-    assert solved > 300 and multi > 400
+    assert solved > 300
 
 
 _coef = st.integers(-3, 3)
@@ -200,23 +153,6 @@ def test_invariant_graph_jet_matches_reference_on_singular_germs(
         a10, a01, b10, b01, ha, hb, N):
     _same_graph(f2(dict(ha) | {(1, 0): a10, (0, 1): a01},
                    dict(hb) | {(1, 0): b10, (0, 1): b01}), N)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True),
-       _higher, st.integers(1, 6))
-def test_multi_graph_matches_reference_on_line_products(slopes, higher, N):
-    """c = product of lines v = lambda u plus higher terms, solved along
-    each tangent and along a direction that is not one."""
-    u = MPoly.variable(UV, "u", Q)
-    v = MPoly.variable(UV, "v", Q)
-    c = MPoly.constant(UV, 1, Q)
-    for lam in slopes:
-        c = c * (v - u.scale(Q.rational(lam)))
-    m = len(slopes)
-    c = c + mk(UV, {e: k for e, k in higher.items() if sum(e) > m})
-    for lam in slopes + [4]:
-        _same_multi(c, Q.rational(lam), m, N)
 
 
 # --- one residual read per order --------------------------------------------

@@ -109,9 +109,11 @@ def test_sum_check_certifies_each_point_once(monkeypatch):
 
 def _check_local_forms_coprime(monkeypatch):
     """Run the gcd certificate on every local form that the index code
-    builds or normalizes with the `coprime` flag set (the forms of
-    plane_singularities reach classify_point2 as built); returns the
-    forms checked."""
+    builds (PlaneSingularity.form) or normalizes with the `coprime` flag
+    set; returns the forms checked.  A point builds its form only when a
+    saddle-node index asks for it, so every point that
+    plane_singularities returns has its form read here, and none goes
+    uncertified."""
     checked = []
 
     def certify(form):
@@ -122,11 +124,20 @@ def _check_local_forms_coprime(monkeypatch):
             checked.append(form)
         return form
 
-    for name in ("normalize2", "classify_point2"):
-        original = getattr(indices, name)
-        monkeypatch.setattr(indices, name,
-                            lambda form, *rest, original=original:
-                            original(certify(form), *rest))
+    normalize, build = indices.normalize2, indices.OneForm2
+    monkeypatch.setattr(indices, "normalize2",
+                        lambda form: normalize(certify(form)))
+    monkeypatch.setattr(indices, "OneForm2",
+                        lambda *args: certify(build(*args)))
+    find = indices.plane_singularities
+
+    def reading(fol):
+        sings = find(fol)
+        for s in sings:
+            s.form
+        return sings
+
+    monkeypatch.setattr(indices, "plane_singularities", reading)
     return checked
 
 
