@@ -4,13 +4,16 @@ Point blow-ups in dimension two use the two standard monomial charts
 (u, v) -> (u, u v) and (u, v) -> (u v, v); dimension three adds the three
 point charts and blow-ups along coordinate axes.  One routine, _charts,
 builds every chart in two and three variables: it pulls the form back by
-the chart map (forms.pullback), takes the exceptional multiplicity m as
-the exceptional content of the pull-back (the least power of the
-exceptional variable e over its coefficients), divides e^m out, and tags
-the chart dicritical when {e = 0} is not invariant by the strict
-transform.  Each chart carries its map, the strict transform of the
-form, the transformed divisor with the new exceptional branch appended,
-m and the tag.
+the chart map, takes the exceptional multiplicity m as the exceptional
+content of the pull-back (the least power of the exceptional variable e
+over its coefficients), divides e^m out, and tags the chart dicritical
+when {e = 0} is not invariant by the strict transform.  The chart map is
+monomial, so the pull-back is not composed through forms.pullback: each
+term moves to its image exponent (_chart_transform), with the same
+coefficients and precisions, and the tag is read off the exponents of
+e.  Each chart carries its map, the strict transform of the form, the
+transformed divisor with the new exceptional branch appended, m and the
+tag.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .forms import (
     LocalDivisor,
     OneForm2,
     OneForm3,
-    pullback,
 )
 from .poly import MPoly
 
@@ -44,12 +46,13 @@ class BlowupChart:
       other variables e, the remaining one scaled and `axis` kept.
 
     `mapping` is the exact chart map (variable -> image), by which
-    forms.pullback transforms the form and `strict` the branch
-    equations, and `exc_var` is e.  Every chart comes from _charts:
-    `mult` is the exceptional content m of the pull-back, the least
-    power of e over its coefficients, and `form` is the pull-back with
-    e^m divided out; `dicritical` means {e = 0} is not invariant by
-    `form`, i.e. some coefficient other than that of de is nonzero there.
+    `strict` transforms the branch equations (the form is moved term by
+    term, see _chart_transform), and `exc_var` is e.  Every chart comes
+    from _charts: `mult` is the exceptional content m of the pull-back,
+    the least power of e over its coefficients, and `form` is the
+    pull-back with e^m divided out; `dicritical` means {e = 0} is not
+    invariant by `form`, i.e. some coefficient other than that of de is
+    nonzero there.
     `divisor` holds the strict transforms of the input branches that meet
     the exceptional divisor in this chart, at its origin or elsewhere,
     followed by the exceptional branch; `survivors` are the indices of
@@ -105,12 +108,44 @@ def _transform_divisor(chart: BlowupChart, divisor):
 
 
 def _chart_transform(form, exc_var, scaled):
-    """Chart map and the pull-back of the form by it (forms.pullback),
-    before e^m is divided out."""
-    gens = {w: MPoly.variable(form.vars, w, form.desc) for w in form.vars}
+    """Chart map and the pull-back of the form by it, before e^m is
+    divided out.
+
+    The map is monomial, so the pull-back moves exponents: a term of a
+    coefficient c_w goes to its image in c_w(phi), whose exponent of e
+    gains the exponents of the scaled variables.  The de coefficient is
+    c_e(phi) plus w c_w(phi) for each scaled w, the dw coefficient of a
+    scaled w is e c_w(phi), and that of a kept variable is c_w(phi).  As
+    in forms.pullback, each coefficient has the lowest precision among
+    the c_w that enter it and drops the terms of degree at or past it.
+    """
+    variables, desc = form.vars, form.desc
+    gens = {w: MPoly.variable(variables, w, desc) for w in variables}
     e = gens[exc_var]
     mapping = {w: e * g if w in scaled else g for w, g in gens.items()}
-    return mapping, pullback(form.coeffs(), form.vars, mapping)
+    k = variables.index(exc_var)
+    moved = [i for i, w in enumerate(variables) if w in scaled]
+    coeffs = form.coeffs()
+    terms = [{} for _ in variables]
+    precs = [None] * len(variables)
+    for i, p in enumerate(coeffs):
+        # (j, r): c_i(phi) enters the coefficient of d variables[j] times
+        # the Jacobian entry, the variable of index r or, for r None, 1
+        targets = [(k, i), (i, k)] if i in moved else [(i, None)]
+        for j, _ in targets:
+            precs[j] = MPoly._join_prec(precs[j], p.prec)
+        for ex, c in p.coeffs.items():
+            image = list(ex)
+            image[k] += sum(ex[w] for w in moved)
+            for j, r in targets:
+                ne = list(image)
+                if r is not None:
+                    ne[r] += 1
+                ne = tuple(ne)
+                out = terms[j]
+                out[ne] = out[ne] + c if ne in out else c
+    return mapping, [p._make(t, prec)
+                     for p, t, prec in zip(coeffs, terms, precs)]
 
 
 def _divide(coeffs, exc_var, m):
@@ -135,9 +170,10 @@ def _charts(form, divisor: LocalDivisor, layout):
             strict = OneForm2(*coeffs, form.vars, form.coprime)
         else:
             strict = OneForm3(*coeffs, variables=form.vars)
-        on_exc = {exc_var: form.desc.zero()}
-        dicr = any(not p.restrict(on_exc).is_zero()
-                   for w, p in zip(form.vars, coeffs) if w != exc_var)
+        # a coefficient is nonzero on {e = 0} when a term is free of e
+        k = form.vars.index(exc_var)
+        dicr = any(not ex[k] for w, p in zip(form.vars, coeffs)
+                   if w != exc_var for ex in p.coeffs)
         charts.append(BlowupChart(label, strict, mapping, exc_var, m, dicr,
                                   divisor))
     return charts

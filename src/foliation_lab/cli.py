@@ -294,11 +294,23 @@ def _sums_dict(rep):
     }
 
 
-def _cmd_indices(parsed, report, opts, dot_ref):
+def _declared_product(parsed, command, what):
+    """The product of the separatrix:{...} block, the declared invariant
+    curve or surface: refused when the block is missing or its product
+    is a constant, which declares nothing."""
     if not parsed.separatrices:
-        raise UsageError("indices needs a separatrix:{...} block declaring "
-                         "the invariant curve factors")
-    C = _product(parsed.separatrices)
+        raise UsageError("%s needs a separatrix:{...} block declaring the "
+                         "invariant %s factors" % (command, what))
+    product = _product(parsed.separatrices)
+    if product.degree() == 0:
+        raise UsageError("the separatrix:{...} block of %s multiplies to "
+                         "the constant %s, not a %s" % (
+                             command, product.render(), what))
+    return product
+
+
+def _cmd_indices(parsed, report, opts, dot_ref):
+    C = _declared_product(parsed, "indices", "curve")
     rep = sum_theorem_check(parsed.form, C, opts.truncation)
     report["indices"] = _sums_dict(rep)
     report["indices"]["ok"] = rep.ok
@@ -306,10 +318,7 @@ def _cmd_indices(parsed, report, opts, dot_ref):
 
 
 def _cmd_log_criterion(parsed, report, opts, dot_ref):
-    if not parsed.separatrices:
-        raise UsageError("log-criterion needs a separatrix:{...} block "
-                         "declaring the invariant surface factors")
-    S = _product(parsed.separatrices)
+    S = _declared_product(parsed, "log-criterion", "surface")
     rep = logarithmic_criterion(parsed.form, S, parsed.section or (1, 1, 1),
                                 N=opts.truncation)
     report["indices"] = {

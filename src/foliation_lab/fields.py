@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -442,10 +443,16 @@ class FieldDescriptor:
         return _elem(self, _lift(q), _RF0, 1)
 
     def zero(self) -> "FieldElement":
-        return self.rational(0)
+        return self._units[0]
 
     def one(self) -> "FieldElement":
-        return self.rational(1)
+        return self._units[1]
+
+    @cached_property
+    def _units(self):
+        """0 and 1, built once per descriptor and shared, as elements
+        are never changed in place."""
+        return self.rational(0), self.rational(1)
 
     def sqrt_gen(self) -> "FieldElement":
         if self.quadratic_extension is None:
@@ -610,9 +617,10 @@ class FieldElement:
         return hash((self.desc, self.p, self.q, self.d))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.desc is not self.desc:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _elem(self.desc, self.p + other.p, self.q + other.q, d)
@@ -625,9 +633,10 @@ class FieldElement:
         return _elem(self.desc, -self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.desc is not self.desc:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return _elem(self.desc, self.p - other.p, self.q - other.q, d)
@@ -638,9 +647,10 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldElement or other.desc is not self.desc:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         m = self.desc.quadratic_extension
         if m is None:
             return _elem(self.desc, self.p * other.p, self.q,

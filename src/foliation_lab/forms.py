@@ -11,9 +11,10 @@ mu0, and the 1-form calculus shared by every number of variables:
   the lowest among the terms that enter it: c_i(phi) has that of c_i and
   of the images, a Jacobian entry that of its image minus one, and an
   exact-zero entry adds no term.  A coefficient with no term is zero to
-  the joint precision of the c_i and the images.  Blow-up charts,
-  rotations, plane sections, coordinate-plane restrictions and curve
-  jets are all pull-backs.
+  the joint precision of the c_i and the images.  Rotations, plane
+  sections, coordinate-plane restrictions and curve jets are all
+  pull-backs; blow-up charts follow the same rule but move exponents
+  directly (blowup._chart_transform).
 - invariant_hypersurface: {f = 0} is invariant when f divides every
   minor c_i df/dx_j - c_j df/dx_i of omega ^ df.
 - integrable: omega ^ d omega = 0, one triple i < j < k at a time.
@@ -358,14 +359,22 @@ def _ideal_codim(A: MPoly, B: MPoly, d: int) -> int:
 def mu0(form: OneForm2) -> int:
     """Milnor number: dimension of the local algebra of (A, B).
 
-    Works by bounded monomial linear algebra: the codimension of the
-    ideal in the truncated algebra stabilizes once the truncation degree
+    At a singular point mu = 1 exactly when the linear part of (A, B) is
+    invertible: then A and B span m/m^2, so (A, B) = m by Nakayama's
+    lemma, and conversely (A, B) = m needs them to span m/m^2.  That
+    case is read from the four linear coefficients.  Otherwise mu comes
+    from bounded monomial linear algebra: the codimension of the ideal
+    in the truncated algebra stabilizes once the truncation degree
     passes the Milnor number.  Non-stabilization within the Bezout bound
     signals a non-isolated singularity.
     """
     A, B = form.A, form.B
     if A.is_zero() or B.is_zero():
         raise ValueError("Milnor number needs both coefficients nonzero")
+    if (not A.constant_coefficient() and not B.constant_coefficient()
+            and A.coefficient((1, 0)) * B.coefficient((0, 1))
+            != A.coefficient((0, 1)) * B.coefficient((1, 0))):
+        return 1
     if A.prec is None and B.prec is None:
         cap = A.degree() * B.degree() + 2
     else:
@@ -491,6 +500,22 @@ def invariant_surface3(form: OneForm3, f: MPoly) -> InvarianceResult:
     return res
 
 
+def _image(rows, cols, n, zero):
+    """[u^n] p(u, s) for the polynomial p whose terms c u^i v^j are listed
+    in rows[j] as (i, c), i increasing, read from the power columns
+    cols[m][j] = [u^m] s^j."""
+    val = zero
+    for j in range(min(n, len(rows) - 1) + 1):
+        last = n - j
+        for i, c in rows[j]:
+            if i > last:
+                break
+            w = cols[n - i][j]
+            if w:
+                val = val + c * w
+    return val
+
+
 def invariant_graph_jet(form: OneForm2, N: int, slope):
     """Coefficients c_1..c_N of the invariant graph v = sum c_k u^k with
     c_1 = `slope` at a singular point, solving the residual
@@ -500,17 +525,20 @@ def invariant_graph_jet(form: OneForm2, N: int, slope):
     equation a10 + (a01 + b10) c_1 + b01 c_1^2 = 0.  Order k >= 2 of R is
     alpha + beta(k) c_k with alpha free of c_k and later coefficients and
     beta(k) = (a01 + b01 c_1) + k (b10 + b01 c_1); it sets c_k = 0 when
-    alpha = 0, else -alpha/beta(k).  A nonzero coefficient of R below
-    order 2 (checked once, when N >= 2; linearity keeps the later ones
-    zero) or beta(k) = 0 != alpha means there is no such graph and raises
-    ValueError.
+    alpha = 0, else -alpha/beta(k).  A nonzero coefficient of R at order
+    1 (checked once, when N >= 2; the singular point makes order 0 zero
+    and linearity keeps the later ones zero) or beta(k) = 0 != alpha
+    means there is no such graph and raises ValueError.
 
-    Nothing is substituted: R is read from the terms of A and B and a
-    table of the coefficients [u^n] s^j, and [u^n] s^j, [u^n] A(u, s),
-    [u^n] B(u, s) are kept once every c_i they read is known, so each is
-    computed once (entries that still read the unknown c_k are
-    recomputed).  A coefficient of R at or past the precision of A and B
-    reads as zero.
+    Nothing is substituted, and everything is kept in lists.  The terms
+    of A and B of degree <= N are grouped by their exponent of v, and
+    R is read from them and from the power table cols[n][j] = [u^n] s^j,
+    j up to the largest such exponent, filled one column per order: at
+    order k column k reads c_1..c_(k-1), and its entry [u^k] s = c_k is
+    zero until c_k is solved.  [u^n] B(u, s) is kept once it is final,
+    which at order k it is for n < k; [u^k] B(u, s) is read with c_k = 0,
+    then completed by b01 c_k.  Sums over the c_i run over the nonzero
+    ones only.
     """
     desc = form.desc
     if N < 1:
@@ -522,59 +550,53 @@ def invariant_graph_jet(form: OneForm2, N: int, slope):
     if not (A.constant_coefficient().is_zero()
             and B.constant_coefficient().is_zero()):
         raise ValueError("an invariant graph needs a singular point")
+    if N == 1:
+        return [slope]
     a01 = A.coefficient((0, 1))
     b10, b01 = B.coefficient((1, 0)), B.coefficient((0, 1))
     lin, step = a01 + b01 * slope, b10 + b01 * slope
-    polys = (A, B)
-    zero, one = desc.zero(), desc.one()
-    cs, powers, images = [slope], {}, {}
-    prec = min((p.prec for p in polys if p.prec is not None), default=None)
-
-    def power(j, n):  # [u^n] s^j
-        if j == 0 or n < j:
-            return one if n == j else zero
-        val = powers.get((j, n))
-        if val is None:
-            val = zero
-            for i in range(1, min(n - j + 1, len(cs)) + 1):
-                if cs[i - 1]:
-                    val = val + cs[i - 1] * power(j - 1, n - i)
-            if n - j < len(cs):
-                powers[j, n] = val
-        return val
-
-    def composed(p, n):  # [u^n] polys[p](u, s)
-        val = images.get((p, n))
-        if val is None:
-            val = zero
-            for (i, j), c in polys[p].coeffs.items():
-                if i + j <= n:
-                    w = power(j, n - i)
-                    if w:
-                        val = val + c * w
-            if n <= len(cs):
-                images[p, n] = val
-        return val
-
-    def coefficient(n):  # [u^n] R
-        if prec is not None and n >= prec:
-            return zero
-        val = composed(0, n)
-        for i in range(1, min(n + 1, len(cs)) + 1):
-            if cs[i - 1]:
-                val = val + composed(1, n + 1 - i) * (cs[i - 1] * i)
-        return val
-
+    zero = desc.zero()
+    rows = []
+    for p in (A, B):
+        by_v = []
+        for (i, j), c in sorted(p.coeffs.items()):
+            if i + j <= N:
+                by_v.extend([] for _ in range(j + 1 - len(by_v)))
+                by_v[j].append((i, c))
+        rows.append(by_v)
+    top = max(len(r) for r in rows) - 1
+    cs = [slope]
+    known = [(1, slope, slope)] if slope else []  # (i, c_i, i c_i), c_i != 0
+    cols = [[desc.one()], [zero, slope]]
+    images = [zero, _image(rows[1], cols, 1, zero)]  # [u^n] B(u, s)
     fail = "no invariant graph: obstruction at order %d"
-    if N >= 2 and (coefficient(0) or coefficient(1)):
+    if _image(rows[0], cols, 1, zero) + images[1] * slope:
         raise ValueError(fail % 2)
     for k in range(2, N + 1):
-        alpha = coefficient(k)
-        if not alpha:
-            cs.append(zero)
-            continue
-        beta = lin + desc.rational(k) * step
-        if not beta:
-            raise ValueError(fail % k)
-        cs.append(-(alpha * beta.inverse()))
+        col = [zero, zero]
+        for j in range(2, min(k, top) + 1):
+            val = zero
+            for i, c, _ in known:
+                if i > k - j + 1:
+                    break
+                w = cols[k - i][j - 1]
+                if w:
+                    val = val + c * w
+            col.append(val)
+        cols.append(col)
+        images.append(_image(rows[1], cols, k, zero))
+        alpha = _image(rows[0], cols, k, zero)
+        for i, _, ic in known:
+            alpha = alpha + images[k + 1 - i] * ic
+        c = zero
+        if alpha:
+            beta = lin + desc.rational(k) * step
+            if not beta:
+                raise ValueError(fail % k)
+            c = -(alpha * beta.inverse())
+            col[1] = c
+            if b01:
+                images[k] = images[k] + b01 * c
+            known.append((k, c, c * desc.rational(k)))
+        cs.append(c)
     return cs

@@ -40,7 +40,7 @@ from .poly import (
     u_roots_in_tower,
 )
 from .reduce2d import SADDLE_NODE, _branch_tangent, classify_linear_part
-from .separatrix import _leaf_frame, _trace_graph
+from .separatrix import _leaf_frame, _trace_frame, _trace_graph
 
 _UV = ("u", "v")
 
@@ -560,9 +560,8 @@ class _CurveBranch:
 def _germ_branches(form: OneForm2, code, N: int):
     """Both separatrix branches of a reduced germ, as jets; `form` is a
     PlaneSingularity form, normalized as built."""
-    d1, d2 = code.strong, code.weak
-    return [_CurveBranch(*_trace_graph(form, d, other, N))
-            for d, other in ((d1, d2), (d2, d1))]
+    return [_CurveBranch(*jets) for jets in
+            _trace_frame(form, code.strong, code.weak, N, (True, True))]
 
 
 def _intersection_order(br_i: _CurveBranch, br_j: _CurveBranch) -> int:

@@ -132,6 +132,9 @@ class MPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _match(self, other):
+        if (other.__class__ is MPoly and other.desc is self.desc
+                and other.vars == self.vars):
+            return other
         if isinstance(other, (int, Fraction, FieldElement)):
             other = MPoly.constant(self.vars, other, self.desc)
         if not isinstance(other, MPoly):

@@ -168,8 +168,23 @@ def classify_linear_part(M) -> ClassCode:
                      _scale_dir(_eigdir(M, desc.zero(), desc)), E_SIMPLE)
 
 
+def _swap_uv(form: OneForm2) -> OneForm2:
+    """The pull-back by (u, v) -> (v, u): A du + B dv becomes
+    B(v, u) du + A(v, u) dv, with the precisions and the flag kept."""
+    A, B = (p._make({e[::-1]: c for e, c in p.coeffs.items()}, p.prec)
+            for p in (form.B, form.A))
+    return OneForm2(A, B, form.vars, form.coprime)
+
+
 def _rotate_form(form: OneForm2, d1, d2) -> OneForm2:
-    """Pull back by the linear map sending (1,0), (0,1) to d1, d2."""
+    """Pull back by the linear map sending (1,0), (0,1) to d1, d2.  The
+    unit frames compose nothing: the identity keeps the form, and
+    ((0, 1), (1, 0)) swaps u and v."""
+    one, zero = form.desc.one(), form.desc.zero()
+    if (d1, d2) == ((one, zero), (zero, one)):
+        return form
+    if (d1, d2) == ((zero, one), (one, zero)):
+        return _swap_uv(form)
     u, v = form.vars
     gens = [MPoly.variable(form.vars, w, form.desc) for w in form.vars]
     mapping = {u: gens[0].scale(d1[0]) + gens[1].scale(d2[0]),

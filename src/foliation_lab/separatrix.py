@@ -11,11 +11,17 @@ Every branch is built by _graph_branch from graph coefficients in a frame
 (d_target, d_other): it is v' = s(u') in the coordinates (u', v') with
 (u, v) = u' d_target + v' d_other, its parametrization is
 t -> t d_target + s(t) d_other and its implicit jet is v' - s(u') written
-in (u, v).  Reduced points use their separatrix directions as the frame,
-a regular point the kernel of omega(0) and a coordinate axis.
+in (u, v), with s(u') expanded by the binomial theorem in the linear
+form u', not substituted.  Reduced points use their separatrix
+directions as the frame, a regular point the kernel of omega(0) and a
+coordinate axis.  A reduced point with two separatrix directions d1, d2
+is rotated once (_trace_frame): the form in the frame (d2, d1) is the
+u <-> v swap of the form in the frame (d1, d2).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .blowup import PLANE_CHARTS
 from .fields import Inconclusive, sqrt_or_widen, widening
@@ -27,7 +33,7 @@ from .forms import (
     normalize2,
     nu0,
 )
-from .poly import MPoly
+from .poly import MPoly, _trusted
 from .reduce2d import (
     SADDLE_NODE,
     ReductionTree,
@@ -36,6 +42,7 @@ from .reduce2d import (
     _parallel,
     _rotate_form,
     _scale_dir,
+    _swap_uv,
     classify_point2,
     seidenberg_reduce,
 )
@@ -113,22 +120,45 @@ def _graph_branch(cs, d_target, d_other, variables, desc, N: int):
     """(parametrization, implicit jet) in `variables` of the graph with
     coefficients `cs` in the frame (d_target, d_other), as set out in the
     module docstring: the identity frame gives v - s(u), the swapped one
-    u - s(v)."""
-    t = MPoly.variable(("t",), "t", desc, N + 1)
-    s = MPoly(("t",), {(k + 1,): c for k, c in enumerate(cs)}, desc, N + 1)
-    param = CurveJet(tuple(t.scale(a) + s.scale(b)
-                           for a, b in zip(d_target, d_other)))
+    u - s(v).  With u' = a u + b v and v' = c u + d v from the inverse
+    frame matrix, s(u') is expanded by the binomial theorem over tables
+    of the powers of a and b; a zero a or b leaves one term per order."""
+    param = []
+    for a, b in zip(d_target, d_other):
+        terms = {(k,): c * b for k, c in enumerate(cs, 1) if c} if b else {}
+        terms[(1,)] = terms[(1,)] + a if (1,) in terms else a
+        param.append(_trusted(("t",), desc, terms, N + 1))
     inv = (d_target[0] * d_other[1] - d_target[1] * d_other[0]).inverse()
-    u, v = (MPoly.variable(variables, w, desc, N + 1) for w in variables)
-    # u' and v' in terms of (u, v): the rows of the inverse frame matrix
-    lin1 = u.scale(d_other[1] * inv) + v.scale(-d_other[0] * inv)
-    lin2 = u.scale(-d_target[1] * inv) + v.scale(d_target[0] * inv)
-    return param, lin2 - s.substitute({"t": lin1})
+    terms = {(1, 0): -d_target[1] * inv, (0, 1): d_target[0] * inv}
+    a, b = d_other[1] * inv, -d_other[0] * inv
+    pa, pb = [desc.one()], [desc.one()]
+    for _ in cs:
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    for k, c in enumerate(cs, 1):
+        if not c:
+            continue
+        c = -c
+        for j in range(k + 1) if a and b else (0,) if a else (k,):
+            term = c * pa[k - j] * pb[j]
+            if 0 < j < k:
+                term = term * comb(k, j)
+            ex = (k - j, j)
+            terms[ex] = terms[ex] + term if ex in terms else term
+    return CurveJet(param), _trusted(tuple(variables), desc, terms, N + 1)
 
 
-def _trace_graph(form: OneForm2, d_target, d_other, N: int):
+def _rotated(form: OneForm2, d_target, d_other) -> OneForm2:
+    """The form in the frame (d_target, d_other), normalized."""
+    # callers' forms may lack the flag; a flagged one only loses content
+    return normalize2(_rotate_form(form, d_target, d_other))
+
+
+def _trace_graph(form: OneForm2, d_target, d_other, N: int, rotated=None):
     """Jet of the invariant curve tangent to d_target, as a parametrization
-    and an implicit jet in the form's own coordinates.
+    and an implicit jet in the form's own coordinates; `rotated`, when
+    given, is _rotated(form, d_target, d_other), or a form of the same
+    foliation in that frame.
 
     At a regular point the curve is the leaf through the origin, and
     d_target spans the kernel of omega(0).  Its graph is solved for
@@ -136,8 +166,8 @@ def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     of omega, so the graph is the same, and u' * omega has a singular
     point at the origin, where invariant_graph_jet applies.
     """
-    # callers' forms may lack the flag; a flagged one only loses content
-    rotated = normalize2(_rotate_form(form, d_target, d_other))
+    if rotated is None:
+        rotated = _rotated(form, d_target, d_other)
     if rotated.B.constant_coefficient():
         u = MPoly.variable(rotated.vars, rotated.vars[0], form.desc)
         rotated = OneForm2(rotated.A * u, rotated.B * u, rotated.vars)
@@ -146,6 +176,22 @@ def _trace_graph(form: OneForm2, d_target, d_other, N: int):
     # solves order 1
     return _graph_branch(invariant_graph_jet(rotated, N, form.desc.zero()),
                          d_target, d_other, form.vars, form.desc, N)
+
+
+def _trace_frame(form: OneForm2, d1, d2, N: int, wanted):
+    """_trace_graph along d1 in the frame (d1, d2) and along d2 in the
+    frame (d2, d1), for the flags of `wanted` that are set, else None.
+    The form is rotated once: the (d2, d1) form is the u <-> v swap of
+    the (d1, d2) one."""
+    out, rotated = [], None
+    for d, other, w in ((d1, d2, wanted[0]), (d2, d1, wanted[1])):
+        if not w:
+            out.append(None)
+            continue
+        rotated = (_rotated(form, d, other) if rotated is None
+                   else _swap_uv(rotated))
+        out.append(_trace_graph(form, d, other, N, rotated))
+    return out
 
 
 def _leaf_frame(form: OneForm2):
@@ -182,10 +228,13 @@ def _pushdown_implicit(f: MPoly, path):
         dst_p = MPoly.variable(f.vars, dst, desc, prec)
         src_p = MPoly.variable(f.vars, src, desc, prec)
         shifted = src_p - dst_p.scale(c)   # (src - c*dst)
+        powers = [MPoly.constant(f.vars, 1, desc, prec)]  # shifted ** j
         out = MPoly.zero(f.vars, desc, prec)
         for ex, coeff in f.coeffs.items():
             j = ex[1 - e]
-            term = (shifted ** j) * MPoly.constant(f.vars, coeff, desc, prec)
+            while len(powers) <= j:
+                powers.append(powers[-1] * shifted)
+            term = powers[j] * MPoly.constant(f.vars, coeff, desc, prec)
             mono = [0, 0]
             mono[e] = ex[e] + d - j
             term = term * MPoly(f.vars, {tuple(mono): desc.one()}, desc, prec)
@@ -243,11 +292,14 @@ def _collect_branches(tree: ReductionTree, N: int) -> SeparatrixSet:
     for rec in tree.leaves:
         branch_dirs = [_branch_tangent(b.equation) for b in rec.divisor]
         dirs = _leaf_directions(rec)
-        for d, role in dirs:
-            if any(_parallel(d, bd) for bd in branch_dirs):
+        (d1, _), (d2, _) = dirs
+        wanted = [not any(_parallel(d, bd) for bd in branch_dirs)
+                  for d, _ in dirs]
+        traced = _trace_frame(rec.form, d1, d2, N, wanted)
+        for (d, role), jets in zip(dirs, traced):
+            if jets is None:
                 continue
-            d_other = next(x for x, _ in dirs if not _parallel(x, d))
-            param_up, implicit_up = _trace_graph(rec.form, d, d_other, N)
+            param_up, implicit_up = jets
             param = _blowdown_param(param_up, rec.path)
             implicit = _normalize_implicit(
                 _pushdown_implicit(implicit_up, rec.path))

@@ -513,6 +513,26 @@ def test_cli_indices_positive_dimensional_locus_is_inconclusive(
         "the singular locus is positive-dimensional"]
 
 
+@pytest.mark.parametrize("command, text", [
+    ("indices", "proj2: (Y*Z) dX + (-2*X*Z) dY + (X*Y) dZ\n"
+                "separatrix:{ 1 }\n"),
+    ("log-criterion", "proj3: ((2)*1*(Y)*(Z)*(W)) dX + ((-2)*1*(X)*(Z)*(W)) dY"
+                      " + ((-1)*1*(X)*(Y)*(W)) dZ + ((1)*1*(X)*(Y)*(Z)) dW\n"
+                      "separatrix:{ 3 }\n"),
+], ids=["indices", "log-criterion"])
+def test_cli_constant_separatrix_block_is_a_usage_error(
+        tmp_form_file, tmp_path, capsys, command, text):
+    """A block whose product is a nonzero constant declares no curve or
+    surface: no report on one of degree 0, but exit 1 with one line that
+    names the block."""
+    out = tmp_path / "const.json"
+    assert cli.main([command, tmp_form_file(text), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "separatrix:{...} block" in err
+    assert "the constant" in err
+
+
 def test_cli_indices_pencil_of_lines_has_one_point(tmp_form_file, tmp_path):
     """Z dX - X dZ is the pencil of lines through (0 : 1 : 0).  In chart
     Z = 1 its coefficients are 1 and 0, which have no common zero, so the
