@@ -224,7 +224,7 @@ def _witness3(w):
 def _cmd_second_type3(parsed, report, opts, dot_ref):
     verdict = second_type3_via_sections(
         parsed.form, trials=opts.trials, seed=opts.seed,
-        jet_order=opts.jet_order, max_depth=opts.max_depth)
+        max_depth=opts.max_depth)
     report["second_type"] = {
         "verdict": (None if verdict.kind == "Inconclusive"
                     else verdict.kind == "SecondType"),
@@ -240,7 +240,7 @@ def _cmd_second_type3(parsed, report, opts, dot_ref):
 
 
 def _cmd_model_match3(parsed, report, opts, dot_ref):
-    match = match_simple_model3(parsed.form, parsed.divisor, opts.jet_order)
+    match = match_simple_model3(parsed.form, parsed.divisor)
     report["verdict3"] = {
         "model": match.code,
         "tau": match.tau,
@@ -256,7 +256,7 @@ def _cmd_theorem_main(parsed, report, opts, dot_ref):
         raise UsageError("theorem-main needs a separatrix:{...} block "
                          "declaring the invariant surfaces")
     rep = theorem_main_harness(parsed.form, parsed.separatrices,
-                               parsed.script or [], opts.jet_order)
+                               parsed.script or [])
     report["verdict3"] = {
         "ok": rep.ok,
         "records": [{
@@ -360,7 +360,6 @@ def _build_argparser():
                     "foliations given by 1-forms.")
     ap.add_argument("command", choices=sorted(_HANDLERS))
     ap.add_argument("inputs", nargs="+", help="input files (one form each)")
-    ap.add_argument("--jet-order", type=int, default=8)
     ap.add_argument("--max-depth", type=int, default=64)
     ap.add_argument("--trials", type=int, default=8)
     ap.add_argument("--seed", type=int, default=None)
@@ -383,9 +382,7 @@ def _target_path(base, path, suffix):
 
 
 def _validate(opts):
-    if opts.jet_order < 1 or opts.max_depth < 1 or opts.truncation < 1:
-        raise UsageError("options must be positive")
-    if opts.trials < 0:
+    if opts.max_depth < 1 or opts.truncation < 1 or opts.trials < 0:
         raise UsageError("options must be positive")
     if opts.command in ("analyze2", "separatrices") and opts.truncation < 2:
         raise UsageError("separatrix jets need --truncation N >= 2")

@@ -29,6 +29,7 @@ from .forms import (
     OneForm3,
     PrecisionError,
     integrable3,
+    invariant_hypersurface,
     invariant_surface3,
     normalize2,
     normalize3,
@@ -109,14 +110,21 @@ def dimensional_type(form: OneForm3):
 # ---------------------------------------------------------------------------
 # simple-model matching
 
+SERIES_ORDER = 8
+"""Precision of the series that matching cannot hold exactly: b/a and c/a,
+whose resonant series phi(x^p) models B1-B3 read, and the formal weak
+separatrix of b1.  A B-model germ whose phi starts at this degree or later
+reads as A (B3) or NotSimple (B1, B2).  Fixed, as no verdict may depend on
+a value that a user sets."""
+
 
 class Model3Match:
     """Result of matching a germ against the simple models.
 
     `code` is one of A, B1, B2, B3 (three-variable models), a, b1, b2
-    (cylinders over the plane models) or NotSimple.  `weak_planes` holds
-    local equations of the weak separatrix surfaces of the saddle-node
-    shaped models.  `axis` is the coordinate along which a germ of
+    (cylinders over the plane models), NotSimple, or Regular at a regular
+    point (tau 1).  `weak_planes` holds local equations of the weak
+    separatrix surfaces of the saddle-node shaped models.  `axis` is the coordinate along which a germ of
     dimensional type 2 is a cylinder, and None otherwise; reports do not
     render it.
     """
@@ -144,16 +152,15 @@ def _perm_poly(p: MPoly, perm):
     return MPoly(p.vars, coeffs, p.desc, p.prec)
 
 
-def _residue_series(p: MPoly, divisors, N: int):
-    """p divided by the product of coordinate variables in `divisors`."""
-    if p.is_zero():
-        return MPoly.zero(p.vars, p.desc, N)
+def _residue_series(p: MPoly, divisors):
+    """p divided by the product of the coordinate variables in `divisors`,
+    exactly (a series to its own precision), or None if they do not divide."""
     q = p
     for w in divisors:
-        if q.min_exponent_in(w) < 1:
+        if not q.is_zero() and q.min_exponent_in(w) < 1:
             return None
         q = q.divide_var_power(w, 1)
-    return q.truncate(N) if q.prec is None or q.prec > N else q
+    return q
 
 
 def _lead_term(q: MPoly):
@@ -241,13 +248,13 @@ def _integer_powers(a0: FieldElement, others):
     return tuple(p // g for p in powers)
 
 
-def _match_tau3(form: OneForm3, jet_order: int):
+def _match_tau3(form: OneForm3):
     x, y, z = form.vars
     for perm in itertools.permutations(range(3)):
         A, B, C = (_perm_poly(form.coeffs()[i], perm) for i in perm)
-        a = _residue_series(A, (y, z), jet_order)
-        b = _residue_series(B, (x, z), jet_order)
-        c = _residue_series(C, (x, y), jet_order)
+        a = _residue_series(A, (y, z))
+        b = _residue_series(B, (x, z))
+        c = _residue_series(C, (x, y))
         if a is None or b is None or c is None:
             continue
         a0, b0, c0 = (p.constant_coefficient() for p in (a, b, c))
@@ -260,7 +267,8 @@ def _match_tau3(form: OneForm3, jet_order: int):
             # non-resonance check yet the germ need not be linearizable.
             powers = _integer_powers(a0, (b0, c0) if c0 else (b0,))
             if powers is not None and not c.is_zero():
-                qb, qc = (exact_divide(p, a) for p in (b, c))
+                qb, qc = (exact_divide(p.truncate(SERIES_ORDER), a)
+                          for p in (b, c))
                 match = _model_b(qb, qc, powers, perm)
                 if match is not None:
                     return match
@@ -272,7 +280,7 @@ def _match_tau3(form: OneForm3, jet_order: int):
                 return Model3Match("A", 3, residues=(a0, b0, c0))
             continue
         # model B1: one nonzero residue, weak planes {y = 0}, {z = 0}
-        qb, qc = (exact_divide(p, a) for p in (b, c))
+        qb, qc = (exact_divide(p.truncate(SERIES_ORDER), a) for p in (b, c))
         if any(q.is_zero() or q.degree_in(y) or q.degree_in(z)
                for q in (qb, qc)):
             continue
@@ -343,7 +351,7 @@ def _plane_trace(form: OneForm3, w: str, value=0) -> OneForm2:
     return OneForm2(*pullback(form.coeffs(), form.vars, mapping), others)
 
 
-def _match_tau2(form: OneForm3, direction, jet_order: int):
+def _match_tau2(form: OneForm3, direction):
     # only a coordinate axis is read; the cylinder itself may be dressed
     # by a formal straightening
     axes = [w for w, c in zip(form.vars, direction) if not c.is_zero()]
@@ -363,8 +371,12 @@ def _match_tau2(form: OneForm3, direction, jet_order: int):
     elif code.kind == SADDLE_NODE:
         from .separatrix import weak_separatrix_jet
         try:
-            weak = weak_separatrix_jet(form2, N=jet_order)
-            planes = (_lift_to3(weak.implicit, form.vars),)
+            weak = weak_separatrix_jet(form2, N=SERIES_ORDER).implicit
+            exact = MPoly(weak.vars, weak.coeffs, weak.desc)
+            proof = invariant_hypersurface(form2.coeffs(), form2.vars, exact)
+            if proof and proof.order is None:
+                weak = exact  # the jet is the whole weak separatrix
+            planes = (_lift_to3(weak, form.vars),)
         except (ValueError, PrecisionError):
             planes = ()
         match = Model3Match("b1", 2, weak_planes=planes)
@@ -375,8 +387,8 @@ def _match_tau2(form: OneForm3, direction, jet_order: int):
         resonant = eigenvalue_ratio(tr, det) == "negative"
         residues = ()
         u2, v2 = form2.vars
-        ra = _residue_series(form2.A, (v2,), jet_order)
-        rb = _residue_series(form2.B, (u2,), jet_order)
+        ra = _residue_series(form2.A, (v2,))
+        rb = _residue_series(form2.B, (u2,))
         if ra is not None and rb is not None:
             residues = (ra.constant_coefficient(), rb.constant_coefficient())
         match = Model3Match("b2" if resonant else "a", 2, residues=residues)
@@ -396,22 +408,22 @@ def _lift_to3(eq2: MPoly, vars3):
     return MPoly(vars3, coeffs, eq2.desc, eq2.prec)
 
 
-def match_simple_model3(form: OneForm3, D: LocalDivisor = None,
-                        jet_order: int = 8) -> Model3Match:
-    """Match a singular germ against the simple models in three variables."""
+def match_simple_model3(form: OneForm3, D: LocalDivisor = None) -> Model3Match:
+    """Match a germ against the simple models in three variables; a
+    regular germ is model Regular, of dimensional type 1."""
     form = normalize3(form)
     if not integrable3(form):
         raise ValueError("the form is not integrable")
     tau, direction = dimensional_type(form)
-    if tau == 1:
-        raise ValueError("model matching needs a singular point")
     if D is not None:
         e = len([b for b in D])
         if not tau - 1 <= e <= tau:
             raise ValueError("divisor is not adapted to the point")
+    if tau == 1:
+        return Model3Match(REGULAR, 1)
     if tau == 2:
-        return _match_tau2(form, direction, jet_order)
-    return _match_tau3(form, jet_order)
+        return _match_tau2(form, direction)
+    return _match_tau3(form)
 
 
 def _same_surface(p: MPoly, q: MPoly) -> bool:
@@ -570,7 +582,6 @@ def _random_section(rng, vars2, desc):
 
 
 def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
-                              jet_order: int = 8,
                               max_depth: int = 64) -> Verdict3:
     """Decide second type through plane sections and transversal types.
 
@@ -611,7 +622,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     # the origin itself
     origin_ok = False
     try:
-        match = match_simple_model3(form, None, jet_order)
+        match = match_simple_model3(form)
         if match.is_simple():
             origin_ok = True
             evidence.append("origin matches model %s" % match.code)
@@ -626,8 +637,7 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
                 origin_ok = True
                 evidence.append("origin: cylinder reduction clean")
         else:
-            origin_ok = _logarithmic_certificate(form, evidence, notes,
-                                                 jet_order)
+            origin_ok = _logarithmic_certificate(form, evidence, notes)
     except Inconclusive as exc:
         notes.append("origin: %s" % exc)
 
@@ -650,18 +660,9 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
             notes.append("trial %d: no multiplicity-preserving section" % trial)
             continue
         cand, rows, G = section
-        branches = []
-        degenerate = False
-        for w in planes:
-            eq = cand.components[form.vars.index(w)]
-            lin = [c for e, c in eq.coeffs.items() if sum(e) == 1]
-            if not lin:
-                degenerate = True
-                break
-            branches.append(DivisorBranch(eq, False))
-        if degenerate:
-            notes.append("trial %d: divisor trace not smooth" % trial)
-            continue
+        # _random_section draws no zero row, so every trace is smooth
+        branches = [DivisorBranch(cand.components[form.vars.index(w)], False)
+                    for w in planes]
         try:
             st = is_second_type2(G, LocalDivisor(branches), max_depth)
         except Inconclusive as exc:
@@ -682,14 +683,15 @@ def second_type3_via_sections(form: OneForm3, trials: int = 8, seed: int = 0,
     return Verdict3("Inconclusive", evidence=evidence, notes=notes)
 
 
-def _logarithmic_certificate(form: OneForm3, evidence, notes,
-                             jet_order: int) -> bool:
+def _logarithmic_certificate(form: OneForm3, evidence, notes) -> bool:
     """Normal-crossings logarithmic germ whose residues are pairwise
-    rationally independent never develops a saddle-node: certify that."""
+    rationally independent never develops a saddle-node: certify that.
+    The residue series are compared exactly, so a polynomial germ is
+    certified only when they are constant multiples of one another."""
     x, y, z = form.vars
-    a = _residue_series(form.A, (y, z), jet_order)
-    b = _residue_series(form.B, (x, z), jet_order)
-    c = _residue_series(form.C, (x, y), jet_order)
+    a = _residue_series(form.A, (y, z))
+    b = _residue_series(form.B, (x, z))
+    c = _residue_series(form.C, (x, y))
     if a is None or b is None or c is None:
         notes.append("origin: no simple model and not logarithmic")
         return False
@@ -747,8 +749,7 @@ class TheoremReport:
         return "TheoremReport(ok=%s, %d records)" % (self.ok, len(self.records))
 
 
-def theorem_main_harness(form: OneForm3, surfaces, script,
-                         jet_order: int = 8) -> TheoremReport:
+def theorem_main_harness(form: OneForm3, surfaces, script) -> TheoremReport:
     """Run a prescribed sequence of point and axis blow-ups and verify
     that every final checkpoint is a simple, well-oriented singularity
     and that the strict transforms of the declared separatrix surfaces
@@ -805,7 +806,7 @@ def theorem_main_harness(form: OneForm3, surfaces, script,
             records.append(PointRecord(path, "origin", REGULAR, True))
         else:
             try:
-                match = match_simple_model3(f, None, jet_order)
+                match = match_simple_model3(f)
                 simple = match.is_simple()
                 well = well_oriented3(match, LocalDivisor(local)) \
                     if simple else None

@@ -47,15 +47,14 @@ def _form_text(form):
     return "omega2: %s\n" % form.render()
 
 
-def _reports(command, texts, tmp_path, flags=()):
+def _reports(command, texts, tmp_path):
     out = []
     for k, text in enumerate(texts):
         path = tmp_path / ("in%d.form" % k)
         path.write_text(text, encoding="utf-8")
         report = tmp_path / ("in%d.json" % k)
         report.unlink(missing_ok=True)
-        code = cli.main([command, str(path), "--out", str(report)]
-                        + list(flags))
+        code = cli.main([command, str(path), "--out", str(report)])
         out.append((code, report.read_bytes() if report.exists() else None))
     return out
 
@@ -172,12 +171,10 @@ def _standalone(form):
             [br.implicit.render() for br in rep.seps])
 
 
-@pytest.mark.parametrize("flags", [(), ("--jet-order", "3")])
-def test_reused_tree_matches_standalone_identity_check(tmp_path, flags):
+def test_reused_tree_matches_standalone_identity_check(tmp_path):
     items = [form for form, oracle in corpus2().values()
              if oracle["identity"] is not None]
-    reports = _reports("analyze2", [_form_text(f) for f in items], tmp_path,
-                       flags)
+    reports = _reports("analyze2", [_form_text(f) for f in items], tmp_path)
     for form, (code, blob) in zip(items, reports):
         assert code == 0, form.render()
         report = json.loads(blob)

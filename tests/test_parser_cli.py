@@ -13,8 +13,6 @@ import pytest
 from foliation_lab import cli
 from foliation_lab.parser import InputSyntaxError, parse_form
 
-from conftest import corpus2
-
 TANGENT2 = "omega2: (v^2 - u*v) du + u^2 dv\n"
 CUSP2 = "omega2: (-3*u^2) du + 2*v dv\n"
 RADIAL2 = "omega2: -v du + u dv\n"
@@ -237,19 +235,19 @@ def test_cli_reduce2_over_the_parameter_with_a_common_factor_ends(
 
 
 def test_cli_parser_is_reused_across_calls(tmp_form_file, capsys):
-    """One process runs main with --jet-order 4 and then without it: each
+    """One process runs main with --truncation 6 and then without it: each
     report equals that of a fresh process, and a later argument error
     still exits 1 with one line."""
-    path = tmp_form_file("omega3: (y - 2*x*y) dx + (3*x^2 + 2*x^3) dy\n")
-    runs = [["model-match3", path, "--jet-order", "4"],
-            ["model-match3", path]]
+    path = tmp_form_file(TANGENT2)
+    runs = [["separatrices", path, "--truncation", "6"],
+            ["separatrices", path]]
     fresh = [_fresh_run(argv)[:2] for argv in runs]
     assert fresh[0][0] == 0 and fresh[0][1] != fresh[1][1]
     capsys.readouterr()
     for argv, (code, out) in zip(runs, fresh):
         assert cli.main(argv) == code
         assert capsys.readouterr().out == out
-    assert cli.main(["model-match3", path, "--jet-order", "x"]) == 1
+    assert cli.main(["separatrices", path, "--truncation", "x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("foliation-lab: ") and err.count("\n") == 1
     assert cli._build_argparser() is cli._build_argparser()
@@ -319,8 +317,10 @@ def test_cli_usage_errors_exit_one(tmp_form_file, tmp_path):
     ["reduce2"],
     ["model-match3", "{form}", "--resonance-bound", "25"],
     ["log-criterion", "{form}", "--section", "1,2,3"],
+    ["model-match3", "{form}", "--jet-order", "4"],
 ], ids=["unknown-option", "unknown-command", "bad-int", "no-input",
-        "removed-option", "removed-section-option"])
+        "removed-option", "removed-section-option",
+        "removed-jet-order-option"])
 def test_cli_argument_errors_exit_one(tmp_form_file, capsys, argv):
     path = tmp_form_file(DXYZ3 if argv[0] == "model-match3" else CUSP2)
     assert cli.main([a.format(form=path) for a in argv]) == 1
@@ -595,40 +595,65 @@ def test_cli_model_match3_reports_the_weak_plane(tmp_form_file, tmp_path):
     assert "y + x" not in plane
 
 
-_PLANE_COMMANDS = ("analyze2", "reduce2", "separatrices", "second-type2")
-_JET_BLIND = ([(cmd, "omega2: %s\n" % form.render())
-               for form, _ in corpus2().values() for cmd in _PLANE_COMMANDS]
-              + [("indices", SADDLE_NODE_P2), ("log-criterion", PLANES4_P3)])
-
-
-def test_jet_order_changes_no_plane_or_index_report(tmp_form_file, tmp_path):
-    """--jet-order is read by the three-space commands only: the plane
-    commands and the index sums give the same bytes at order 1."""
-    for k, (command, text) in enumerate(_JET_BLIND):
-        path = tmp_form_file(text)
-        outs = []
-        for flags in ([], ["--jet-order", "1"]):
-            out = tmp_path / ("%d-%d.json" % (k, len(flags)))
-            code = cli.main([command, path, "--out", str(out)] + flags)
-            outs.append((code, out.read_bytes()))
-        assert outs[0] == outs[1], (command, text)
-
-
-def test_model_match3_decides_the_dimensional_type_at_every_jet_order(
+def test_model_match3_decides_the_dimensional_type_on_6_jets(
         tmp_form_file, tmp_path):
-    """The dimensional type is decided on 6-jets whatever --jet-order
-    says: at order 4 this B2 germ gives its default-order report."""
+    """The dimensional type is decided on 6-jets, with no order to set:
+    this germ has type 3 and is model B2 with weak plane {z = 0}."""
+    out = tmp_path / "b2.json"
     path = tmp_form_file("omega3: (y*z) dx + (2*x*z) dy"
                          " + ((-1 - 1*rt(2))*x^2*y^3) dz\n")
-    outs = []
-    for flags in ([], ["--jet-order", "4"]):
-        out = tmp_path / ("%d.json" % len(flags))
-        code = cli.main(["model-match3", path, "--out", str(out)] + flags)
-        outs.append((code, out.read_bytes()))
-    assert outs[0] == outs[1]
-    assert outs[0][0] == 0
-    v = json.loads(outs[0][1])["verdict3"]
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
     assert (v["model"], v["tau"], v["weak_planes"]) == ("B2", 3, ["z"])
+
+
+def test_model_match3_reads_the_b3_resonance_past_the_linear_part(
+        tmp_form_file, tmp_path):
+    """The residue series of this germ are not constant: its quotients
+    b/a and c/a carry the resonant monomial xyz, so it is model B3 with
+    residues (1, 1, 1 + 2 rt(2)), not model A, whose linear part it
+    shares."""
+    out = tmp_path / "b3.json"
+    path = tmp_form_file("omega3: (y*z) dx + (x*z + x^2*y*z^2) dy"
+                         " + (x*y + (1 + 2*rt(2))*x^2*y^2*z) dz\n")
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    assert (v["model"], v["tau"], v["residues"], v["powers"]) == (
+        "B3", 3, ["1", "1", "1 + (2)*rt(2)"], [1, 1, 1])
+
+
+def test_model_match3_prints_an_invariant_weak_plane_exactly(
+        tmp_form_file, tmp_path):
+    """The weak separatrix of the trace (y - 2xy) dx + (3x^2 + 2x^3) dy is
+    {y = 0}, and its jet is proved invariant: it is printed without
+    O(...)."""
+    out = tmp_path / "b1.json"
+    path = tmp_form_file("omega3: (y - 2*x*y) dx + (3*x^2 + 2*x^3) dy\n")
+    assert cli.main(["model-match3", path, "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    assert (v["model"], v["weak_planes"]) == ("b1", ["y"])
+
+
+@pytest.mark.parametrize("text", ["omega3: dx\n",
+                                  "omega3: (1 + x) dx + y dy\n"])
+def test_model_match3_reads_a_regular_germ(tmp_form_file, tmp_path, text):
+    """A regular germ is valid input: model Regular, tau 1, exit 0."""
+    out = tmp_path / "r.json"
+    assert cli.main(["model-match3", tmp_form_file(text),
+                     "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    assert (v["model"], v["tau"], v["weak_planes"]) == ("Regular", 1, [])
+
+
+def test_model_match3_refuses_a_divisor_not_adapted_to_the_point(
+        tmp_form_file, capsys):
+    """Two divisor branches cannot meet at a regular point of the
+    foliation: the declared data contradict the germ, exit 1."""
+    path = tmp_form_file("omega3: dx\ndivisor:{ x, y }\n")
+    assert cli.main(["model-match3", path]) == 1
+    err = capsys.readouterr().err
+    assert "divisor is not adapted to the point" in err
+    assert err.startswith("foliation-lab: ") and err.count("\n") == 1
 
 
 def test_model_match3_reads_a_cylinder_axis_the_form_does_not_involve(

@@ -107,6 +107,19 @@ def test_divisor_branch_meeting_the_exceptional_line_off_the_origin():
     assert ("B0", rec.code.kind, rec.well_oriented) in graph["half_edges"]
 
 
+# classify_point2 marks a singular point with more than two divisor
+# branches through it unadapted.  Weakening that bound to three changes
+# no result on a valid divisor, so no test here can fail on it.  At a
+# simple point, non-degenerate or saddle-node, each of the two
+# eigendirections carries exactly one formal invariant curve, and no other
+# curve is invariant.  Of three distinct branches through it one is
+# therefore dicritical or not invariant, and the loop that follows the
+# bound marks the point unadapted already.  Only a divisor block that
+# lists one branch twice, such as divisor:{ u, v, u } at a saddle, gets
+# three invariant branches through a simple point: the bound then sends
+# the reduction on to the depth limit.
+
+
 def _count_graph_solves(monkeypatch):
     """Count invariant_graph_jet calls through every module that binds it."""
     calls = []

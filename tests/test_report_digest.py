@@ -55,7 +55,7 @@ GOLDEN = {
     "plane:7:7 147":
         "593cd6485881836b0200b582be1c6fac0e7adff3c9318aa4ff656c9a4c9d0111",
     "space3-projective:5:2 156":
-        "b0c97bba62732b3d68a748f6c2fb1e4a9bd1fc0d402d71f849552e64d229d8e9",
+        "e0ab70ff62cb175c6e3dc510fd046e541514f65af9551ae9583241fa95f50072",
     "chain:2,3 2":
         "7c2176e0ef8df5bec752f617c81ab7c7d87b1b181dd63de99825f75f3dde4542",
 }

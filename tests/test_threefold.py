@@ -231,7 +231,18 @@ def test_theorem_main_traces_the_divisor_on_an_axis(tmp_form_file, tmp_path):
     plane {x = 0} is the exceptional plane.  That plane contains the
     z-axis, so its trace on the transversal plane at a generic axis point
     is the weak direction of the axis saddle-node: the axis checkpoint is
-    not well oriented either."""
+    not well oriented either.
+
+    No script can leave only the axis check failing, so a harness that
+    ignored badly oriented axis saddle-nodes would pass every test.  A
+    divisor component D through a singular axis is invariant, and D is
+    tangent to the weak direction of the transversal saddle-node at a
+    generic axis point only when it is the weak separatrix surface there
+    (the weak separatrix is the one formal invariant curve with that
+    tangent).  So D contains the weak surface along the axis, and the
+    origin, of type b1, B1 or B2 (the only simple types with a line of
+    saddle-nodes), has D among its weak planes and is not well oriented
+    either.  The converse fails, as the next test shows."""
     text = ("omega3: (y^2 + x*y) dx - x^2 dy\nseparatrix:{ x }\n"
             "script:[ axis-z ]\n")
     out = tmp_path / "t.json"
@@ -243,6 +254,27 @@ def test_theorem_main_traces_the_divisor_on_an_axis(tmp_form_file, tmp_path):
     assert recs["origin"]["well_oriented"] is False
     assert recs["axis-z"]["result"] == "SaddleNode"
     assert recs["axis-z"]["well_oriented"] is False
+    assert v["ok"] is False
+
+
+def test_theorem_main_checks_a_weak_plane_off_the_axes(tmp_form_file,
+                                                     tmp_path):
+    """The germ is (v^2 + u v) du - u^2 dv pulled back by u = x,
+    v = y - x z^2.  After the blow-up of the z-axis, chart ax carries the
+    b1 point with exceptional plane {x = 0}, which is its weak plane,
+    proved exactly.  Its line of saddle-nodes {x = 0, y = z^2} is no
+    coordinate axis, so only the origin check sees the bad orientation."""
+    text = ("omega3: ((y - x*z^2)^2 + x*y) dx - x^2 dy + 2*x^3*z dz\n"
+            "separatrix:{ x }\nscript:[ axis-z ]\n")
+    out = tmp_path / "t.json"
+    assert cli.main(["theorem-main", tmp_form_file(text),
+                     "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdict3"]
+    recs = [(r["path"], r["where"], r["result"], r["well_oriented"])
+            for r in v["records"]]
+    assert recs == [(["ax"], "origin", "b1", False),
+                    (["ay"], "origin", "b2", True),
+                    (["ay"], "axis-z", "SimpleNonDegenerate", True)]
     assert v["ok"] is False
 
 
@@ -265,3 +297,71 @@ def test_match_divides_by_a_only_for_the_b_models(monkeypatch, form, calls):
                         lambda *args: seen.append(args) or quot(*args))
     match_simple_model3(form())
     assert len(seen) == calls
+
+
+def _second_type3(tmp_form_file, tmp_path, text):
+    out = tmp_path / "s.json"
+    code = cli.main(["second-type3", tmp_form_file(text), "--seed", "1",
+                     "--trials", "1", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_section_test_refuses_a_germ_with_no_model_and_no_poles(
+        tmp_form_file, tmp_path):
+    """d(x^2 + y^2 + z^2) / 2 has dimensional type 3, matches no model,
+    and x is not divisible by yz: the origin is left undecided."""
+    code, report = _second_type3(tmp_form_file, tmp_path,
+                                 "omega3: x dx + y dy + z dz\n")
+    assert code == 2
+    assert report["diagnostics"] == [
+        "origin: no simple model and not logarithmic"]
+
+
+def test_logarithmic_certificate_refuses_a_vanishing_residue():
+    """The B2 germ yz dx + xz dy + x^2 y^2 dz is logarithmic along xyz
+    with residues (1, 1, 0)."""
+    evidence, notes = [], []
+    assert not threefold._logarithmic_certificate(_fb2(), evidence, notes)
+    assert notes == ["origin: vanishing logarithmic residue"]
+
+
+def test_section_test_reads_the_residue_series_exactly(tmp_form_file,
+                                                       tmp_path):
+    """The pull-back of yz dx + rt(2) xz dy + (-1 - rt(2)) xy dz by
+    x -> x (1 + y^8).  Its residue series are not constant multiples of
+    one another, b/a - rt(2) = 8 y^8 / (1 + y^8), though their 8-jets
+    are.  The certificate reads only constant multiples, so it leaves
+    the origin undecided, although the germ is closed as well."""
+    text = ("omega3: ((1 + y^8)*y*z) dx"
+            " + (8*x*y^8*z + rt(2)*x*z*(1 + y^8)) dy"
+            " + ((-1 - rt(2))*(1 + y^8)*x*y) dz\n")
+    code, report = _second_type3(tmp_form_file, tmp_path, text)
+    assert code == 2
+    assert report["second_type"]["verdict"] is None
+    assert report["diagnostics"] == [
+        "origin: residue series are not constant"]
+
+
+@pytest.mark.parametrize("where", ["axis", "trial"])
+def test_section_test_is_inconclusive_once_a_note_is_left(monkeypatch,
+                                                          where):
+    """The product form matches model A and every axis and section
+    reduces cleanly; one planted Inconclusive, on the first axis or the
+    first section, must turn the verdict to Inconclusive."""
+    real = threefold.is_second_type2
+    planted = []
+
+    def first_fails(form2, D, max_depth):
+        if not planted and (form2.vars == ("u", "v")) == (where == "trial"):
+            planted.append(form2)
+            raise threefold.InconclusiveError("planted")
+        return real(form2, D, max_depth)
+
+    monkeypatch.setattr(threefold, "is_second_type2", first_fails)
+    v = second_type3_via_sections(_dxyz(), trials=4, seed=0)
+    assert planted
+    assert v.kind == "Inconclusive"
+    assert len(v.notes) == 1 and v.notes[0].endswith(": planted")
+    assert "origin matches model A" in v.evidence
+    assert any(e.endswith("section pull-backs reduced cleanly")
+               for e in v.evidence)

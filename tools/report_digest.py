@@ -23,7 +23,7 @@ per set: its name, its item count and the digest.  Two checkouts that
 print the same lines wrote byte-identical reports with the same exit
 codes.  ``--list`` also prints one line per item (name, exit code, the
 first 16 hex digits of its report's SHA-256), to find an item that moved.
-``--flags "--jet-order 4"`` appends the given options to every item's
+``--flags "--truncation 6"`` appends the given options to every item's
 command line, after the item's own flags, so one command digests (and
 lists) a set under a non-default option set; the later option wins where
 both name the same one.  ``--count forms.normalize2`` (repeatable; a
